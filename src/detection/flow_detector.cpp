@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
+#include <utility>
+
+#include "detection/flow_scorer.hpp"
 
 namespace onion::detection {
 
@@ -54,16 +56,9 @@ std::vector<ChannelFeatures> channel_features(const TrafficTrace& trace,
 
 DetectionResult detect_beacons(const TrafficTrace& trace,
                                const FlowDetectorConfig& config) {
-  DetectionResult result;
-  std::set<HostId> flagged;
-  for (const ChannelFeatures& f :
-       channel_features(trace, config.min_flows)) {
-    if (f.size_cv < config.size_cv_threshold &&
-        f.gap_cv < config.gap_cv_threshold)
-      flagged.insert(f.src);
-  }
-  result.flagged.assign(flagged.begin(), flagged.end());
-  return result;
+  FlowScorerConfig one;
+  one.beacon_thresholds.push_back(config);
+  return {score_trace(trace, std::move(one)).beacon_flagged().front()};
 }
 
 }  // namespace onion::detection

@@ -25,10 +25,10 @@
 namespace onion::detection {
 
 /// Coefficient of variation (stddev/mean, sample variance); 0 for
-/// degenerate input (< 2 samples or non-positive mean). Exported so the
-/// streaming flow scorer (detection/replay_grid.hpp) computes CVs with
-/// the *same arithmetic* as this batch detector — the differential
-/// tests assert exact flagged-set equality, not approximate.
+/// degenerate input (< 2 samples or non-positive mean). Exported so
+/// FlowScorer (detection/flow_scorer.hpp), which computes this
+/// detector's verdicts, shares the arithmetic of channel_features — the
+/// reference its differential test asserts exact set equality against.
 double coefficient_of_variation(const std::vector<double>& xs);
 
 struct FlowDetectorConfig {
@@ -55,7 +55,8 @@ struct ChannelFeatures {
 std::vector<ChannelFeatures> channel_features(const TrafficTrace& trace,
                                               std::size_t min_flows);
 
-/// Flags sources owning at least one beacon-like channel.
+/// Flags sources owning at least one beacon-like channel: a
+/// one-threshold FlowScorer pass (detection/flow_scorer.hpp).
 DetectionResult detect_beacons(const TrafficTrace& trace,
                                const FlowDetectorConfig& config = {});
 

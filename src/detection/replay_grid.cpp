@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -16,26 +17,6 @@ namespace {
 using scenario::CampaignEvent;
 using scenario::TraceEventKind;
 using scenario::TraceSource;
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-/// Streams one host's flows from a scratch trace. Grouping is by
-/// ascending source id (std::map), so the feed order is deterministic
-/// regardless of emission interleaving.
-void feed_grouped(const TrafficTrace& scratch, FlowSink& sink,
-                  std::uint64_t& flows) {
-  std::map<HostId, std::vector<const FlowRecord*>> by_src;
-  for (const FlowRecord& f : scratch.flows) by_src[f.src].push_back(&f);
-  for (const auto& [src, records] : by_src) {
-    for (const FlowRecord* f : records) sink.on_flow(*f);
-    flows += records.size();
-    sink.on_host_done(src);
-  }
-}
 
 }  // namespace
 
@@ -100,8 +81,8 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
     }
   }
 
-  sink.on_relays(scratch.known_tor_relays);
-  feed_grouped(scratch, sink, out.flows);
+  feed_trace(scratch, sink);
+  out.flows += scratch.flows.size();
 
   if (!lifetimes.empty()) {
     // Host ids and per-bot event times up front: one forward event pass
@@ -190,83 +171,6 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   return out;
 }
 
-void feed_trace(const TrafficTrace& trace, FlowSink& sink) {
-  sink.on_relays(trace.known_tor_relays);
-  std::uint64_t flows = 0;
-  feed_grouped(trace, sink, flows);
-}
-
-FlowScorer::FlowScorer(FlowScorerConfig config)
-    : config_(std::move(config)),
-      beacon_sets_(config_.beacon_thresholds.size()),
-      tor_sets_(config_.tor_min_flows.size()) {}
-
-void FlowScorer::on_relays(const std::vector<HostId>& relays) {
-  relays_ = std::set<HostId>(relays.begin(), relays.end());
-}
-
-void FlowScorer::on_flow(const FlowRecord& f) {
-  ONION_EXPECTS(!finished_);
-  Series& s = channels_[{f.src, f.dst}];
-  s.sizes.push_back(static_cast<double>(f.bytes));
-  s.times.push_back(static_cast<double>(f.at));
-  ++flows_;
-}
-
-void FlowScorer::on_host_done(HostId host) { finalize_host(host); }
-
-void FlowScorer::finalize_host(HostId host) {
-  std::size_t tor_flows = 0;
-  auto it = channels_.lower_bound({host, 0});
-  while (it != channels_.end() && it->first.first == host) {
-    Series& s = it->second;
-    const std::size_t count = s.sizes.size();
-    // Same arithmetic as channel_features: sizes CV as emitted, gaps CV
-    // over the sorted timestamps — bitwise-equal to the batch detector.
-    const double size_cv = coefficient_of_variation(s.sizes);
-    std::sort(s.times.begin(), s.times.end());
-    std::vector<double> gaps;
-    gaps.reserve(count > 0 ? count - 1 : 0);
-    for (std::size_t i = 1; i < s.times.size(); ++i)
-      gaps.push_back(s.times[i] - s.times[i - 1]);
-    const double gap_cv = coefficient_of_variation(gaps);
-    for (std::size_t k = 0; k < config_.beacon_thresholds.size(); ++k) {
-      const FlowDetectorConfig& c = config_.beacon_thresholds[k];
-      if (count >= c.min_flows && size_cv < c.size_cv_threshold &&
-          gap_cv < c.gap_cv_threshold)
-        beacon_sets_[k].insert(host);
-    }
-    if (relays_.count(it->first.second) > 0) tor_flows += count;
-    it = channels_.erase(it);
-  }
-  for (std::size_t k = 0; k < config_.tor_min_flows.size(); ++k)
-    if (tor_flows >= config_.tor_min_flows[k] && tor_flows > 0)
-      tor_sets_[k].insert(host);
-}
-
-void FlowScorer::finish() {
-  ONION_EXPECTS(!finished_);
-  while (!channels_.empty())
-    finalize_host(channels_.begin()->first.first);
-  beacon_flagged_.reserve(beacon_sets_.size());
-  for (const std::set<HostId>& s : beacon_sets_)
-    beacon_flagged_.emplace_back(s.begin(), s.end());
-  tor_flagged_.reserve(tor_sets_.size());
-  for (const std::set<HostId>& s : tor_sets_)
-    tor_flagged_.emplace_back(s.begin(), s.end());
-  finished_ = true;
-}
-
-const std::vector<std::vector<HostId>>& FlowScorer::beacon_flagged() const {
-  ONION_EXPECTS(finished_);
-  return beacon_flagged_;
-}
-
-const std::vector<std::vector<HostId>>& FlowScorer::tor_flagged() const {
-  ONION_EXPECTS(finished_);
-  return tor_flagged_;
-}
-
 Bytes serialize(const ReplayGridPoint& p) {
   Bytes out;
   out.reserve(8 * 10 + p.detector.size() + p.params.size());
@@ -350,60 +254,33 @@ ReplayGridCell ReplayGrid::run_cell(const TraceSource& campaign,
       replay_trace_streaming(campaign, replay, scorer);
   scorer.finish();
 
-  const std::set<HostId> infected(pops.infected.begin(),
-                                  pops.infected.end());
-  const std::set<HostId> monitored(pops.monitored.begin(),
-                                   pops.monitored.end());
-  const std::size_t benign = pops.monitored.size() - pops.infected.size();
-  const auto score = [&](std::string detector, std::string params,
-                         const std::vector<HostId>& flagged) {
-    ReplayGridPoint p;
-    p.campaign = static_cast<std::size_t>(cell.campaign);
-    p.replay_seed = cell.replay_seed;
-    p.detector = std::move(detector);
-    p.params = std::move(params);
-    p.flows = pops.flows;
-    p.flagged = flagged.size();
-    for (const HostId h : flagged) {
-      if (infected.count(h) > 0)
-        ++p.true_positives;
-      else if (monitored.count(h) > 0)
-        ++p.false_positives;
-    }
-    p.tpr = infected.empty()
-                ? 0.0
-                : static_cast<double>(p.true_positives) /
-                      static_cast<double>(infected.size());
-    p.fpr = benign == 0 ? 0.0
-                        : static_cast<double>(p.false_positives) /
-                              static_cast<double>(benign);
-    p.families.reserve(pops.truth.populations.size());
-    for (const GroundTruth::Population& pop : pops.truth.populations) {
-      RocFamilyCount f;
-      f.family = pop.name;
-      f.population = pop.hosts.size();
-      // Both sides ascending: membership via binary search.
-      for (const HostId h : pop.hosts)
-        if (std::binary_search(flagged.begin(), flagged.end(), h))
-          ++f.flagged;
-      p.families.push_back(std::move(f));
-    }
-    return p;
+  const TruthIndex truth(pops.infected, pops.monitored);
+  const auto add = [&](std::string detector, std::string params,
+                       const std::vector<HostId>& flagged) {
+    RocPoint r = score_verdict(std::move(detector), std::move(params),
+                               flagged, truth, pops.truth);
+    cell.points.push_back({.campaign = static_cast<std::size_t>(cell.campaign),
+                           .replay_seed = cell.replay_seed,
+                           .detector = std::move(r.detector),
+                           .params = std::move(r.params),
+                           .flows = pops.flows,
+                           .flagged = r.flagged,
+                           .true_positives = r.true_positives,
+                           .false_positives = r.false_positives,
+                           .tpr = r.tpr,
+                           .fpr = r.fpr,
+                           .families = std::move(r.families)});
   };
-
   cell.points.reserve(points_per_cell());
   for (std::size_t k = 0; k < scorer_config.beacon_thresholds.size(); ++k) {
     const FlowDetectorConfig& c = scorer_config.beacon_thresholds[k];
-    cell.points.push_back(score("flow-beacon",
-                                "size_cv=" + fmt(c.size_cv_threshold) +
-                                    ",gap_cv=" + fmt(c.gap_cv_threshold),
-                                scorer.beacon_flagged()[k]));
+    add("flow-beacon",
+        flow_beacon_params(c.size_cv_threshold, c.gap_cv_threshold),
+        scorer.beacon_flagged()[k]);
   }
   for (std::size_t k = 0; k < scorer_config.tor_min_flows.size(); ++k)
-    cell.points.push_back(score(
-        "tor-flagger",
-        "min_flows=" + std::to_string(scorer_config.tor_min_flows[k]),
-        scorer.tor_flagged()[k]));
+    add("tor-flagger", tor_flagger_params(scorer_config.tor_min_flows[k]),
+        scorer.tor_flagged()[k]);
   cell.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -4,7 +4,7 @@
 // its TrafficTrace (the synthesizer here feeds flows host-by-host into
 // a streaming scorer and releases each host as soon as it is scored).
 //
-// Three pieces:
+// Two pieces:
 //
 //   FlowSink / replay_trace_streaming
 //     The O(window) twin of detection::replay_trace: same populations,
@@ -17,17 +17,11 @@
 //     per-bot). Equal (campaign, config) still reproduce the streamed
 //     capture — and every grid fingerprint — exactly.
 //
-//   FlowScorer
-//     A FlowSink evaluating every configured flow-beacon threshold and
-//     tor-flagger threshold in one pass. Per-channel features use the
-//     exported coefficient_of_variation, so its verdicts are *equal* —
-//     not approximately — to detect_beacons / detect_tor_users fed the
-//     same flows (tests/replay_grid_test.cpp asserts set equality).
-//
 //   ReplayGrid
 //     Shards campaign × replay-seed cells across common/parallel.hpp
-//     (each cell scoring its full detector-threshold axis in one
-//     streamed pass) into a fingerprinted ReplayGridReport; points land
+//     (each cell streaming one replay into a FlowScorer,
+//     detection/flow_scorer.hpp, that scores its full detector-threshold
+//     axis in one pass) into a fingerprinted ReplayGridReport; points land
 //     at their grid index, so thread count never moves the fingerprint.
 //     run_cell exposes the unit of work — one ReplayGridCell per
 //     (campaign, seed) — so the multi-process transport
@@ -37,29 +31,15 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "detection/flow_detector.hpp"
+#include "detection/flow_scorer.hpp"
 #include "detection/replay.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/trace.hpp"
 
 namespace onion::detection {
-
-/// Receives a streamed capture. Flows arrive grouped by source host:
-/// all of a host's flows, then on_host_done(host) — after which no more
-/// flows for that host may arrive. on_relays announces the public Tor
-/// relay registry before any flow.
-class FlowSink {
- public:
-  virtual ~FlowSink() = default;
-  virtual void on_relays(const std::vector<HostId>& relays) = 0;
-  virtual void on_flow(const FlowRecord& f) = 0;
-  virtual void on_host_done(HostId host) = 0;
-};
 
 /// The per-population host tables a streamed replay produces instead of
 /// a TrafficTrace: everything the grid needs to score verdicts, nothing
@@ -81,60 +61,6 @@ struct StreamPopulations {
 StreamPopulations replay_trace_streaming(
     const scenario::TraceSource& campaign, const ReplayConfig& config,
     FlowSink& sink);
-
-/// Feeds an already-materialized trace into a sink, grouping flows by
-/// source host (ascending) — the bridge differential tests use to run
-/// the streaming scorer over a batch capture.
-void feed_trace(const TrafficTrace& trace, FlowSink& sink);
-
-/// Every threshold the one-pass scorer evaluates.
-struct FlowScorerConfig {
-  /// Flow-beacon operating points (min_flows/size_cv/gap_cv each).
-  std::vector<FlowDetectorConfig> beacon_thresholds;
-  /// Tor-flagger min-flow thresholds.
-  std::vector<std::size_t> tor_min_flows;
-};
-
-/// One-pass streaming scorer: buffers per-channel size/time series only
-/// for hosts not yet finalized, and collapses each host to verdicts at
-/// its on_host_done. Call finish() after the stream ends (it finalizes
-/// any hosts fed without an on_host_done, so raw ungrouped traces work
-/// too); flagged sets are valid afterwards, sorted ascending like the
-/// batch detectors'.
-class FlowScorer final : public FlowSink {
- public:
-  explicit FlowScorer(FlowScorerConfig config);
-
-  void on_relays(const std::vector<HostId>& relays) override;
-  void on_flow(const FlowRecord& f) override;
-  void on_host_done(HostId host) override;
-  void finish();
-
-  std::uint64_t flows_scored() const { return flows_; }
-  /// Flagged hosts per beacon threshold (index-parallel with the
-  /// config's beacon_thresholds), ascending.
-  const std::vector<std::vector<HostId>>& beacon_flagged() const;
-  /// Flagged hosts per tor min-flows threshold, ascending.
-  const std::vector<std::vector<HostId>>& tor_flagged() const;
-
- private:
-  struct Series {
-    std::vector<double> sizes;
-    std::vector<double> times;
-  };
-  void finalize_host(HostId host);
-
-  FlowScorerConfig config_;
-  std::set<HostId> relays_;
-  /// Open (not yet finalized) hosts' channels, keyed (src, dst).
-  std::map<std::pair<HostId, HostId>, Series> channels_;
-  std::uint64_t flows_ = 0;
-  bool finished_ = false;
-  std::vector<std::set<HostId>> beacon_sets_;
-  std::vector<std::set<HostId>> tor_sets_;
-  std::vector<std::vector<HostId>> beacon_flagged_;
-  std::vector<std::vector<HostId>> tor_flagged_;
-};
 
 /// The replay-level grid: which campaigns' recorded traces to sweep is
 /// run()'s argument; this config fixes the replay knobs, the seed axis,

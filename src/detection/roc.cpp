@@ -1,16 +1,14 @@
 #include "detection/roc.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/dga_detector.hpp"
 #include "detection/fastflux_detector.hpp"
-#include "detection/flow_detector.hpp"
 #include "detection/p2p_detector.hpp"
-#include "detection/tor_flagger.hpp"
 
 namespace onion::detection {
 
@@ -26,69 +24,67 @@ std::string fmt(double v) {
 
 std::string fmt(std::size_t v) { return std::to_string(v); }
 
-/// Ground truth digested once per sweep (the 68 cells share it).
-struct TruthIndex {
-  std::unordered_set<HostId> infected;
-  std::unordered_set<HostId> monitored;
-  std::size_t benign = 0;  // monitored hosts that are not infected
+bool contains(const std::vector<HostId>& sorted, HostId h) {
+  return std::binary_search(sorted.begin(), sorted.end(), h);
+}
 
-  explicit TruthIndex(const TrafficTrace& trace)
-      : infected(trace.infected.begin(), trace.infected.end()),
-        monitored(trace.hosts.begin(), trace.hosts.end()) {
-    // Pure count over the set: the sum is iteration-order independent,
-    // and nothing ordered or fingerprinted is built from the traversal.
-    // detlint:allow(D1 order-insensitive count)
-    for (const HostId h : monitored)
-      if (infected.count(h) == 0) ++benign;
-  }
-};
+std::vector<HostId> sorted_unique(std::vector<HostId> hosts) {
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  return hosts;
+}
 
-/// Scores one verdict against the trace's ground truth. TPR/FPR match
-/// DetectionResult's definitions (rates over infected / benign monitored
-/// hosts); precision adds the count view the ROC CSV reports. When
-/// `families` names populations, each gets its flagged count appended —
-/// the per-family resolution rides the same detector verdict.
-RocPoint score(std::string detector, std::string params,
-               const DetectionResult& result, const TruthIndex& truth,
-               const GroundTruth& families) {
+double rate(std::size_t hits, std::size_t total) {
+  return total == 0 ? 0.0
+                    : static_cast<double>(hits) / static_cast<double>(total);
+}
+
+}  // namespace
+
+TruthIndex::TruthIndex(std::vector<HostId> infected_hosts,
+                       std::vector<HostId> monitored_hosts)
+    : infected(sorted_unique(std::move(infected_hosts))),
+      monitored(sorted_unique(std::move(monitored_hosts))) {
+  for (const HostId h : monitored)
+    if (!contains(infected, h)) ++benign;
+}
+
+RocPoint score_verdict(std::string detector, std::string params,
+                       const std::vector<HostId>& flagged,
+                       const TruthIndex& truth, const GroundTruth& families) {
   RocPoint p;
   p.detector = std::move(detector);
   p.params = std::move(params);
-  p.flagged = result.flagged.size();
-  std::unordered_set<HostId> flagged_hosts;
-  flagged_hosts.reserve(result.flagged.size());
-  for (const HostId h : result.flagged) {
-    flagged_hosts.insert(h);
-    if (truth.infected.count(h) > 0)
+  p.flagged = flagged.size();
+  for (const HostId h : flagged) {
+    if (contains(truth.infected, h))
       ++p.true_positives;
-    else if (truth.monitored.count(h) > 0)
+    else if (contains(truth.monitored, h))
       ++p.false_positives;
   }
+  p.tpr = rate(p.true_positives, truth.infected.size());
+  p.fpr = rate(p.false_positives, truth.benign);
+  p.precision = rate(p.true_positives, p.flagged);
+  const std::vector<HostId> flagged_set = sorted_unique(flagged);
   p.families.reserve(families.populations.size());
   for (const GroundTruth::Population& pop : families.populations) {
     RocFamilyCount f;
     f.family = pop.name;
     f.population = pop.hosts.size();
     for (const HostId h : pop.hosts)
-      if (flagged_hosts.count(h) > 0) ++f.flagged;
+      if (contains(flagged_set, h)) ++f.flagged;
     p.families.push_back(std::move(f));
   }
-  p.tpr = truth.infected.empty()
-              ? 0.0
-              : static_cast<double>(p.true_positives) /
-                    static_cast<double>(truth.infected.size());
-  p.fpr = truth.benign == 0
-              ? 0.0
-              : static_cast<double>(p.false_positives) /
-                    static_cast<double>(truth.benign);
-  p.precision = p.flagged == 0
-                    ? 0.0
-                    : static_cast<double>(p.true_positives) /
-                          static_cast<double>(p.flagged);
   return p;
 }
 
-}  // namespace
+std::string flow_beacon_params(double size_cv, double gap_cv) {
+  return "size_cv=" + fmt(size_cv) + ",gap_cv=" + fmt(gap_cv);
+}
+
+std::string tor_flagger_params(std::size_t min_flows) {
+  return "min_flows=" + fmt(min_flows);
+}
 
 Bytes serialize(const RocPoint& p) {
   Bytes out;
@@ -149,7 +145,9 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
       c.nxdomain_ratio_threshold = ratio;
       cells_.push_back({"dga-dns",
                         "entropy=" + fmt(entropy) + ",nxdomain=" + fmt(ratio),
-                        [c](const TrafficTrace& t) { return detect_dga(t, c); }});
+                        [c](const TrafficTrace& t, const FlowScorer&) {
+                          return detect_dga(t, c).flagged;
+                        }});
     }
   for (const std::size_t ips : config_.flux_distinct_ips)
     for (const double ttl : config_.flux_ttl) {
@@ -158,8 +156,8 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
       c.ttl_threshold = ttl;
       cells_.push_back({"fast-flux",
                         "distinct_ips=" + fmt(ips) + ",ttl=" + fmt(ttl),
-                        [c](const TrafficTrace& t) {
-                          return detect_fastflux(t, c);
+                        [c](const TrafficTrace& t, const FlowScorer&) {
+                          return detect_fastflux(t, c).flagged;
                         }});
     }
   for (const double size_cv : config_.flow_size_cv)
@@ -167,10 +165,11 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
       FlowDetectorConfig c;
       c.size_cv_threshold = size_cv;
       c.gap_cv_threshold = gap_cv;
-      cells_.push_back({"flow-beacon",
-                        "size_cv=" + fmt(size_cv) + ",gap_cv=" + fmt(gap_cv),
-                        [c](const TrafficTrace& t) {
-                          return detect_beacons(t, c);
+      const std::size_t k = flow_scorer_.beacon_thresholds.size();
+      flow_scorer_.beacon_thresholds.push_back(c);
+      cells_.push_back({"flow-beacon", flow_beacon_params(size_cv, gap_cv),
+                        [k](const TrafficTrace&, const FlowScorer& s) {
+                          return s.beacon_flagged()[k];
                         }});
     }
   for (const std::size_t degree : config_.p2p_degree)
@@ -181,13 +180,18 @@ RocSweep::RocSweep(RocConfig config) : config_(std::move(config)) {
       cells_.push_back({"p2p-mesh",
                         "degree=" + fmt(degree) + ",interconnection=" +
                             fmt(inter),
-                        [c](const TrafficTrace& t) { return detect_p2p(t, c); }});
+                        [c](const TrafficTrace& t, const FlowScorer&) {
+                          return detect_p2p(t, c).flagged;
+                        }});
     }
-  for (const std::size_t min_flows : config_.tor_min_flows)
-    cells_.push_back({"tor-flagger", "min_flows=" + fmt(min_flows),
-                      [min_flows](const TrafficTrace& t) {
-                        return detect_tor_users(t, min_flows);
+  for (const std::size_t min_flows : config_.tor_min_flows) {
+    const std::size_t k = flow_scorer_.tor_min_flows.size();
+    flow_scorer_.tor_min_flows.push_back(min_flows);
+    cells_.push_back({"tor-flagger", tor_flagger_params(min_flows),
+                      [k](const TrafficTrace&, const FlowScorer& s) {
+                        return s.tor_flagged()[k];
                       }});
+  }
 }
 
 RocReport RocSweep::run(const TrafficTrace& trace) const {
@@ -199,15 +203,18 @@ RocReport RocSweep::run(const TrafficTrace& trace,
   RocReport report;
   report.points.resize(cells_.size());
   const auto start = std::chrono::steady_clock::now();
-  const TruthIndex index(trace);
+  const TruthIndex index(trace.infected, trace.hosts);
+  const FlowScorer flows = score_trace(trace, flow_scorer_);
 
-  // Detectors are pure functions of the (shared, read-only) trace, and
-  // each point lands at its grid index — the sharding is invisible.
+  // Detectors are pure functions of the (shared, read-only) trace and
+  // scorer, and each point lands at its grid index — the sharding is
+  // invisible.
   report.threads_used = parallel_for_index(
       cells_.size(), config_.threads, [&](std::size_t i) {
         const Cell& cell = cells_[i];
-        report.points[i] = score(cell.detector, cell.params,
-                                 cell.detect(trace), index, truth);
+        report.points[i] = score_verdict(cell.detector, cell.params,
+                                         cell.detect(trace, flows), index,
+                                         truth);
       });
 
   report.wall_seconds =

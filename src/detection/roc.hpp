@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "detection/flow_scorer.hpp"
 #include "detection/telemetry.hpp"
 
 namespace onion::detection {
@@ -86,6 +87,31 @@ struct RocPoint {
   std::vector<RocFamilyCount> families;
 };
 
+/// Ground truth digested once for scoring many verdicts: the infected
+/// and monitored hosts as ascending, duplicate-free lists.
+struct TruthIndex {
+  TruthIndex(std::vector<HostId> infected_hosts,
+             std::vector<HostId> monitored_hosts);
+
+  std::vector<HostId> infected;
+  std::vector<HostId> monitored;
+  std::size_t benign = 0;  // monitored hosts that are not infected
+};
+
+/// Scores one verdict: the TP/FP/TPR/FPR/precision count every report
+/// shares (RocSweep here, ReplayGrid in detection/replay_grid.hpp). The
+/// rates match DetectionResult's definitions (over infected / benign
+/// monitored hosts). Each population `families` names gets its flagged
+/// count, in order; an empty truth leaves RocPoint::families empty.
+RocPoint score_verdict(std::string detector, std::string params,
+                       const std::vector<HostId>& flagged,
+                       const TruthIndex& truth, const GroundTruth& families);
+
+/// Canonical params tuples of the flow-log operating points, shared by
+/// every report that scores them.
+std::string flow_beacon_params(double size_cv, double gap_cv);
+std::string tor_flagger_params(std::size_t min_flows);
+
 /// Canonical serialization of one point (strings length-prefixed,
 /// doubles bit-cast) — the unit the sweep fingerprint hashes.
 Bytes serialize(const RocPoint& p);
@@ -121,10 +147,16 @@ class RocSweep {
   struct Cell {
     std::string detector;
     std::string params;
-    std::function<DetectionResult(const TrafficTrace&)> detect;
+    /// The cell's verdict: flow-log cells read it off the sweep's one
+    /// FlowScorer pass, the others run their detector on the trace.
+    std::function<std::vector<HostId>(const TrafficTrace&,
+                                      const FlowScorer&)>
+        detect;
   };
 
   RocConfig config_;
+  /// Every flow-beacon and tor-flagger threshold, scored in one pass.
+  FlowScorerConfig flow_scorer_;
   std::vector<Cell> cells_;
 };
 

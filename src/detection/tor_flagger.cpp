@@ -1,22 +1,16 @@
 #include "detection/tor_flagger.hpp"
 
-#include <map>
-#include <set>
+#include <utility>
+
+#include "detection/flow_scorer.hpp"
 
 namespace onion::detection {
 
 DetectionResult detect_tor_users(const TrafficTrace& trace,
                                  std::size_t min_flows) {
-  const std::set<HostId> relays(trace.known_tor_relays.begin(),
-                                trace.known_tor_relays.end());
-  std::map<HostId, std::size_t> tor_flows;
-  for (const FlowRecord& f : trace.flows)
-    if (relays.count(f.dst) > 0) ++tor_flows[f.src];
-
-  DetectionResult result;
-  for (const auto& [host, count] : tor_flows)
-    if (count >= min_flows) result.flagged.push_back(host);
-  return result;
+  FlowScorerConfig one;
+  one.tor_min_flows.push_back(min_flows);
+  return {score_trace(trace, std::move(one)).tor_flagged().front()};
 }
 
 }  // namespace onion::detection

@@ -12,7 +12,8 @@
 namespace onion::detection {
 
 /// Flags every monitored host with at least `min_flows` flows to a
-/// known Tor relay.
+/// known Tor relay: a one-threshold FlowScorer pass
+/// (detection/flow_scorer.hpp).
 DetectionResult detect_tor_users(const TrafficTrace& trace,
                                  std::size_t min_flows = 3);
 

@@ -1,13 +1,15 @@
-// Replay-grid tests: the streaming FlowScorer's verdicts are *equal* —
-// set equality, not approximation — to the batch flow-beacon and
-// tor-flagger detectors fed the same capture; the streamed replay is
-// deterministic and O(window)-shaped (population tables match the batch
-// replay's exactly); the grid fingerprint is thread-count invariant;
-// and the family-resolved RocSweep keeps the legacy aggregate encoding
+// Replay-grid tests: the FlowScorer's verdicts are *equal* — set
+// equality, not approximation — to independent references over the same
+// capture (thresholds over channel_features, a direct per-source count
+// of flows to relays); the streamed replay is deterministic and
+// O(window)-shaped (population tables match the batch replay's
+// exactly); the grid fingerprint is thread-count invariant; and the
+// family-resolved RocSweep keeps the legacy aggregate encoding
 // byte-identical while adding correct per-population columns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,14 +66,8 @@ ReplayConfig small_replay(std::uint64_t seed) {
   return rc;
 }
 
-// ====================================================================
-// FlowScorer == batch detectors
-// ====================================================================
-
-TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
-  const CampaignTrace campaign = record(busy_spec(51));
-  const ReplayResult replay = replay_trace(campaign, small_replay(0x5ca1e));
-
+/// Every flow-beacon and tor-flagger operating point RocSweep sweeps.
+FlowScorerConfig full_scorer_config() {
   FlowScorerConfig config;
   for (const double size_cv : {0.1, 0.25, 0.5, 0.75})
     for (const double gap_cv : {0.2, 0.45, 0.7, 1.0}) {
@@ -81,29 +77,55 @@ TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
       config.beacon_thresholds.push_back(c);
     }
   config.tor_min_flows = {1, 3, 10, 30};
+  return config;
+}
 
-  FlowScorer scorer(config);
-  feed_trace(replay.trace, scorer);
-  scorer.finish();
-  EXPECT_EQ(scorer.flows_scored(), replay.trace.flows.size());
+// ====================================================================
+// FlowScorer == independent references
+// ====================================================================
 
-  // Exact set equality against every batch operating point: same
-  // arithmetic (shared coefficient_of_variation), same verdicts.
+TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
+  const CampaignTrace campaign = record(busy_spec(51));
+  const ReplayResult replay = replay_trace(campaign, small_replay(0x5ca1e));
+  const TrafficTrace& trace = replay.trace;
+  const FlowScorerConfig config = full_scorer_config();
+  const FlowScorer scorer = score_trace(trace, config);
+  EXPECT_EQ(scorer.flows_scored(), trace.flows.size());
+
+  // Flow-beacon reference: each threshold applied to channel_features.
+  // detect_beacons wraps the scorer, so it must agree as well.
   ASSERT_EQ(scorer.beacon_flagged().size(), config.beacon_thresholds.size());
+  std::size_t beacon_hits = 0;
   for (std::size_t i = 0; i < config.beacon_thresholds.size(); ++i) {
-    DetectionResult batch =
-        detect_beacons(replay.trace, config.beacon_thresholds[i]);
-    std::sort(batch.flagged.begin(), batch.flagged.end());
-    EXPECT_EQ(scorer.beacon_flagged()[i], batch.flagged)
+    const FlowDetectorConfig& c = config.beacon_thresholds[i];
+    std::set<HostId> expected;
+    for (const ChannelFeatures& f : channel_features(trace, c.min_flows))
+      if (f.size_cv < c.size_cv_threshold && f.gap_cv < c.gap_cv_threshold)
+        expected.insert(f.src);
+    const std::vector<HostId> reference(expected.begin(), expected.end());
+    beacon_hits += reference.size();
+    EXPECT_EQ(scorer.beacon_flagged()[i], reference)
         << "beacon threshold " << i << " diverged";
+    EXPECT_EQ(detect_beacons(trace, c).flagged, reference);
   }
+  EXPECT_GT(beacon_hits, 0u);
+
+  // Tor-flagger reference: a direct per-source count of flows to relays.
+  const std::set<HostId> relays(trace.known_tor_relays.begin(),
+                                trace.known_tor_relays.end());
+  std::map<HostId, std::size_t> tor_flows;
+  for (const FlowRecord& f : trace.flows)
+    if (relays.count(f.dst) > 0) ++tor_flows[f.src];
+  ASSERT_FALSE(tor_flows.empty());
   ASSERT_EQ(scorer.tor_flagged().size(), config.tor_min_flows.size());
   for (std::size_t i = 0; i < config.tor_min_flows.size(); ++i) {
-    DetectionResult batch =
-        detect_tor_users(replay.trace, config.tor_min_flows[i]);
-    std::sort(batch.flagged.begin(), batch.flagged.end());
-    EXPECT_EQ(scorer.tor_flagged()[i], batch.flagged)
+    std::vector<HostId> reference;
+    for (const auto& [host, count] : tor_flows)
+      if (count >= config.tor_min_flows[i]) reference.push_back(host);
+    EXPECT_EQ(scorer.tor_flagged()[i], reference)
         << "tor threshold " << i << " diverged";
+    EXPECT_EQ(detect_tor_users(trace, config.tor_min_flows[i]).flagged,
+              reference);
   }
 }
 

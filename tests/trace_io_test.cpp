@@ -70,6 +70,10 @@ std::string temp_path(const std::string& name) {
 }
 
 void write_file(const std::string& path, BytesView bytes) {
+  // Unlink first: truncating a file in place on every iteration of the
+  // every-byte loops makes ext4 flush on close, which turns those
+  // loops' sub-second work into minutes of blocked I/O.
+  std::remove(path.c_str());
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   if (!bytes.empty()) {
