@@ -203,9 +203,9 @@ int main(int argc, char** argv) {
   for (const SnapshotCosts& c : costs)
     std::printf(
         "  snapshot us @%zu: sweep %.1f, growth %.2f (%.0fx), deletion "
-        "%.2f (%.0fx), rebuild %.1f\n",
+        "%.2f (%.0fx)\n",
         c.nodes, c.sweep_us, c.incremental_us,
         c.sweep_us / c.incremental_us, c.deletion_us,
-        c.sweep_us / c.deletion_us, c.rebuild_us);
+        c.sweep_us / c.deletion_us);
   return 0;
 }

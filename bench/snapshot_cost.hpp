@@ -3,7 +3,7 @@
 // bench_report.cpp (the BENCH_scenario.json perf trajectory) must report
 // numbers measured the same way, so the loop lives once, here.
 //
-// Four per-snapshot costs on one live overlay:
+// Three per-snapshot costs on one live overlay:
 //   sweep     — the from-scratch O((n+m)·α) pass the engine used to pay
 //               per snapshot (scenario::sweep_structural)
 //   growth    — StructuralTracker::fill after a pure-growth window
@@ -20,11 +20,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/ddsr.hpp"
-#include "graph/union_find.hpp"
 #include "scenario/tracker.hpp"
 
 namespace onion::bench {
@@ -63,45 +60,9 @@ inline void join(core::OverlayNetwork& net, Rng& rng) {
   }
 }
 
-/// The retired hybrid tracker's rebuild_components(), kept here as the
-/// comparison baseline: union-find over the honest subgraph plus a
-/// component-size pass. Storage persists across calls (UnionFind::reset
-/// + scratch assign), so the measured number is union time, not malloc
-/// time — the allocation-free fix the old in-tracker version lacked.
-class RebuildBaseline {
- public:
-  /// Returns {components, largest} so callers can checksum the result.
-  std::pair<std::uint64_t, std::uint64_t> run(
-      const core::OverlayNetwork& net) {
-    const graph::Graph& g = net.graph();
-    const std::size_t cap = g.capacity();
-    uf_.reset(cap);
-    scratch_.assign(cap, 0);
-    std::uint64_t components = 0;
-    std::uint64_t largest = 0;
-    for (graph::NodeId u = 0; u < cap; ++u) {
-      if (!g.alive(u) || !net.honest(u)) continue;
-      for (const graph::NodeId v : g.neighbors(u))
-        if (v > u && net.honest(v)) uf_.unite(u, v);
-    }
-    for (graph::NodeId u = 0; u < cap; ++u) {
-      if (!g.alive(u) || !net.honest(u)) continue;
-      const std::uint32_t size =
-          ++scratch_[static_cast<std::size_t>(uf_.find(u))];
-      if (size == 1) ++components;
-      if (size > largest) largest = size;
-    }
-    return {components, largest};
-  }
-
- private:
-  graph::UnionFind uf_{0};
-  std::vector<std::uint32_t> scratch_;
-};
-
 }  // namespace detail
 
-/// Builds a `nodes`-bot 10-regular overlay and measures the four costs,
+/// Builds a `nodes`-bot 10-regular overlay and measures the three costs,
 /// `rounds` repetitions each. `checksum` accumulates observed metric
 /// values so the compiler cannot elide the measured work.
 inline SnapshotCosts measure_snapshot_costs(std::size_t nodes, int rounds,
@@ -145,10 +106,7 @@ inline SnapshotCosts measure_snapshot_costs(std::size_t nodes, int rounds,
 
   // Deletion window: each round loses one bot (DDSR heals the hole;
   // the tracker folds the removal in via the observer as it happens),
-  // then the snapshot is billed. The retired scheme's rebuild is
-  // measured on the same post-deletion state for the apples-to-apples
-  // "what did the cliff cost" column.
-  detail::RebuildBaseline baseline;
+  // then the snapshot is billed.
   for (int r = 0; r < rounds; ++r) {
     ddsr.remove_node(
         static_cast<graph::NodeId>(tracker.honest_at(
@@ -158,14 +116,8 @@ inline SnapshotCosts measure_snapshot_costs(std::size_t nodes, int rounds,
     tracker.fill(s, true);
     costs.deletion_us += detail::us_since(fill_start);
     checksum += s.honest_edges + s.components;
-
-    const auto rebuild_start = Clock::now();
-    const auto [components, largest] = baseline.run(net);
-    costs.rebuild_us += detail::us_since(rebuild_start);
-    checksum += components + largest;
   }
   costs.deletion_us /= rounds;
-  costs.rebuild_us /= rounds;
   return costs;
 }
 

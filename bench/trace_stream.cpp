@@ -1,7 +1,7 @@
 // Streamed vs in-memory trace/replay cost on the pinned 10k campaign:
 // what recording to disk adds over the in-memory tap, and what the
-// O(window) streamed replay pays (or saves) against the batch path
-// that materializes the full TrafficTrace before scoring.
+// O(window) streamed replay saves against materializing the full
+// TrafficTrace before scoring.
 //
 // Four timed legs over the same campaign (seed 0xbeef, one hour, 5%
 // churn + takedown wave — the scale_* test spec):
@@ -9,10 +9,14 @@
 //   record_memory   engine -> CampaignTrace (the PR-8 baseline)
 //   record_disk     engine -> trace_io::TraceWriter (chunked frames,
 //                   SHA-256 per chunk, atomic publish)
-//   replay_batch    TraceReader -> replay_trace -> RocSweep-sized
+//   replay_batch    TraceReader -> replay_trace (the streaming
+//                   synthesizer into a collecting sink) -> RocSweep-sized
 //                   FlowScorer over the materialized trace
 //   replay_stream   TraceReader -> replay_trace_streaming -> the same
 //                   FlowScorer, no TrafficTrace ever built
+//
+// Both legs run one synthesizer, so the bench exits 1 if their flow
+// counts differ.
 //
 // Peak-RSS deltas are printed per leg; the streamed leg's delta is the
 // number the 500k tier pins under 256 MB (tests/scale_stream_test.cpp).
@@ -116,8 +120,7 @@ int main() {
   // --- replay: batch (materialized TrafficTrace) -----------------------
   start = Clock::now();
   rss = peak_rss_kb();
-  const ReplayResult batch = replay_trace(
-      static_cast<const TraceSource&>(reader), rc);
+  const ReplayResult batch = replay_trace(reader, rc);
   FlowScorer batch_scorer(scorer_config);
   feed_trace(batch.trace, batch_scorer);
   batch_scorer.finish();
@@ -146,7 +149,11 @@ int main() {
       "(RSS deltas are high-water marks: a later leg that fits inside\n"
       "an earlier leg's footprint reports 0 — exactly the point of the\n"
       "streamed path.)\n");
-  (void)pops;
   std::remove(path.c_str());
+  if (batch_scorer.flows_scored() != stream_scorer.flows_scored() ||
+      pops.flows != stream_scorer.flows_scored()) {
+    std::fprintf(stderr, "batch and streamed replays disagree on flows\n");
+    return 1;
+  }
   return 0;
 }

@@ -94,8 +94,7 @@ int main() {
   rc.p2p_bots = 30;
 
   const std::size_t rss_before_kb = peak_rss_kb();
-  const ReplayResult streamed =
-      replay_trace(static_cast<const TraceSource&>(reader), rc);
+  const ReplayResult streamed = replay_trace(reader, rc);
   const ReplayResult in_memory = replay_trace(campaign, rc);
   std::printf(
       "\nReplayed %zu monitored hosts, %zu flows through the streamed\n"

@@ -8,6 +8,7 @@ namespace onion::detection {
 
 void feed_trace(const TrafficTrace& trace, FlowSink& sink) {
   sink.on_relays(trace.known_tor_relays);
+  for (const DnsRecord& d : trace.dns) sink.on_dns(d);
   // Grouping is by ascending source id (std::map), so the feed order is
   // deterministic regardless of emission interleaving.
   std::map<HostId, std::vector<const FlowRecord*>> by_src;

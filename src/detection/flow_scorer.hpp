@@ -26,18 +26,20 @@ namespace onion::detection {
 /// Receives a streamed capture. Flows arrive grouped by source host:
 /// all of a host's flows, then on_host_done(host) — after which no more
 /// flows for that host may arrive. on_relays announces the public Tor
-/// relay registry before any flow.
+/// relay registry before any flow. A host's DNS records reach on_dns
+/// before its on_host_done; flow-only sinks ignore them.
 class FlowSink {
  public:
   virtual ~FlowSink() = default;
   virtual void on_relays(const std::vector<HostId>& relays) = 0;
+  virtual void on_dns(const DnsRecord&) {}
   virtual void on_flow(const FlowRecord& f) = 0;
   virtual void on_host_done(HostId host) = 0;
 };
 
 /// Feeds an already-materialized trace into a sink: the relay registry,
-/// then the flows grouped by source host (ascending), each group closed
-/// by on_host_done.
+/// the DNS log, then the flows grouped by source host (ascending), each
+/// group closed by on_host_done.
 void feed_trace(const TrafficTrace& trace, FlowSink& sink);
 
 /// Every threshold the one-pass scorer evaluates.

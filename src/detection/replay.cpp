@@ -1,169 +1,66 @@
 #include "detection/replay.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <array>
 #include <unordered_set>
+#include <utility>
 
-#include "common/check.hpp"
+#include "detection/replay_grid.hpp"
 
 namespace onion::detection {
 
 namespace {
 
-using scenario::CampaignEvent;
-using scenario::CampaignTrace;
-using scenario::TraceEventKind;
-using scenario::TraceSource;
+/// Collects a streamed capture back into a TrafficTrace.
+class CollectingSink final : public FlowSink {
+ public:
+  explicit CollectingSink(TrafficTrace& trace) : trace_(trace) {}
 
-/// One mapped campaign bot: its monitored-host identity, sticky guard
-/// set, and observation-clamped lifetime.
-struct BotState {
-  HostId host = 0;
-  std::array<HostId, 3> guards{};
-  SimTime birth = 0;
-  SimTime death = 0;
+  void on_relays(const std::vector<HostId>& relays) override {
+    trace_.known_tor_relays = relays;
+  }
+  void on_dns(const DnsRecord& d) override { trace_.dns.push_back(d); }
+  void on_flow(const FlowRecord& f) override { trace_.flows.push_back(f); }
+  void on_host_done(HostId) override {}
+
+ private:
+  TrafficTrace& trace_;
 };
+
+/// The named populations in their fixed GroundTruth order, and where
+/// each lives in a ReplayResult.
+constexpr std::array<std::pair<const char*, std::vector<HostId> ReplayResult::*>,
+                     7>
+    kPopulations = {{
+        {"onion", &ReplayResult::onion_bots},
+        {"centralized", &ReplayResult::centralized_bots},
+        {"dga", &ReplayResult::dga_bots},
+        {"fastflux", &ReplayResult::fastflux_bots},
+        {"p2p", &ReplayResult::p2p_bots},
+        {"benign_web", &ReplayResult::benign_web_hosts},
+        {"benign_tor", &ReplayResult::benign_tor_users},
+    }};
 
 }  // namespace
 
-ReplayResult replay_trace(const TraceSource& campaign,
+ReplayResult replay_trace(const scenario::TraceSource& campaign,
                           const ReplayConfig& config) {
-  ONION_EXPECTS(campaign.began());
-  const SimDuration window =
-      config.window > 0 ? config.window : campaign.horizon();
-  ONION_EXPECTS(window > 0);
-
-  Rng rng(config.seed);
   ReplayResult out;
-  TrafficTrace& trace = out.trace;
-  HostId next = config.first_host;
-
-  // Benign background first (and its Tor relay registry, shared by every
-  // Tor-speaking population — defenders see one consensus).
-  TrafficConfig bg;
-  bg.window = window;
-  bg.benign_web = config.benign_web;
-  bg.benign_tor = config.benign_tor;
-  bg.tor_relays = config.tor_relays;
-  bg.tor_mean_gap = config.benign_tor_mean_gap;
-  const BenignPopulation benign = emit_benign(trace, bg, next, rng);
-  out.benign_web_hosts = benign.web_hosts;
-  out.benign_tor_users = benign.tor_users;
-
-  // Co-resident legacy families: present for the whole window, exactly
-  // the populations the paper's evolution story leaves behind.
-  if (config.centralized_bots > 0)
-    out.centralized_bots = emit_centralized_bots(
-        trace, config.centralized_bots, window, next, rng);
-  if (config.dga_bots > 0)
-    out.dga_bots = emit_dga_bots(trace, config.dga_bots, window, next, rng);
-  if (config.fastflux_bots > 0)
-    out.fastflux_bots =
-        emit_fastflux_bots(trace, config.fastflux_bots, window, next, rng);
-  if (config.p2p_bots > 0)
-    out.p2p_bots = emit_p2p_bots(trace, config.p2p_bots, window, next, rng);
-
-  if (config.max_onion_bots == 0) return out;  // legacy/benign-only rows
-
-  std::vector<scenario::BotLifetime> lifetimes = campaign.lifetimes();
-  if (lifetimes.size() > config.max_onion_bots)
-    lifetimes.resize(config.max_onion_bots);  // oldest bots first
-  if (lifetimes.empty()) return out;
-
-  std::vector<HostId> relays = benign.relays;
-  if (relays.empty()) {
-    ONION_EXPECTS(config.tor_relays > 0);
-    relays = register_tor_relays(trace, config.tor_relays, next);
-  }
-
-  // Steady-state emission: each bot browses (its human owner is still at
-  // the keyboard) and heartbeats into its guards while alive. The clamp
-  // to the observation window also drops bots born past its end.
-  std::unordered_map<graph::NodeId, std::size_t> bot_index;
-  std::vector<BotState> bots;
-  bots.reserve(lifetimes.size());
-  out.onion_bots.reserve(lifetimes.size());
-  for (const scenario::BotLifetime& life : lifetimes) {
-    if (life.birth >= window) continue;  // never observable: no host
-    BotState b;
-    b.host = next++;
-    trace.hosts.push_back(b.host);
-    trace.infected.push_back(b.host);
-    out.onion_bots.push_back(b.host);
-    b.guards = pick_guards(relays, rng);
-    b.birth = std::min<SimTime>(life.birth, window);
-    b.death = std::min<SimTime>(life.death, window);
-    emit_browsing(trace, b.host, b.birth, b.death, rng);
-    emit_tor_client(trace, b.host, b.guards, b.birth, b.death,
-                    config.onion_mean_gap, rng);
-    bot_index.emplace(life.node, bots.size());
-    bots.push_back(b);
-  }
-
-  // Event-driven emission: campaign activity surfaces only as extra
-  // cells into the acting bot's guards — bootstrap peering (both the
-  // requester's introduction and the target's answer ride circuits) and
-  // SOAP rounds at the captured bot. Leaves and takedowns need no
-  // emission; the lifetime clamp already went dark at the right time.
-  const auto cell_from = [&](std::uint64_t node, SimTime at) {
-    const auto it = bot_index.find(static_cast<graph::NodeId>(node));
-    if (it == bot_index.end()) return;  // subsampled out
-    const BotState& b = bots[it->second];
-    if (at < b.birth || at >= b.death) return;
-    trace.flows.push_back(tor_cell_flow(
-        b.host, b.guards[rng.uniform(b.guards.size())], at, rng));
-  };
-  graph::NodeId soap_captured = graph::kInvalidNode;
-  campaign.for_each_event([&](const CampaignEvent& e) {
-    switch (e.kind) {
-      case TraceEventKind::Peering:
-        cell_from(e.a, e.at);
-        cell_from(e.b, e.at);
-        break;
-      case TraceEventKind::SoapCapture:
-        soap_captured = static_cast<graph::NodeId>(e.a);
-        break;
-      case TraceEventKind::SoapRound:
-        if (soap_captured != graph::kInvalidNode)
-          cell_from(soap_captured, e.at);
-        break;
-      case TraceEventKind::HealPeering:
-        // Charged DDSR healing is real peer traffic: both the repair
-        // request and its answer ride Tor circuits, exactly like
-        // bootstrap peering above.
-        cell_from(e.a, e.at);
-        cell_from(e.b, e.at);
-        break;
-      case TraceEventKind::Join:
-      case TraceEventKind::Leave:
-      case TraceEventKind::Takedown:
-      case TraceEventKind::WaveStart:       // attacker-side bookkeeping:
-      case TraceEventKind::AdaptiveRefresh: // no bot emits anything
-        break;
-    }
-  });
+  CollectingSink sink(out.trace);
+  const StreamPopulations pops =
+      replay_trace_streaming(campaign, config, sink);
+  out.trace.infected = pops.infected;
+  out.trace.hosts = pops.monitored;
+  for (const GroundTruth::Population& pop : pops.truth.populations)
+    for (const auto& [name, hosts] : kPopulations)
+      if (pop.name == name) out.*hosts = pop.hosts;
   return out;
-}
-
-ReplayResult replay_trace(const CampaignTrace& campaign,
-                          const ReplayConfig& config) {
-  return replay_trace(static_cast<const TraceSource&>(campaign), config);
 }
 
 GroundTruth replay_ground_truth(const ReplayResult& result) {
   GroundTruth truth;
-  const auto add = [&truth](const char* name,
-                            const std::vector<HostId>& hosts) {
-    if (!hosts.empty())
-      truth.populations.push_back(GroundTruth::Population{name, hosts});
-  };
-  add("onion", result.onion_bots);
-  add("centralized", result.centralized_bots);
-  add("dga", result.dga_bots);
-  add("fastflux", result.fastflux_bots);
-  add("p2p", result.p2p_bots);
-  add("benign_web", result.benign_web_hosts);
-  add("benign_tor", result.benign_tor_users);
+  for (const auto& [name, hosts] : kPopulations)
+    if (!(result.*hosts).empty())
+      truth.populations.push_back(GroundTruth::Population{name, result.*hosts});
   return truth;
 }
 

@@ -90,19 +90,16 @@ struct ReplayResult {
   std::vector<HostId> benign_tor_users;
 };
 
-/// Synthesizes the defender's capture from a recorded campaign. The
-/// campaign must have begun (CampaignEngine::run delivers on_begin);
-/// a trace with no events is fine — a static overlay replays as pure
-/// steady-state heartbeat traffic. Takes any TraceSource — the
-/// in-memory CampaignTrace or a streamed trace_io::TraceReader produce
-/// byte-identical TrafficTraces for the same recorded campaign (the
-/// synthesis consumes the event stream in two forward passes:
-/// lifetimes(), then the event-driven cell emission).
+/// Synthesizes the defender's capture from a recorded campaign: the
+/// replay_trace_streaming stream (detection/replay_grid.hpp) collected
+/// into a TrafficTrace, DNS log included, with `hosts` and `infected`
+/// ascending. The campaign must have begun (CampaignEngine::run
+/// delivers on_begin); a trace with no events is fine — a static
+/// overlay replays as pure steady-state heartbeat traffic. Takes any
+/// TraceSource — the in-memory CampaignTrace or a streamed
+/// trace_io::TraceReader produce byte-identical TrafficTraces for the
+/// same recorded campaign.
 ReplayResult replay_trace(const scenario::TraceSource& campaign,
-                          const ReplayConfig& config);
-
-/// Back-compat spelling; forwards to the TraceSource overload.
-ReplayResult replay_trace(const scenario::CampaignTrace& campaign,
                           const ReplayConfig& config);
 
 /// Fraction of `population` that `result` flagged — per-family TPR (or

@@ -32,9 +32,7 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   StreamPopulations out;
   HostId next = config.first_host;
 
-  // Stage 1 — benign background and legacy families, exactly as
-  // replay_trace composes them (same emitters, same RNG draw order, so
-  // the population host ids match the batch path's). These populations
+  // Stage 1 — benign background and legacy families. These populations
   // are config-bounded, so a scratch trace holds them comfortably; what
   // must never be materialized is the campaign population below.
   ReplayResult pops;
@@ -150,6 +148,7 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
               host, guards[rng.uniform(guards.size())], at, rng));
         cell_times.erase(times);
       }
+      for (const DnsRecord& d : bot_scratch.dns) sink.on_dns(d);
       for (const FlowRecord& f : bot_scratch.flows) sink.on_flow(f);
       out.flows += bot_scratch.flows.size();
       sink.on_host_done(host);

@@ -6,16 +6,12 @@
 //
 // Two pieces:
 //
-//   FlowSink / replay_trace_streaming
-//     The O(window) twin of detection::replay_trace: same populations,
-//     same emitters, but flows stream into a sink grouped by source
-//     host instead of accumulating in a trace. Peak memory is one
-//     host's flows plus the population tables — never the capture.
-//     NOTE: the streamed capture is its own deterministic artifact, not
-//     byte-identical to replay_trace's (the batch path draws event-cell
-//     randomness in global event order; the streaming path draws it
-//     per-bot). Equal (campaign, config) still reproduce the streamed
-//     capture — and every grid fingerprint — exactly.
+//   replay_trace_streaming
+//     The one replay synthesizer: flows (and the DNS log) stream into a
+//     FlowSink grouped by source host instead of accumulating in a
+//     trace. Peak memory is one host's flows plus the population tables
+//     — never the capture. detection::replay_trace is this stream
+//     collected into a TrafficTrace.
 //
 //   ReplayGrid
 //     Shards campaign × replay-seed cells across common/parallel.hpp
@@ -55,9 +51,9 @@ struct StreamPopulations {
 };
 
 /// Streams the synthesized defender's capture into `sink` and returns
-/// the population tables. Same population layout and host-id assignment
-/// as replay_trace (benign, then legacy families, then campaign bots in
-/// node-id order), any TraceSource (two forward event passes).
+/// the population tables. Host ids are assigned benign first, then the
+/// legacy families, then campaign bots in node-id order; any
+/// TraceSource works (two forward event passes).
 StreamPopulations replay_trace_streaming(
     const scenario::TraceSource& campaign, const ReplayConfig& config,
     FlowSink& sink);

@@ -2,18 +2,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/fileio.hpp"
 #include "scenario/wire.hpp"
 
 namespace onion::detection {
-
-namespace fs = std::filesystem;
 
 std::string replay_cell_frame_filename(std::uint64_t cell_index) {
   char name[48];
@@ -125,18 +120,10 @@ ReplayGridReport merge_replay_frames(const ReplayGrid& grid,
   ReplayGridJob job(grid, campaign_count);
   std::vector<scenario::FailedCell> failed;
   for (std::size_t i = 0; i < job.size(); ++i) {
-    const std::string path = results_dir + "/" + job.frame_filename(i);
     std::string error;
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      error = "no result frame";
-    } else {
-      try {
-        if (job.accept_frame(i, read_file_bytes(path), error)) continue;
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-    }
+    if (scenario::try_accept_frame(
+            job, results_dir + "/" + job.frame_filename(i), i, error))
+      continue;
     failed.push_back({i, job.cell_label(i), job.cell_seed(i),
                       /*attempts=*/0, error});
   }

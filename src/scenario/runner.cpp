@@ -340,8 +340,8 @@ std::string describe_exit(const WorkerProc& w, double timeout_seconds) {
   return "worker ended abnormally";
 }
 
-/// Reads and accepts one cell frame. On failure, `error` says why
-/// (missing file, wire defect, or the job's identity rejection).
+}  // namespace
+
 bool try_accept_frame(CellJob& job, const std::string& path,
                       std::uint64_t cell_index, std::string& error) {
   std::error_code ec;
@@ -356,8 +356,6 @@ bool try_accept_frame(CellJob& job, const std::string& path,
     return false;
   }
 }
-
-}  // namespace
 
 void validate_coordinator_config(const GridCoordinatorConfig& config) {
   ONION_EXPECTS(!config.results_dir.empty());

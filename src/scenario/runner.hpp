@@ -225,6 +225,13 @@ void run_job_worker_cells(const CellJob& job,
                           const std::string& results_dir,
                           const FaultPlan& faults = {});
 
+/// Reads the cell frame at `path` and hands it to job.accept_frame. On
+/// failure returns false with `error` naming why: a missing file, a
+/// wire defect (decode throws are caught), or the job's identity
+/// rejection. Shared by the coordinator and merge-only folds.
+bool try_accept_frame(CellJob& job, const std::string& path,
+                      std::uint64_t cell_index, std::string& error);
+
 /// CampaignGrid convenience over run_job_worker_cells.
 void run_worker_cells(const CampaignGrid& grid,
                       const std::vector<CellAssignment>& assignments,

@@ -1,9 +1,9 @@
 // Replay-grid tests: the FlowScorer's verdicts are *equal* — set
 // equality, not approximation — to independent references over the same
 // capture (thresholds over channel_features, a direct per-source count
-// of flows to relays); the streamed replay is deterministic and
-// O(window)-shaped (population tables match the batch replay's
-// exactly); the grid fingerprint is thread-count invariant; and the
+// of flows to relays); the batch replay is the streamed replay
+// collected, flow for flow and verdict for verdict; the streamed replay
+// is deterministic; the grid fingerprint is thread-count invariant; and the
 // family-resolved RocSweep keeps the legacy aggregate encoding
 // byte-identical while adding correct per-population columns.
 #include <gtest/gtest.h>
@@ -190,6 +190,28 @@ TEST(StreamingReplay, PopulationsMatchTheBatchReplay) {
     EXPECT_EQ(pops.truth.populations[i].hosts,
               batch_truth.populations[i].hosts);
   }
+}
+
+TEST(StreamingReplay, BatchReplayIsTheCollectedStream) {
+  const CampaignTrace campaign = record(busy_spec(58));
+  const ReplayConfig rc = small_replay(0x5ca1e);
+  const ReplayResult batch = replay_trace(campaign, rc);
+
+  FlowScorer streamed(full_scorer_config());
+  const StreamPopulations pops =
+      replay_trace_streaming(campaign, rc, streamed);
+  streamed.finish();
+
+  // One synthesizer: the batch capture holds exactly the streamed flows
+  // (and keeps the DNS log the resolver-side detectors read)...
+  EXPECT_EQ(batch.trace.flows.size(), pops.flows);
+  EXPECT_FALSE(batch.trace.dns.empty());
+  // ...so the flow verdicts over it equal the streamed verdicts.
+  FlowScorer collected(full_scorer_config());
+  feed_trace(batch.trace, collected);
+  collected.finish();
+  EXPECT_EQ(collected.beacon_flagged(), streamed.beacon_flagged());
+  EXPECT_EQ(collected.tor_flagged(), streamed.tor_flagged());
 }
 
 TEST(StreamingReplay, IsDeterministicPerSeedAndSeedSensitive) {

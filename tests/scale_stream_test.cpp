@@ -110,8 +110,7 @@ TEST(ScaleStream, TenThousandBotStreamedReplayIsByteIdentical) {
   // The acceptance criterion: replaying through the streamed source
   // produces a TrafficTrace byte-identical to the in-memory path.
   const ReplayResult memory = replay_trace(campaign, pinned_replay());
-  const ReplayResult streamed = replay_trace(
-      static_cast<const scenario::TraceSource&>(reader), pinned_replay());
+  const ReplayResult streamed = replay_trace(reader, pinned_replay());
   EXPECT_EQ(fingerprint(streamed.trace), fingerprint(memory.trace));
   EXPECT_GT(streamed.trace.flows.size(), 100'000u);
 

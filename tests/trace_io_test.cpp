@@ -277,8 +277,8 @@ TEST(TraceIo, StreamedReplayIsByteIdenticalToInMemoryReplay) {
 
   const detection::ReplayResult memory =
       detection::replay_trace(campaign, rc);
-  const detection::ReplayResult streamed = detection::replay_trace(
-      static_cast<const TraceSource&>(reader), rc);
+  const detection::ReplayResult streamed =
+      detection::replay_trace(reader, rc);
 
   // The acceptance criterion: same TrafficTrace, byte for byte.
   EXPECT_EQ(detection::fingerprint(streamed.trace),
