@@ -76,7 +76,8 @@ int main() {
   config.backoff_base_seconds = 0.01;
   config.backoff_max_seconds = 0.1;
   config.faults = FaultPlan::parse("crash@3:0;crash@3:1;crash@3:2");
-  const GridReport degraded = GridCoordinator(grid, config).run();
+  CampaignCellJob job(grid);
+  const GridReport degraded = job.report(coordinate_job(job, config));
   summarize("[2] forked workers, cell 3 crashing on every attempt",
             degraded);
 
@@ -85,7 +86,7 @@ int main() {
   // merge equals the in-process digest — the fingerprint is invariant
   // to worker count, partition, retry history, and the recovery path.
   config.faults = FaultPlan();
-  const GridReport repaired = GridCoordinator(grid, config).run();
+  const GridReport repaired = job.report(coordinate_job(job, config));
   summarize("[3] resumed over the same directory, fault cleared",
             repaired);
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/traffic.hpp"
+#include "scenario/wire.hpp"
 
 namespace onion::detection {
 
@@ -288,32 +289,92 @@ ReplayGridCell ReplayGrid::run_cell(const TraceSource& campaign,
 
 ReplayGridReport ReplayGrid::run(
     const std::vector<const TraceSource*>& campaigns) const {
-  ReplayGridReport report;
-  const std::size_t ppc = points_per_cell();
-  const std::size_t cells = cell_count(campaigns.size());
-  report.points.resize(cells * ppc);
-  const auto start = std::chrono::steady_clock::now();
-
-  report.threads_used = parallel_for_index(
-      cells, config_.threads, [&](std::size_t cell) {
-        // Points land at the cell's grid slice, so the sharding cannot
-        // leak into the report — and the process transport reruns the
-        // identical run_cell, so both paths agree by construction.
-        ReplayGridCell result = run_cell(
-            *campaigns[cell / config_.replay_seeds.size()], cell);
-        for (std::size_t k = 0; k < ppc; ++k)
-          report.points[cell * ppc + k] = std::move(result.points[k]);
-      });
-
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  report.fingerprint = combine_replay_points(report.points);
-  return report;
+  ReplayGridJob job(*this, campaigns);
+  return job.report(scenario::run_job(job, config_.threads));
 }
 
 ReplayGridReport ReplayGrid::run(const TraceSource& campaign) const {
   return run(std::vector<const TraceSource*>{&campaign});
+}
+
+std::string replay_cell_frame_filename(std::uint64_t cell_index) {
+  char name[48];
+  std::snprintf(name, sizeof name, "replay_cell_%06llu.frame",
+                static_cast<unsigned long long>(cell_index));
+  return name;
+}
+
+ReplayGridJob::ReplayGridJob(const ReplayGrid& grid,
+                             std::vector<const TraceSource*> campaigns)
+    : grid_(grid),
+      campaigns_(std::move(campaigns)),
+      cells_(grid.cell_count(campaigns_.size())) {}
+
+std::string ReplayGridJob::frame_filename(std::uint64_t cell_index) const {
+  return replay_cell_frame_filename(cell_index);
+}
+
+std::string ReplayGridJob::cell_label(std::uint64_t cell_index) const {
+  const std::size_t seeds = grid_.config().replay_seeds.size();
+  return "campaign=" + std::to_string(cell_index / seeds) +
+         ",replay_seed=" + std::to_string(cell_seed(cell_index));
+}
+
+std::uint64_t ReplayGridJob::cell_seed(std::uint64_t cell_index) const {
+  const std::vector<std::uint64_t>& seeds = grid_.config().replay_seeds;
+  return seeds[cell_index % seeds.size()];
+}
+
+Bytes ReplayGridJob::run_cell(std::uint64_t cell_index) const {
+  const TraceSource* campaign =
+      campaigns_[cell_index / grid_.config().replay_seeds.size()];
+  ONION_EXPECTS_MSG(campaign != nullptr,
+                    "merge-only replay campaign asked to run cell "
+                        << cell_index);
+  return scenario::wire::encode_replay_cell(
+      grid_.run_cell(*campaign, cell_index));
+}
+
+bool ReplayGridJob::accept_frame(std::uint64_t cell_index, BytesView framed,
+                                 std::string& error) {
+  ReplayGridCell loaded = scenario::wire::decode_replay_cell(framed);
+  const std::uint64_t campaign =
+      cell_index / grid_.config().replay_seeds.size();
+  const std::uint64_t replay_seed = cell_seed(cell_index);
+  if (loaded.cell_index != cell_index || loaded.campaign != campaign ||
+      loaded.replay_seed != replay_seed ||
+      loaded.points.size() != grid_.points_per_cell()) {
+    error = "frame identity mismatch: holds (cell " +
+            std::to_string(loaded.cell_index) + ", campaign " +
+            std::to_string(loaded.campaign) + ", replay_seed " +
+            std::to_string(loaded.replay_seed) + ", " +
+            std::to_string(loaded.points.size()) + " points), expected (cell " +
+            std::to_string(cell_index) + ", campaign " +
+            std::to_string(campaign) + ", replay_seed " +
+            std::to_string(replay_seed) + ", " +
+            std::to_string(grid_.points_per_cell()) + " points)";
+    return false;
+  }
+  cells_[cell_index] = std::move(loaded);
+  return true;
+}
+
+ReplayGridReport ReplayGridJob::report(scenario::GridOutcome outcome) {
+  ReplayGridReport report;
+  report.points.reserve(cells_.size() * grid_.points_per_cell());
+  for (std::optional<ReplayGridCell>& cell : cells_) {
+    if (!cell) continue;
+    for (ReplayGridPoint& p : cell->points)
+      report.points.push_back(std::move(p));
+    cell.reset();
+  }
+  report.fingerprint = combine_replay_points(report.points);
+  report.failed_cells = std::move(outcome.failed_cells);
+  report.threads_used = outcome.workers;
+  report.wall_seconds = outcome.wall_seconds;
+  report.retries = outcome.retries;
+  report.resumed_cells = outcome.resumed_cells;
+  return report;
 }
 
 }  // namespace onion::detection

@@ -4,8 +4,6 @@
 // its TrafficTrace (the synthesizer here feeds flows host-by-host into
 // a streaming scorer and releases each host as soon as it is scored).
 //
-// Two pieces:
-//
 //   replay_trace_streaming
 //     The one replay synthesizer: flows (and the DNS log) stream into a
 //     FlowSink grouped by source host instead of accumulating in a
@@ -13,20 +11,23 @@
 //     — never the capture. detection::replay_trace is this stream
 //     collected into a TrafficTrace.
 //
-//   ReplayGrid
-//     Shards campaign × replay-seed cells across common/parallel.hpp
-//     (each cell streaming one replay into a FlowScorer,
-//     detection/flow_scorer.hpp, that scores its full detector-threshold
-//     axis in one pass) into a fingerprinted ReplayGridReport; points land
-//     at their grid index, so thread count never moves the fingerprint.
-//     run_cell exposes the unit of work — one ReplayGridCell per
-//     (campaign, seed) — so the multi-process transport
-//     (detection/replay_proc.hpp over scenario/wire.hpp frames) runs
-//     the byte-identical computation out of process.
+//   ReplayGrid / ReplayGridJob
+//     A grid of campaign × replay-seed cells; each cell streams one
+//     replay into a FlowScorer (detection/flow_scorer.hpp) that scores
+//     the full detector-threshold axes in one pass. ReplayGridJob is
+//     the grid as a scenario::CellJob, so it runs on any of the three
+//     transports in scenario/runner.hpp: run_job (ReplayGrid::run is
+//     job.report(run_job(...))), coordinate_job (forked workers over
+//     shared trace files), and merge_job_frames (fold a hand-sharded
+//     results directory). Every transport executes the same run_cell
+//     and folds through the same report(), so points land at their
+//     grid slice and the fingerprint is invariant to thread count,
+//     worker count, partition shape, and retry history.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,8 @@ struct ReplayGridPoint {
 Bytes serialize(const ReplayGridPoint& p);
 
 /// The grid fingerprint over `points` (chained SHA-256, hex, in the
-/// given order). Exposed so the process-level merge and its tests can
-/// recompute the invariant from any partition of completed cells.
+/// given order). Exposed so tests can recompute the invariant from any
+/// partition of completed cells.
 std::string combine_replay_points(const std::vector<ReplayGridPoint>& points);
 
 /// One (campaign, seed) cell's outcome — the unit the multi-process
@@ -117,19 +118,18 @@ struct ReplayGridCell {
 };
 
 /// The grid's outcome, points in grid order: campaign-major, then seed,
-/// then flow-beacon thresholds row-major, then the tor axis. A merged
-/// multi-process report degrades gracefully: quarantined cells land in
-/// `failed_cells` and contribute no points, and the fingerprint covers
-/// exactly the completed cells' points in cell order — so a complete
-/// merge reproduces run()'s digest byte-for-byte.
+/// then flow-beacon thresholds row-major, then the tor axis. A report
+/// degrades gracefully: failed cells land in `failed_cells` and
+/// contribute no points, and the fingerprint covers exactly the
+/// completed cells' points in cell order — so a complete run on any
+/// transport reproduces run()'s digest byte-for-byte.
 struct ReplayGridReport {
   std::vector<ReplayGridPoint> points;
   /// Chained SHA-256 (hex) over the serialized points; equal campaigns
   /// + equal config reproduce it at any thread count, worker count,
   /// partition shape, or retry history.
   std::string fingerprint;
-  /// Cells that never produced a valid frame (process mode only),
-  /// cell-index order.
+  /// Cells that never produced an accepted frame, cell-index order.
   std::vector<scenario::FailedCell> failed_cells;
   /// Informational only, like wall_seconds: never fingerprinted.
   std::size_t threads_used = 0;
@@ -157,15 +157,13 @@ class ReplayGrid {
 
   /// Runs one grid cell: streams `campaign`'s replay (the trace source
   /// matching the cell's campaign index) once through a FlowScorer and
-  /// scores every configured threshold. This is the exact computation
-  /// run() shards in-process and replay workers run out-of-process, so
-  /// the per-cell points — and any fingerprint over them — agree by
-  /// construction.
+  /// scores every configured threshold. ReplayGridJob::run_cell wraps
+  /// it for every transport.
   ReplayGridCell run_cell(const scenario::TraceSource& campaign,
                           std::uint64_t cell_index) const;
 
-  /// Sweeps every campaign × seed cell; each cell streams one replay
-  /// through a FlowScorer evaluating the full threshold axes.
+  /// Sweeps every campaign × seed cell in-process: ReplayGridJob over
+  /// scenario::run_job with config().threads, errors propagated.
   ReplayGridReport run(
       const std::vector<const scenario::TraceSource*>& campaigns) const;
   /// Single-campaign convenience.
@@ -173,6 +171,43 @@ class ReplayGrid {
 
  private:
   ReplayGridConfig config_;
+};
+
+/// "replay_cell_000042.frame" — distinct from the campaign transport's
+/// "cell_000042.frame" so the two grids can never collide in one
+/// results directory.
+std::string replay_cell_frame_filename(std::uint64_t cell_index);
+
+/// A ReplayGrid as a scenario::CellJob: frames are encoded
+/// ReplayGridCells, identity is (cell_index, campaign, replay_seed,
+/// points-per-cell), and accepted cells collect by cell index.
+///
+/// `campaigns` holds one TraceSource per campaign. A null entry marks a
+/// merge-only slot: its cells can be validated and collected
+/// (merge_job_frames) but never executed — run_cell aborts via
+/// ONION_EXPECTS.
+class ReplayGridJob final : public scenario::CellJob {
+ public:
+  ReplayGridJob(const ReplayGrid& grid,
+                std::vector<const scenario::TraceSource*> campaigns);
+
+  std::size_t size() const override { return cells_.size(); }
+  std::string frame_filename(std::uint64_t cell_index) const override;
+  std::string cell_label(std::uint64_t cell_index) const override;
+  std::uint64_t cell_seed(std::uint64_t cell_index) const override;
+  Bytes run_cell(std::uint64_t cell_index) const override;
+  bool accept_frame(std::uint64_t cell_index, BytesView framed,
+                    std::string& error) override;
+
+  /// Folds `outcome` and the accepted cells (moved out) into a report:
+  /// points are the completed cells' slices concatenated in cell order,
+  /// and the fingerprint covers exactly those points.
+  ReplayGridReport report(scenario::GridOutcome outcome);
+
+ private:
+  const ReplayGrid& grid_;
+  std::vector<const scenario::TraceSource*> campaigns_;
+  std::vector<std::optional<ReplayGridCell>> cells_;
 };
 
 }  // namespace onion::detection

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
@@ -57,53 +58,6 @@ void execute_cell(const GridCell& cell, CellResult& out) {
   out.counters = engine.counters();
   out.events_executed = engine.events_executed();
 }
-
-/// Binds a CampaignGrid to the generic process machinery: frames are
-/// encoded CellResults, identity is (label, seed), accepted results
-/// collect into a grid-order vector the coordinator turns into a
-/// GridReport.
-class CampaignCellJob final : public CellJob {
- public:
-  explicit CampaignCellJob(const CampaignGrid& grid)
-      : grid_(grid), results_(grid.size()) {}
-
-  std::size_t size() const override { return grid_.size(); }
-  std::string frame_filename(std::uint64_t cell_index) const override {
-    return cell_frame_filename(cell_index);
-  }
-  std::string cell_label(std::uint64_t cell_index) const override {
-    return grid_.cells()[cell_index].label;
-  }
-  std::uint64_t cell_seed(std::uint64_t cell_index) const override {
-    return grid_.cells()[cell_index].spec.seed;
-  }
-  Bytes run_cell(std::uint64_t cell_index) const override {
-    CellResult result;
-    execute_cell(grid_.cells()[cell_index], result);
-    return wire::encode_cell_result(result);
-  }
-  bool accept_frame(std::uint64_t cell_index, BytesView framed,
-                    std::string& error) override {
-    CellResult loaded = wire::decode_cell_result(framed);
-    const GridCell& expected = grid_.cells()[cell_index];
-    if (loaded.label != expected.label ||
-        loaded.seed != expected.spec.seed) {
-      error = "frame identity mismatch: holds (" + loaded.label +
-              ", seed " + std::to_string(loaded.seed) + "), expected (" +
-              expected.label + ", seed " +
-              std::to_string(expected.spec.seed) + ")";
-      return false;
-    }
-    results_[cell_index] = std::move(loaded);
-    return true;
-  }
-
-  std::vector<CellResult> take_results() { return std::move(results_); }
-
- private:
-  const CampaignGrid& grid_;
-  std::vector<CellResult> results_;
-};
 
 std::uint64_t parse_u64(std::string_view token, std::string_view context) {
   std::uint64_t value = 0;
@@ -153,41 +107,61 @@ CampaignGrid CampaignGrid::seed_sweep(const ScenarioSpec& base,
 }
 
 GridReport CampaignGrid::run(std::size_t threads, ErrorMode errors) const {
+  CampaignCellJob job(*this);
+  return job.report(run_job(job, threads, errors));
+}
+
+CampaignCellJob::CampaignCellJob(const CampaignGrid& grid)
+    : grid_(grid), results_(grid.size()) {}
+
+std::string CampaignCellJob::frame_filename(std::uint64_t cell_index) const {
+  return cell_frame_filename(cell_index);
+}
+
+std::string CampaignCellJob::cell_label(std::uint64_t cell_index) const {
+  return grid_.cells()[cell_index].label;
+}
+
+std::uint64_t CampaignCellJob::cell_seed(std::uint64_t cell_index) const {
+  return grid_.cells()[cell_index].spec.seed;
+}
+
+Bytes CampaignCellJob::run_cell(std::uint64_t cell_index) const {
+  CellResult result;
+  execute_cell(grid_.cells()[cell_index], result);
+  return wire::encode_cell_result(result);
+}
+
+bool CampaignCellJob::accept_frame(std::uint64_t cell_index, BytesView framed,
+                                   std::string& error) {
+  CellResult loaded = wire::decode_cell_result(framed);
+  const GridCell& expected = grid_.cells()[cell_index];
+  if (loaded.label != expected.label || loaded.seed != expected.spec.seed) {
+    error = "frame identity mismatch: holds (" + loaded.label + ", seed " +
+            std::to_string(loaded.seed) + "), expected (" + expected.label +
+            ", seed " + std::to_string(expected.spec.seed) + ")";
+    return false;
+  }
+  results_[cell_index] = std::move(loaded);
+  return true;
+}
+
+GridReport CampaignCellJob::report(GridOutcome outcome) {
   GridReport report;
-  report.cells.resize(cells_.size());
-  if (cells_.empty()) {
-    report.combined_fingerprint = combine_cell_fingerprints(report.cells);
-    return report;
+  report.cells = std::exchange(results_, std::vector<CellResult>(size()));
+  // Failed slots keep their identity visible even though no result
+  // ever landed.
+  for (const FailedCell& f : outcome.failed_cells) {
+    CellResult& slot = report.cells[f.cell_index];
+    slot.label = f.label;
+    slot.seed = f.seed;
   }
-
-  const auto start = std::chrono::steady_clock::now();
-  // Results land at the cell's grid index, so the sharding (and the
-  // single-thread inline fast path inside parallel_for_index) cannot
-  // leak into the report — the determinism tests compare thread counts.
-  std::vector<std::string> cell_errors(cells_.size());
-  report.threads_used = parallel_for_index(
-      cells_.size(), threads, [&](std::size_t i) {
-        if (errors == ErrorMode::kPropagate) {
-          execute_cell(cells_[i], report.cells[i]);
-          return;
-        }
-        try {
-          execute_cell(cells_[i], report.cells[i]);
-        } catch (const std::exception& e) {
-          report.cells[i] = CellResult{};  // drop any partial fill
-          report.cells[i].label = cells_[i].label;
-          report.cells[i].seed = cells_[i].spec.seed;
-          cell_errors[i] = e.what();
-        }
-      });
-
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cell_errors[i].empty()) continue;
-    report.failed_cells.push_back({i, cells_[i].label, cells_[i].spec.seed,
-                                   /*attempts=*/1, cell_errors[i]});
-  }
-  report.wall_seconds = seconds_since(start);
+  report.failed_cells = std::move(outcome.failed_cells);
   report.combined_fingerprint = combine_cell_fingerprints(report.cells);
+  report.threads_used = outcome.workers;
+  report.wall_seconds = outcome.wall_seconds;
+  report.retries = outcome.retries;
+  report.resumed_cells = outcome.resumed_cells;
   return report;
 }
 
@@ -302,16 +276,8 @@ void run_job_worker_cells(const CellJob& job,
   }
 }
 
-void run_worker_cells(const CampaignGrid& grid,
-                      const std::vector<CellAssignment>& assignments,
-                      const std::string& results_dir,
-                      const FaultPlan& faults) {
-  CampaignCellJob job(grid);
-  run_job_worker_cells(job, assignments, results_dir, faults);
-}
-
 // --------------------------------------------------------------------
-// Coordinator side
+// Transports
 // --------------------------------------------------------------------
 
 namespace {
@@ -340,8 +306,20 @@ std::string describe_exit(const WorkerProc& w, double timeout_seconds) {
   return "worker ended abnormally";
 }
 
-}  // namespace
+/// Hands one candidate frame to the job; a decode throw is a rejection
+/// whose message becomes `error`.
+bool accept_frame_bytes(CellJob& job, std::uint64_t cell_index,
+                        BytesView framed, std::string& error) {
+  try {
+    return job.accept_frame(cell_index, framed, error);
+  } catch (const std::exception& e) {
+    error = e.what();
+    return false;
+  }
+}
 
+/// accept_frame_bytes over the frame file at `path`; a missing file is
+/// the rejection "no result frame".
 bool try_accept_frame(CellJob& job, const std::string& path,
                       std::uint64_t cell_index, std::string& error) {
   std::error_code ec;
@@ -350,40 +328,96 @@ bool try_accept_frame(CellJob& job, const std::string& path,
     return false;
   }
   try {
-    return job.accept_frame(cell_index, read_file_bytes(path), error);
-  } catch (const std::exception& e) {
+    return accept_frame_bytes(job, cell_index, read_file_bytes(path), error);
+  } catch (const std::exception& e) {  // the read itself failed
     error = e.what();
     return false;
   }
 }
 
+FailedCell failed_cell(const CellJob& job, std::uint64_t cell_index,
+                       std::uint64_t attempts, std::string error) {
+  return {cell_index, job.cell_label(cell_index), job.cell_seed(cell_index),
+          attempts, std::move(error)};
+}
+
+}  // namespace
+
 void validate_coordinator_config(const GridCoordinatorConfig& config) {
   ONION_EXPECTS(!config.results_dir.empty());
   ONION_EXPECTS(config.workers >= 1);
   ONION_EXPECTS(config.max_attempts >= 1);
-  ONION_EXPECTS(config.cell_timeout_seconds > 0.0);
-  ONION_EXPECTS(config.poll_interval_seconds > 0.0);
+  // NaN fails every comparison and an infinity would reach sleep_for,
+  // so durations must be finite as well as positive.
+  const auto positive = [](double seconds) {
+    return std::isfinite(seconds) && seconds > 0.0;
+  };
+  ONION_EXPECTS(positive(config.cell_timeout_seconds));
+  ONION_EXPECTS(positive(config.backoff_base_seconds));
+  ONION_EXPECTS(positive(config.backoff_max_seconds));
+  ONION_EXPECTS(positive(config.poll_interval_seconds));
 }
 
-ProcessCellCoordinator::ProcessCellCoordinator(CellJob& job,
-                                               GridCoordinatorConfig config)
-    : job_(job), config_(std::move(config)) {
-  validate_coordinator_config(config_);
-}
-
-ProcessOutcome ProcessCellCoordinator::run() {
+GridOutcome run_job(CellJob& job, std::size_t threads, ErrorMode errors) {
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = job_.size();
-  fs::create_directories(config_.results_dir);
+  const std::size_t n = job.size();
+  GridOutcome outcome;
+  // Frames land at the cell's index, so the sharding (and the
+  // single-thread inline fast path inside parallel_for_index) cannot
+  // leak into the results — the determinism tests compare thread counts.
+  std::vector<Bytes> frames(n);
+  std::vector<std::string> cell_errors(n);
+  outcome.workers = parallel_for_index(n, threads, [&](std::size_t i) {
+    if (errors == ErrorMode::kPropagate) {
+      frames[i] = job.run_cell(i);
+      return;
+    }
+    try {
+      frames[i] = job.run_cell(i);
+    } catch (const std::exception& e) {
+      cell_errors[i] = e.what();
+    }
+  });
 
-  ProcessOutcome outcome;
-  outcome.workers = config_.workers;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Bytes frame = std::move(frames[i]);
+    std::string error = std::move(cell_errors[i]);
+    if (error.empty() && accept_frame_bytes(job, i, frame, error)) continue;
+    if (errors == ErrorMode::kPropagate)
+      throw std::runtime_error("cell " + std::to_string(i) + ": " + error);
+    outcome.failed_cells.push_back(failed_cell(job, i, 1, std::move(error)));
+  }
+  outcome.wall_seconds = seconds_since(start);
+  return outcome;
+}
+
+GridOutcome merge_job_frames(CellJob& job, const std::string& results_dir) {
+  const auto start = std::chrono::steady_clock::now();
+  GridOutcome outcome;
+  for (std::size_t i = 0; i < job.size(); ++i) {
+    std::string error;
+    if (!try_accept_frame(job, results_dir + "/" + job.frame_filename(i), i,
+                          error))
+      outcome.failed_cells.push_back(failed_cell(job, i, 0, std::move(error)));
+  }
+  outcome.wall_seconds = seconds_since(start);
+  return outcome;
+}
+
+GridOutcome coordinate_job(CellJob& job, const GridCoordinatorConfig& config) {
+  validate_coordinator_config(config);
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t n = job.size();
+  fs::create_directories(config.results_dir);
+
+  GridOutcome outcome;
+  outcome.workers = config.workers;
 
   std::vector<std::uint64_t> attempts(n, 0);
   std::vector<std::size_t> pending;
 
   const auto frame_path = [&](std::uint64_t cell_index) {
-    return config_.results_dir + "/" + job_.frame_filename(cell_index);
+    return config.results_dir + "/" + job.frame_filename(cell_index);
   };
 
   // Checkpoint/resume: frames that decode cleanly and pass the job's
@@ -392,7 +426,7 @@ ProcessOutcome ProcessCellCoordinator::run() {
   for (std::size_t i = 0; i < n; ++i) {
     const std::string path = frame_path(i);
     std::string error;
-    if (try_accept_frame(job_, path, i, error)) {
+    if (try_accept_frame(job, path, i, error)) {
       ++outcome.resumed_cells;
     } else {
       std::error_code ec;
@@ -404,7 +438,7 @@ ProcessOutcome ProcessCellCoordinator::run() {
   std::size_t round = 0;
   while (!pending.empty()) {
     // Partition the outstanding cells round-robin across the workers.
-    const std::size_t spawn = std::min(config_.workers, pending.size());
+    const std::size_t spawn = std::min(config.workers, pending.size());
     std::vector<WorkerProc> workers(spawn);
     for (std::size_t k = 0; k < pending.size(); ++k)
       workers[k % spawn].cells.push_back(
@@ -414,14 +448,14 @@ ProcessOutcome ProcessCellCoordinator::run() {
     for (WorkerProc& w : workers) {
       const pid_t pid = ::fork();
       if (pid < 0)
-        throw std::runtime_error("ProcessCellCoordinator: fork failed");
+        throw std::runtime_error("coordinate_job: fork failed");
       if (pid == 0) {
         // Child: run the assigned subset and leave without touching the
         // parent's state (no destructors, no flushes of inherited
         // buffers). The identical loop serves the gridworker binary.
         try {
-          run_job_worker_cells(job_, w.cells, config_.results_dir,
-                               config_.faults);
+          run_job_worker_cells(job, w.cells, config.results_dir,
+                               config.faults);
         } catch (...) {
           std::_Exit(kWorkerErrorExit);
         }
@@ -435,7 +469,7 @@ ProcessOutcome ProcessCellCoordinator::run() {
     // per-cell wall-clock timeout is "time since the last frame landed".
     std::size_t live = spawn;
     while (live > 0) {
-      sleep_seconds(config_.poll_interval_seconds);
+      sleep_seconds(config.poll_interval_seconds);
       const auto now = std::chrono::steady_clock::now();
       for (WorkerProc& w : workers) {
         if (!w.running) continue;
@@ -454,7 +488,7 @@ ProcessOutcome ProcessCellCoordinator::run() {
           continue;
         }
         if (std::chrono::duration<double>(now - w.last_progress).count() >
-            config_.cell_timeout_seconds) {
+            config.cell_timeout_seconds) {
           ::kill(w.pid, SIGKILL);
           ::waitpid(w.pid, &status, 0);
           w.running = false;
@@ -472,18 +506,17 @@ ProcessOutcome ProcessCellCoordinator::run() {
         const std::size_t i = static_cast<std::size_t>(a.cell_index);
         const std::string path = frame_path(i);
         std::string error;
-        if (try_accept_frame(job_, path, i, error)) continue;
+        if (try_accept_frame(job, path, i, error)) continue;
         std::error_code ec;
         fs::remove(path, ec);
         ++attempts[i];
         const std::string cause =
-            error + " (" + describe_exit(w, config_.cell_timeout_seconds) +
+            error + " (" + describe_exit(w, config.cell_timeout_seconds) +
             ")";
-        if (attempts[i] >= config_.max_attempts) {
+        if (attempts[i] >= config.max_attempts) {
           // Quarantine: the grid degrades gracefully instead of dying.
-          outcome.failed_cells.push_back({i, job_.cell_label(i),
-                                          job_.cell_seed(i), attempts[i],
-                                          cause});
+          outcome.failed_cells.push_back(
+              failed_cell(job, i, attempts[i], cause));
         } else {
           next_pending.push_back(i);
           ++outcome.retries;
@@ -496,8 +529,8 @@ ProcessOutcome ProcessCellCoordinator::run() {
       // Bounded exponential backoff before the retry round.
       const int exponent = static_cast<int>(std::min<std::size_t>(round, 30));
       sleep_seconds(std::min(
-          std::ldexp(config_.backoff_base_seconds, exponent),
-          config_.backoff_max_seconds));
+          std::ldexp(config.backoff_base_seconds, exponent),
+          config.backoff_max_seconds));
       ++round;
     }
   }
@@ -508,35 +541,6 @@ ProcessOutcome ProcessCellCoordinator::run() {
             });
   outcome.wall_seconds = seconds_since(start);
   return outcome;
-}
-
-GridCoordinator::GridCoordinator(const CampaignGrid& grid,
-                                 GridCoordinatorConfig config)
-    : grid_(grid), config_(std::move(config)) {
-  validate_coordinator_config(config_);
-}
-
-GridReport GridCoordinator::run() {
-  CampaignCellJob job(grid_);
-  ProcessCellCoordinator coordinator(job, config_);
-  ProcessOutcome outcome = coordinator.run();
-
-  GridReport report;
-  report.cells = job.take_results();
-  report.failed_cells = std::move(outcome.failed_cells);
-  report.threads_used = outcome.workers;
-  report.retries = outcome.retries;
-  report.resumed_cells = outcome.resumed_cells;
-  report.wall_seconds = outcome.wall_seconds;
-  // Quarantined slots keep their identity visible in the report even
-  // though no result ever landed.
-  for (const FailedCell& f : report.failed_cells) {
-    const std::size_t i = static_cast<std::size_t>(f.cell_index);
-    report.cells[i].label = grid_.cells()[i].label;
-    report.cells[i].seed = grid_.cells()[i].spec.seed;
-  }
-  report.combined_fingerprint = combine_cell_fingerprints(report.cells);
-  return report;
 }
 
 }  // namespace onion::scenario

@@ -1,23 +1,32 @@
-// Multi-campaign sharding: a CampaignGrid fans a vector of ScenarioSpec
-// cells (seed sweeps, policy ablations, size ladders) across a
-// std::thread pool — one CampaignEngine per cell, nothing shared but an
-// atomic work index — and aggregates the per-cell HashSink fingerprints
-// and MemorySink series into a single GridReport. Results land at the
-// cell's grid index regardless of which thread ran it when, and the
-// combined fingerprint hashes the *sorted* per-cell digests, so the
-// report is deterministic across thread counts and invariant to cell
-// order (tests/runner_test.cpp enforces both).
+// Grid runs: a batch of independent cells (campaign seed sweeps,
+// policy ablations, replay × seed scoring sweeps) executed by one of
+// three transports, each written once and generic over CellJob — the
+// cell-kind face that runs one cell into an encoded wire frame
+// (scenario/wire.hpp) and validates + retains a decoded one:
 //
-// Past one process, GridCoordinator runs the same grid across forked
-// worker processes with a results-directory file transport
-// (scenario/wire.hpp frames): per-cell wall-clock timeouts, bounded
-// exponential-backoff retries, quarantine of permanently failing cells
-// into GridReport::failed_cells, and checkpoint/resume over already-
-// valid frames. The combined fingerprint covers exactly the completed
-// cells, so it is invariant to worker count, partition shape, and retry
-// history — a crash-retried 4-worker run merges to the same digest as a
-// single-process run (tests/gridproc_test.cpp injects every failure
-// mode deterministically via FaultPlan and proves it).
+//   run_job           the in-process thread pool (common/parallel.hpp);
+//                     every cell goes run_cell -> accept_frame exactly
+//                     as a worker frame would, so capture semantics
+//                     (ErrorMode) are those of the process transport.
+//   coordinate_job    the crash-tolerant coordinator: forked workers
+//                     over a results directory, per-cell timeouts,
+//                     bounded exponential-backoff retries, quarantine,
+//                     checkpoint/resume over already-valid frames.
+//   merge_job_frames  the merge-only fold over whatever valid frames a
+//                     results directory holds; executes nothing.
+//
+// All three return one GridOutcome (failed cells, retry / resume
+// bookkeeping); the job's report(outcome) is the only code that folds
+// it with the accepted results into the job's own report. Two jobs
+// exist: CampaignCellJob here (CampaignGrid::run is
+// job.report(run_job(...))) and detection::ReplayGridJob.
+//
+// Results land at the cell's grid index, and a CampaignGrid's combined
+// fingerprint hashes the *sorted* per-cell digests of the completed
+// cells, so it is invariant to thread count, worker count, partition
+// shape, cell order, and retry history (tests/runner_test.cpp and
+// tests/gridproc_test.cpp, which injects every failure mode
+// deterministically via FaultPlan).
 #pragma once
 
 #include <cstdint>
@@ -52,9 +61,9 @@ struct CellResult {
   double wall_seconds = 0.0;
 };
 
-/// A cell that exhausted its attempts (process mode) or threw under
-/// ErrorMode::kCapture (in-process mode). `attempts` counts executions
-/// that were tried; `error` is the last failure's description.
+/// A cell that never produced an accepted frame (see GridOutcome for
+/// what `attempts` counts per transport); `error` is the last
+/// failure's description.
 struct FailedCell {
   std::uint64_t cell_index = 0;
   std::string label;
@@ -76,7 +85,7 @@ struct GridReport {
   /// ordering, any partition shape, and any retry history of the same
   /// set of completed campaigns.
   std::string combined_fingerprint;
-  std::uint64_t threads_used = 0;   // workers configured, in process mode
+  std::uint64_t threads_used = 0;   // GridOutcome::workers
   double wall_seconds = 0.0;
   /// Process-mode bookkeeping (0 for in-process runs); informational
   /// only, like wall_seconds.
@@ -89,7 +98,7 @@ struct GridReport {
 /// and tests can recompute the invariant from any partition.
 std::string combine_cell_fingerprints(const std::vector<CellResult>& cells);
 
-/// What CampaignGrid::run does when a cell throws.
+/// What run_job does when a cell throws or its frame is rejected.
 enum class ErrorMode {
   kPropagate,  // rethrow after the pool drains (the historical contract)
   kCapture,    // record into failed_cells, complete the remaining cells
@@ -113,12 +122,8 @@ class CampaignGrid {
   std::size_t size() const { return cells_.size(); }
   const std::vector<GridCell>& cells() const { return cells_; }
 
-  /// Runs every cell; `threads` == 0 uses the hardware concurrency. One
-  /// engine per cell, each on whichever pool thread pops its index.
-  /// Under kPropagate an exception in any cell is rethrown after the
-  /// pool drains; under kCapture the failing cell lands in
-  /// failed_cells (mirroring the process-level degradation semantics)
-  /// and every other cell still completes.
+  /// Runs every cell in-process: CampaignCellJob over run_job.
+  /// `threads` == 0 uses the hardware concurrency; one engine per cell.
   GridReport run(std::size_t threads = 0,
                  ErrorMode errors = ErrorMode::kPropagate) const;
 
@@ -127,8 +132,8 @@ class CampaignGrid {
 };
 
 // --------------------------------------------------------------------
-// Multi-process grids: deterministic fault injection, the worker entry
-// point, and the crash-tolerant coordinator.
+// Transports: deterministic fault injection, the cell-kind interface,
+// and the three runners.
 // --------------------------------------------------------------------
 
 /// One scripted failure: at execution `attempt` (0-based) of grid cell
@@ -182,13 +187,9 @@ struct CellAssignment {
 /// directory ("cell_000042.frame").
 std::string cell_frame_filename(std::uint64_t cell_index);
 
-/// The process-transport face of a grid: anything that can execute one
-/// cell into an encoded result frame and validate + retain a decoded
-/// frame fans out across forked worker processes. CampaignGrid binds
-/// through run_worker_cells / GridCoordinator and detection::ReplayGrid
-/// through detection/replay_proc.hpp, so the fork / timeout / retry /
-/// quarantine / resume machinery exists exactly once
-/// (ProcessCellCoordinator) instead of per cell kind.
+/// One cell kind as the transports see it: execute a cell into its
+/// complete encoded wire frame, and decode + identity-check a frame,
+/// retaining the result for the job's own report.
 class CellJob {
  public:
   virtual ~CellJob() = default;
@@ -201,42 +202,53 @@ class CellJob {
   virtual std::string cell_label(std::uint64_t cell_index) const = 0;
   virtual std::uint64_t cell_seed(std::uint64_t cell_index) const = 0;
   /// Executes the cell and returns its complete encoded wire frame.
-  /// Worker side: runs in forked children, so it must not mutate state
-  /// the parent reads.
+  /// Runs concurrently on pool threads and in forked children, so it
+  /// must not mutate state.
   virtual Bytes run_cell(std::uint64_t cell_index) const = 0;
   /// Decodes + identity-checks a candidate frame, retaining the result
-  /// for the job's own report on success. On failure returns false with
-  /// `error` naming the defect; decode failures may also surface as
-  /// exceptions (the coordinator treats a throw as rejection).
+  /// on success. On failure returns false with `error` naming the
+  /// defect; decode failures may also surface as exceptions (every
+  /// transport treats a throw as rejection). Never called concurrently.
   virtual bool accept_frame(std::uint64_t cell_index, BytesView framed,
                             std::string& error) = 0;
 };
 
-/// The generic worker loop: runs each assigned cell of `job` in order
-/// and atomically writes its wire frame (temp + rename) into
-/// `results_dir`. Shared by forked coordinator children and the
-/// tools/gridworker binary, so both transports execute the identical
-/// code path. Scripted faults fire when (cell, attempt) matches
-/// `faults`: kCrash calls _exit, kHang blocks until killed, kCorrupt
-/// writes a frame whose digest cannot verify. Throws on real I/O
-/// errors.
+/// Bookkeeping of one grid run by any transport, cell-kind agnostic;
+/// the job's own report carries the accepted results. Informational
+/// only, like wall_seconds: none of it enters a fingerprint.
+struct GridOutcome {
+  /// Cells that never produced an accepted frame, cell-index order.
+  /// `attempts` is 1 for run_job, the executions tried for
+  /// coordinate_job, and 0 for merge_job_frames (nothing executed).
+  std::vector<FailedCell> failed_cells;
+  std::uint64_t retries = 0;        // cell re-executions scheduled
+  std::uint64_t resumed_cells = 0;  // valid frames skipped on resume
+  std::uint64_t workers = 0;        // pool threads used / workers configured
+  double wall_seconds = 0.0;
+};
+
+/// In-process transport: runs every cell of `job` on a thread pool
+/// (`threads` == 0 uses the hardware concurrency, clamped to the cell
+/// count). Frames land by cell index and are accepted afterwards in
+/// one serial loop, so accept_frame never runs concurrently. Under
+/// kPropagate a throwing cell is rethrown after the pool drains and a
+/// rejected frame throws std::runtime_error; under kCapture both land
+/// in failed_cells with attempts 1 and every other cell completes.
+GridOutcome run_job(CellJob& job, std::size_t threads,
+                    ErrorMode errors = ErrorMode::kPropagate);
+
+/// The worker loop of the process transport: runs each assigned cell
+/// of `job` in order and atomically writes its wire frame (temp +
+/// rename) into `results_dir`. Shared by coordinate_job's forked
+/// children and the tools/gridworker --worker mode, so both execute
+/// the identical code path. Scripted faults fire when (cell, attempt)
+/// matches `faults`: kCrash calls _exit, kHang blocks until killed,
+/// kCorrupt writes a frame whose digest cannot verify. Throws on real
+/// I/O errors.
 void run_job_worker_cells(const CellJob& job,
                           const std::vector<CellAssignment>& assignments,
                           const std::string& results_dir,
                           const FaultPlan& faults = {});
-
-/// Reads the cell frame at `path` and hands it to job.accept_frame. On
-/// failure returns false with `error` naming why: a missing file, a
-/// wire defect (decode throws are caught), or the job's identity
-/// rejection. Shared by the coordinator and merge-only folds.
-bool try_accept_frame(CellJob& job, const std::string& path,
-                      std::uint64_t cell_index, std::string& error);
-
-/// CampaignGrid convenience over run_job_worker_cells.
-void run_worker_cells(const CampaignGrid& grid,
-                      const std::vector<CellAssignment>& assignments,
-                      const std::string& results_dir,
-                      const FaultPlan& faults = {});
 
 /// Knobs for the crash-tolerant process coordinator. Defaults are tuned
 /// for real grids; tests shrink the timeouts to keep failure paths fast.
@@ -257,75 +269,59 @@ struct GridCoordinatorConfig {
   FaultPlan faults;
 };
 
-/// Validates the shared coordinator knobs (results_dir non-empty,
-/// workers / max_attempts >= 1, positive timeout and poll interval);
-/// throws ContractViolation on a bad config. Every coordinator front
-/// end calls this at construction so misconfiguration fails before any
-/// fork.
+/// Validates the coordinator knobs: results_dir non-empty, workers and
+/// max_attempts >= 1, and every duration (timeout, backoff base and
+/// max, poll interval) finite and > 0 — the same rule the gridworker
+/// CLI applies to its flags. Throws ContractViolation on a bad config.
 void validate_coordinator_config(const GridCoordinatorConfig& config);
 
-/// Process-level bookkeeping of one coordinated run, cell-kind
-/// agnostic; the job's own report carries the decoded results.
-struct ProcessOutcome {
-  std::vector<FailedCell> failed_cells;  // cell-index order
-  std::uint64_t retries = 0;             // cell re-executions scheduled
-  std::uint64_t resumed_cells = 0;       // valid frames skipped on resume
-  std::uint64_t workers = 0;             // workers configured
-  double wall_seconds = 0.0;
-};
-
-/// The generic crash-tolerant coordinator: fans any CellJob across
-/// forked worker processes over the results-directory file transport.
-/// Each round partitions the outstanding cells round-robin across up to
-/// `workers` children running run_job_worker_cells; a worker stuck past
-/// cell_timeout_seconds without landing its next frame is killed and
-/// its unfinished cells rejoin the queue; failed / timed-out / corrupt
-/// cells retry with bounded exponential backoff up to max_attempts
-/// executions, then quarantine into the outcome's failed_cells; an
-/// existing results directory is a checkpoint — frames the job accepts
-/// are resumed, not re-run, and invalid leftovers are removed first.
-class ProcessCellCoordinator {
- public:
-  ProcessCellCoordinator(CellJob& job, GridCoordinatorConfig config);
-
-  /// Runs (or resumes) every cell to completion or quarantine,
-  /// delivering accepted results into the job via accept_frame.
-  ProcessOutcome run();
-
- private:
-  CellJob& job_;
-  GridCoordinatorConfig config_;
-};
-
-/// Fans a CampaignGrid across forked worker processes and merges the
-/// results-directory frames into one GridReport, surviving worker
-/// crashes, hangs, and corrupt output:
+/// Process transport: fans `job` across forked worker processes over
+/// the results-directory file transport, after validating `config`
+/// (so misconfiguration fails before any fork).
 ///
+///   - an existing results directory is a checkpoint: frames the job
+///     accepts are resumed, not re-run; invalid leftovers are removed;
 ///   - each round partitions the outstanding cells round-robin across
-///     up to `workers` forked children running run_worker_cells;
-///   - a worker stuck past cell_timeout_seconds is killed, its
-///     unfinished cells rejoin the queue;
+///     up to `workers` children running run_job_worker_cells;
+///   - a worker stuck past cell_timeout_seconds without landing its
+///     next frame is killed and its unfinished cells rejoin the queue;
 ///   - failed / timed-out / corrupt cells retry with bounded
-///     exponential backoff up to max_attempts executions, then are
-///     quarantined into GridReport::failed_cells (graceful degradation:
-///     completed cells still merge and golden-gate);
-///   - an existing results directory is a checkpoint: frames that
-///     decode cleanly and match the grid's (label, seed) are resumed,
-///     not re-run — corrupt or stale frames are re-run and overwritten.
-///
-/// The merged combined fingerprint covers exactly the completed cells,
-/// so it is provably invariant to worker count, partition shape, and
-/// retry history.
-class GridCoordinator {
- public:
-  GridCoordinator(const CampaignGrid& grid, GridCoordinatorConfig config);
+///     exponential backoff up to max_attempts executions, then
+///     quarantine into failed_cells (graceful degradation: completed
+///     cells still merge and golden-gate).
+GridOutcome coordinate_job(CellJob& job, const GridCoordinatorConfig& config);
 
-  /// Runs (or resumes) the grid to completion or quarantine.
-  GridReport run();
+/// Merge-only transport: offers every cell's frame in `results_dir` to
+/// the job without executing anything — the finish step for grids
+/// sharded by hand across hosts (disjoint --cells over a shared
+/// directory). Missing or rejected cells land in failed_cells with
+/// attempts 0 and the rejection reason.
+GridOutcome merge_job_frames(CellJob& job, const std::string& results_dir);
+
+/// A CampaignGrid as a CellJob: frames are encoded CellResults,
+/// identity is (label, seed), and accepted results collect by grid
+/// index.
+class CampaignCellJob final : public CellJob {
+ public:
+  explicit CampaignCellJob(const CampaignGrid& grid);
+
+  std::size_t size() const override { return grid_.size(); }
+  std::string frame_filename(std::uint64_t cell_index) const override;
+  std::string cell_label(std::uint64_t cell_index) const override;
+  std::uint64_t cell_seed(std::uint64_t cell_index) const override;
+  Bytes run_cell(std::uint64_t cell_index) const override;
+  bool accept_frame(std::uint64_t cell_index, BytesView framed,
+                    std::string& error) override;
+
+  /// Folds `outcome` and the accepted results (moved out) into a
+  /// GridReport: failed slots keep their label and seed with an empty
+  /// fingerprint, and the combined fingerprint covers exactly the
+  /// completed cells.
+  GridReport report(GridOutcome outcome);
 
  private:
   const CampaignGrid& grid_;
-  GridCoordinatorConfig config_;
+  std::vector<CellResult> results_;
 };
 
 }  // namespace onion::scenario

@@ -58,11 +58,11 @@ inline constexpr bool kInformationalFieldsEnterFingerprints = false;
 /// a grid-report frame can never decode as a cell result or vice versa.
 inline constexpr std::uint64_t kCellResultMagic = 0x4f4243454c4c0001ull;
 inline constexpr std::uint64_t kGridReportMagic = 0x4f42475249440001ull;
-/// Replay-grid frames ("OBRCEL\x00\x01" / "OBRGRD\x00\x01"): the
-/// multi-process replay transport (detection/replay_proc.hpp) ships one
-/// ReplayGridCell frame per (campaign, seed) cell and persists the
-/// merged ReplayGridReport — distinct magics keep a replay frame from
-/// ever decoding as a campaign frame.
+/// Replay-grid frames ("OBRCEL\x00\x01" / "OBRGRD\x00\x01"):
+/// detection::ReplayGridJob ships one ReplayGridCell frame per
+/// (campaign, seed) cell and gridworker persists the merged
+/// ReplayGridReport — distinct magics keep a replay frame from ever
+/// decoding as a campaign frame.
 inline constexpr std::uint64_t kReplayCellMagic = 0x4f425243454c0001ull;
 inline constexpr std::uint64_t kReplayReportMagic = 0x4f42524752440001ull;
 

@@ -5,17 +5,20 @@
 // the crash-tolerance contract: the merged combined fingerprint equals
 // the single-process digest no matter the worker count, partition,
 // retry history, or resume path; permanent failures quarantine instead
-// of poisoning the merge.
+// of poisoning the merge. Both job kinds also agree across all three
+// transports (run_job, coordinate_job, merge_job_frames).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/fileio.hpp"
-#include "detection/replay_proc.hpp"
+#include "detection/replay_grid.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/trace_io.hpp"
@@ -69,11 +72,23 @@ GridCoordinatorConfig fast_config(const std::string& dir) {
   return config;
 }
 
+GridReport coordinate(const CampaignGrid& grid,
+                      const GridCoordinatorConfig& config) {
+  CampaignCellJob job(grid);
+  return job.report(coordinate_job(job, config));
+}
+
+void run_worker_shard(const CampaignGrid& grid,
+                      const std::vector<CellAssignment>& assignments,
+                      const std::string& dir) {
+  CampaignCellJob job(grid);
+  run_job_worker_cells(job, assignments, dir);
+}
+
 TEST(GridProcess, MultiprocessMatchesInProcessFingerprints) {
   const CampaignGrid grid = tiny_grid();
   const GridReport in_process = grid.run(2);
-  GridCoordinator coordinator(grid, fast_config(fresh_dir("match")));
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, fast_config(fresh_dir("match")));
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_EQ(merged.retries, 0u);
   EXPECT_EQ(merged.resumed_cells, 0u);
@@ -98,8 +113,7 @@ TEST(GridProcess, EveryFaultKindRetriesToTheSameFingerprint) {
   // cells three different ways and round two repairs them all.
   config.faults = FaultPlan::parse("crash@1:0;corrupt@2:0;hang@3:0");
   config.cell_timeout_seconds = 1.0;  // the hang must die quickly
-  GridCoordinator coordinator(grid, config);
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, config);
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_GE(merged.retries, 3u);
   EXPECT_EQ(merged.combined_fingerprint, in_process.combined_fingerprint);
@@ -109,8 +123,7 @@ TEST(GridProcess, PermanentCrashQuarantinesAndMergesTheRest) {
   const CampaignGrid grid = tiny_grid();
   GridCoordinatorConfig config = fast_config(fresh_dir("quarantine"));
   config.faults = FaultPlan::parse("crash@2:0;crash@2:1;crash@2:2");
-  GridCoordinator coordinator(grid, config);
-  const GridReport merged = coordinator.run();
+  const GridReport merged = coordinate(grid, config);
   ASSERT_EQ(merged.failed_cells.size(), 1u);
   EXPECT_EQ(merged.failed_cells[0].cell_index, 2u);
   EXPECT_EQ(merged.failed_cells[0].label, grid.cells()[2].label);
@@ -130,8 +143,8 @@ TEST(GridProcess, PermanentCrashQuarantinesAndMergesTheRest) {
 TEST(GridProcess, ResumeSkipsEveryValidFrame) {
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("resume");
-  const GridReport first = GridCoordinator(grid, fast_config(dir)).run();
-  const GridReport second = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport first = coordinate(grid, fast_config(dir));
+  const GridReport second = coordinate(grid, fast_config(dir));
   EXPECT_EQ(second.resumed_cells, grid.size());
   EXPECT_EQ(second.retries, 0u);
   EXPECT_EQ(second.combined_fingerprint, first.combined_fingerprint);
@@ -140,7 +153,7 @@ TEST(GridProcess, ResumeSkipsEveryValidFrame) {
 TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("repair");
-  const GridReport first = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport first = coordinate(grid, fast_config(dir));
   // Flip one payload byte of cell 1's frame; record the other frames so
   // we can prove they were not rewritten.
   std::vector<Bytes> before;
@@ -151,7 +164,7 @@ TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   corrupt[wire::kFrameHeaderBytes + 10] ^= 0x40;
   write_file_atomic(dir + "/" + cell_frame_filename(1), corrupt);
 
-  const GridReport repaired = GridCoordinator(grid, fast_config(dir)).run();
+  const GridReport repaired = coordinate(grid, fast_config(dir));
   EXPECT_EQ(repaired.resumed_cells, grid.size() - 1);
   EXPECT_TRUE(repaired.failed_cells.empty());
   EXPECT_EQ(repaired.combined_fingerprint, first.combined_fingerprint);
@@ -174,14 +187,14 @@ TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
 }
 
 TEST(GridProcess, WorkerModeShardsMergeLikeTheCoordinator) {
-  // Two hand-partitioned run_worker_cells calls (the gridworker --worker
-  // path) followed by a coordinator pass over the same directory: every
-  // frame resumes, nothing re-runs, same merge.
+  // Two hand-partitioned run_job_worker_cells calls (the gridworker
+  // --worker path) followed by a coordinator pass over the same
+  // directory: every frame resumes, nothing re-runs, same merge.
   const CampaignGrid grid = tiny_grid();
   const std::string dir = fresh_dir("shards");
-  run_worker_cells(grid, {{0, 0}, {2, 0}}, dir);
-  run_worker_cells(grid, {{1, 0}, {3, 0}}, dir);
-  const GridReport merged = GridCoordinator(grid, fast_config(dir)).run();
+  run_worker_shard(grid, {{0, 0}, {2, 0}}, dir);
+  run_worker_shard(grid, {{1, 0}, {3, 0}}, dir);
+  const GridReport merged = coordinate(grid, fast_config(dir));
   EXPECT_EQ(merged.resumed_cells, grid.size());
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_EQ(merged.combined_fingerprint,
@@ -208,16 +221,54 @@ TEST(GridProcess, FaultPlanParsesAndRoundTrips) {
 
 TEST(GridProcess, CoordinatorConfigIsValidated) {
   const CampaignGrid grid = tiny_grid();
+  CampaignCellJob job(grid);
   GridCoordinatorConfig config = fast_config(fresh_dir("validate"));
   config.workers = 0;
-  EXPECT_THROW(GridCoordinator(grid, config), ContractViolation);
+  EXPECT_THROW(coordinate_job(job, config), ContractViolation);
   config = fast_config(fresh_dir("validate2"));
   config.max_attempts = 0;
-  EXPECT_THROW(GridCoordinator(grid, config), ContractViolation);
+  EXPECT_THROW(coordinate_job(job, config), ContractViolation);
+
+  // Every duration must be finite and > 0: a NaN backoff survives
+  // std::min into sleep_for, and an infinite poll interval reaches it
+  // directly.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double bad_values[] = {std::nan(""), kInf, -kInf, 0.0, -1.0};
+  double GridCoordinatorConfig::*const durations[] = {
+      &GridCoordinatorConfig::cell_timeout_seconds,
+      &GridCoordinatorConfig::backoff_base_seconds,
+      &GridCoordinatorConfig::backoff_max_seconds,
+      &GridCoordinatorConfig::poll_interval_seconds,
+  };
+  for (double GridCoordinatorConfig::*field : durations) {
+    for (const double value : bad_values) {
+      config = fast_config("unused");
+      config.*field = value;
+      EXPECT_THROW(validate_coordinator_config(config), ContractViolation)
+          << "duration set to " << value;
+    }
+  }
+  EXPECT_NO_THROW(validate_coordinator_config(fast_config("unused")));
+}
+
+TEST(GridProcess, EveryTransportGivesTheSameCampaignFingerprint) {
+  const CampaignGrid grid = tiny_grid();
+  const std::string dir = fresh_dir("transports");
+  CampaignCellJob job(grid);
+  const GridReport pooled = job.report(run_job(job, 2));
+  const GridReport coordinated =
+      job.report(coordinate_job(job, fast_config(dir)));
+  const GridReport merged = job.report(merge_job_frames(job, dir));
+  EXPECT_TRUE(pooled.failed_cells.empty());
+  EXPECT_TRUE(coordinated.failed_cells.empty());
+  EXPECT_TRUE(merged.failed_cells.empty());
+  EXPECT_EQ(pooled.combined_fingerprint, grid.run(1).combined_fingerprint);
+  EXPECT_EQ(coordinated.combined_fingerprint, pooled.combined_fingerprint);
+  EXPECT_EQ(merged.combined_fingerprint, pooled.combined_fingerprint);
 }
 
 // ====================================================================
-// Replay grids out-of-process: detection/replay_proc.hpp over recorded
+// Replay grids out-of-process: detection::ReplayGridJob over recorded
 // trace files. Same fault machinery, same invariant — the merged
 // fingerprint is byte-identical to in-process ReplayGrid::run.
 // ====================================================================
@@ -262,6 +313,31 @@ RecordedCampaigns open_tiny_traces(const std::string& dir,
   return campaigns;
 }
 
+detection::ReplayGridReport coordinate_replay(
+    const detection::ReplayGrid& grid,
+    const std::vector<const TraceSource*>& campaigns,
+    const GridCoordinatorConfig& config) {
+  detection::ReplayGridJob job(grid, campaigns);
+  return job.report(coordinate_job(job, config));
+}
+
+void run_replay_shard(const detection::ReplayGrid& grid,
+                      const std::vector<const TraceSource*>& campaigns,
+                      const std::vector<CellAssignment>& assignments,
+                      const std::string& dir) {
+  detection::ReplayGridJob job(grid, campaigns);
+  run_job_worker_cells(job, assignments, dir);
+}
+
+/// Merge-only fold: the job holds no trace sources at all.
+detection::ReplayGridReport merge_replay(const detection::ReplayGrid& grid,
+                                         std::size_t campaign_count,
+                                         const std::string& dir) {
+  detection::ReplayGridJob job(
+      grid, std::vector<const TraceSource*>(campaign_count));
+  return job.report(merge_job_frames(job, dir));
+}
+
 TEST(ReplayProcess, CrashInjectedCoordinatorMatchesInProcessFingerprint) {
   const std::string dir = fresh_dir("replay_match");
   const RecordedCampaigns campaigns = open_tiny_traces(dir, 2);
@@ -272,9 +348,8 @@ TEST(ReplayProcess, CrashInjectedCoordinatorMatchesInProcessFingerprint) {
   GridCoordinatorConfig config = fast_config(dir + "/results");
   config.workers = 4;
   config.faults = FaultPlan::parse("crash@1:0");
-  detection::ReplayGridCoordinator coordinator(grid, campaigns.sources,
-                                               config);
-  const detection::ReplayGridReport merged = coordinator.run();
+  const detection::ReplayGridReport merged =
+      coordinate_replay(grid, campaigns.sources, config);
 
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_GE(merged.retries, 1u);
@@ -294,9 +369,7 @@ TEST(ReplayProcess, ResumeReRunsOnlyTheCorruptedFrame) {
   const std::string results = dir + "/results";
 
   const detection::ReplayGridReport first =
-      detection::ReplayGridCoordinator(grid, campaigns.sources,
-                                       fast_config(results))
-          .run();
+      coordinate_replay(grid, campaigns.sources, fast_config(results));
   const std::size_t cells = grid.cell_count(campaigns.sources.size());
   std::vector<Bytes> before;
   for (std::uint64_t i = 0; i < cells; ++i)
@@ -308,9 +381,7 @@ TEST(ReplayProcess, ResumeReRunsOnlyTheCorruptedFrame) {
       results + "/" + detection::replay_cell_frame_filename(2), corrupt);
 
   const detection::ReplayGridReport repaired =
-      detection::ReplayGridCoordinator(grid, campaigns.sources,
-                                       fast_config(results))
-          .run();
+      coordinate_replay(grid, campaigns.sources, fast_config(results));
   EXPECT_EQ(repaired.resumed_cells, cells - 1);
   EXPECT_TRUE(repaired.failed_cells.empty());
   EXPECT_EQ(repaired.fingerprint, first.fingerprint);
@@ -345,12 +416,10 @@ TEST(ReplayProcess, HandShardedWorkersThenMergeOnlyReproduceTheRun) {
   const detection::ReplayGrid grid(tiny_replay_config());
   const std::string results = dir + "/results";
 
-  detection::run_replay_worker_cells(grid, campaigns.sources,
-                                     {{0, 0}, {2, 0}}, results);
-  detection::run_replay_worker_cells(grid, campaigns.sources,
-                                     {{1, 0}, {3, 0}}, results);
-  const detection::ReplayGridReport merged = detection::merge_replay_frames(
-      grid, campaigns.sources.size(), results);
+  run_replay_shard(grid, campaigns.sources, {{0, 0}, {2, 0}}, results);
+  run_replay_shard(grid, campaigns.sources, {{1, 0}, {3, 0}}, results);
+  const detection::ReplayGridReport merged =
+      merge_replay(grid, campaigns.sources.size(), results);
 
   EXPECT_TRUE(merged.failed_cells.empty());
   EXPECT_EQ(merged.fingerprint, grid.run(campaigns.sources).fingerprint);
@@ -364,10 +433,9 @@ TEST(ReplayProcess, MergeReportsMissingFramesWithoutExecuting) {
   const detection::ReplayGrid grid(tiny_replay_config());
   const std::string results = dir + "/results";
 
-  detection::run_replay_worker_cells(grid, campaigns.sources, {{1, 0}},
-                                     results);
-  const detection::ReplayGridReport merged = detection::merge_replay_frames(
-      grid, campaigns.sources.size(), results);
+  run_replay_shard(grid, campaigns.sources, {{1, 0}}, results);
+  const detection::ReplayGridReport merged =
+      merge_replay(grid, campaigns.sources.size(), results);
 
   ASSERT_EQ(merged.failed_cells.size(), 1u);
   EXPECT_EQ(merged.failed_cells[0].cell_index, 0u);
@@ -393,8 +461,7 @@ TEST(ReplayProcess, PermanentCrashQuarantinesTheReplayCell) {
   GridCoordinatorConfig config = fast_config(dir + "/results");
   config.faults = FaultPlan::parse("crash@1:0;crash@1:1;crash@1:2");
   const detection::ReplayGridReport merged =
-      detection::ReplayGridCoordinator(grid, campaigns.sources, config)
-          .run();
+      coordinate_replay(grid, campaigns.sources, config);
 
   ASSERT_EQ(merged.failed_cells.size(), 1u);
   EXPECT_EQ(merged.failed_cells[0].cell_index, 1u);
@@ -411,6 +478,31 @@ TEST(ReplayProcess, PermanentCrashQuarantinesTheReplayCell) {
   EXPECT_EQ(merged.points.size(), ppc);
   EXPECT_EQ(merged.fingerprint,
             detection::combine_replay_points(survivors));
+}
+
+TEST(ReplayProcess, EveryTransportGivesTheSameReplayFingerprint) {
+  const std::string dir = fresh_dir("replay_transports");
+  const RecordedCampaigns campaigns = open_tiny_traces(dir, 2);
+  const detection::ReplayGrid grid(tiny_replay_config());
+  const std::string results = dir + "/results";
+  detection::ReplayGridJob job(grid, campaigns.sources);
+  const detection::ReplayGridReport pooled = job.report(run_job(job, 2));
+  const detection::ReplayGridReport coordinated =
+      job.report(coordinate_job(job, fast_config(results)));
+  const detection::ReplayGridReport merged =
+      merge_replay(grid, campaigns.sources.size(), results);
+  EXPECT_TRUE(coordinated.failed_cells.empty());
+  EXPECT_TRUE(merged.failed_cells.empty());
+  EXPECT_EQ(pooled.fingerprint, grid.run(campaigns.sources).fingerprint);
+  EXPECT_EQ(coordinated.fingerprint, pooled.fingerprint);
+  EXPECT_EQ(merged.fingerprint, pooled.fingerprint);
+}
+
+TEST(ReplayProcess, MergeOnlyJobRefusesToExecute) {
+  const detection::ReplayGrid grid(tiny_replay_config());
+  const detection::ReplayGridJob job(grid, {nullptr});
+  EXPECT_EQ(job.size(), 2u);
+  EXPECT_THROW(job.run_cell(0), ContractViolation);
 }
 
 TEST(ReplayProcess, TruncatedTraceFailsAtOpenNotInAWorker) {

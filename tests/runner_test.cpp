@@ -1,11 +1,18 @@
 // CampaignGrid tests: the sharding determinism contract (identical
 // per-cell and aggregated fingerprints for 1 vs N threads and for
 // shuffled cell orders), agreement with a directly-run engine, and the
-// seed-sweep builder.
+// seed-sweep builder. Then the transport contract of run_job and
+// merge_job_frames on a test-local CellJob (no fork, so these stay in
+// the tsan tier; tests/gridproc_test.cpp covers coordinate_job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <set>
+#include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "scenario/runner.hpp"
 
@@ -165,6 +172,113 @@ TEST(CampaignGrid, MoreThreadsThanCellsIsClamped) {
   EXPECT_EQ(report.threads_used, 1u);
   ASSERT_EQ(report.cells.size(), 1u);
   EXPECT_FALSE(report.cells[0].fingerprint.empty());
+}
+
+// --------------------------------------------------------------------
+// Transport contract on a fake CellJob
+// --------------------------------------------------------------------
+
+/// Cell i's frame is i as one u64. Cells in `throwing` throw from
+/// run_cell; cells in `misidentified` emit another cell's index, which
+/// accept_frame rejects. accept_frame also records whether it was ever
+/// entered concurrently.
+class FakeJob final : public CellJob {
+ public:
+  explicit FakeJob(std::size_t size) : accepted(size, false) {}
+
+  std::size_t size() const override { return accepted.size(); }
+  std::string frame_filename(std::uint64_t cell_index) const override {
+    return cell_frame_filename(cell_index);
+  }
+  std::string cell_label(std::uint64_t cell_index) const override {
+    return "fake" + std::to_string(cell_index);
+  }
+  std::uint64_t cell_seed(std::uint64_t cell_index) const override {
+    return 1000 + cell_index;
+  }
+  Bytes run_cell(std::uint64_t cell_index) const override {
+    if (throwing.count(cell_index) != 0)
+      throw std::runtime_error("cell " + std::to_string(cell_index) +
+                               " blew up");
+    Bytes frame;
+    put_u64(frame, misidentified.count(cell_index) != 0 ? cell_index + 100
+                                                        : cell_index);
+    return frame;
+  }
+  bool accept_frame(std::uint64_t cell_index, BytesView framed,
+                    std::string& error) override {
+    if (in_accept.exchange(true)) concurrent_accept = true;
+    ByteReader reader(framed);
+    const std::uint64_t held = reader.u64();
+    const bool ok = held == cell_index;
+    if (ok)
+      accepted[cell_index] = true;
+    else
+      error = "holds cell " + std::to_string(held);
+    in_accept = false;
+    return ok;
+  }
+
+  std::set<std::uint64_t> throwing;
+  std::set<std::uint64_t> misidentified;
+  std::vector<bool> accepted;
+  std::atomic<bool> in_accept{false};
+  bool concurrent_accept = false;
+};
+
+TEST(GridTransport, RunJobCapturesBothFailureKindsWithOneAttempt) {
+  FakeJob job(8);
+  job.throwing = {2};
+  job.misidentified = {5};
+  const GridOutcome outcome = run_job(job, 4, ErrorMode::kCapture);
+  EXPECT_EQ(outcome.workers, 4u);
+  EXPECT_FALSE(job.concurrent_accept);
+  ASSERT_EQ(outcome.failed_cells.size(), 2u);
+  EXPECT_EQ(outcome.failed_cells[0].cell_index, 2u);
+  EXPECT_EQ(outcome.failed_cells[0].label, "fake2");
+  EXPECT_EQ(outcome.failed_cells[0].seed, 1002u);
+  EXPECT_EQ(outcome.failed_cells[0].attempts, 1u);
+  EXPECT_EQ(outcome.failed_cells[0].error, "cell 2 blew up");
+  EXPECT_EQ(outcome.failed_cells[1].cell_index, 5u);
+  EXPECT_EQ(outcome.failed_cells[1].attempts, 1u);
+  EXPECT_EQ(outcome.failed_cells[1].error, "holds cell 105");
+  EXPECT_EQ(outcome.retries, 0u);
+  EXPECT_EQ(outcome.resumed_cells, 0u);
+  for (std::size_t i = 0; i < job.size(); ++i)
+    EXPECT_EQ(job.accepted[i], i != 2 && i != 5) << "cell " << i;
+}
+
+TEST(GridTransport, RunJobPropagatesBothFailureKinds) {
+  FakeJob throwing(4);
+  throwing.throwing = {1};
+  EXPECT_THROW(run_job(throwing, 2), std::runtime_error);
+  FakeJob misidentified(4);
+  misidentified.misidentified = {3};
+  EXPECT_THROW(run_job(misidentified, 2, ErrorMode::kPropagate),
+               std::runtime_error);
+  FakeJob healthy(4);
+  EXPECT_TRUE(run_job(healthy, 2).failed_cells.empty());
+  EXPECT_EQ(healthy.accepted, std::vector<bool>(4, true));
+}
+
+TEST(GridTransport, MergeOverAPartialDirectoryReportsMissingCells) {
+  const std::string dir = ::testing::TempDir() + "runner_fake_merge";
+  std::filesystem::remove_all(dir);
+  FakeJob job(5);
+  job.misidentified = {3};
+  run_job_worker_cells(job, {{0, 0}, {3, 0}, {4, 0}}, dir);
+  const GridOutcome outcome = merge_job_frames(job, dir);
+  ASSERT_EQ(outcome.failed_cells.size(), 3u);
+  EXPECT_EQ(outcome.failed_cells[0].cell_index, 1u);
+  EXPECT_EQ(outcome.failed_cells[0].error, "no result frame");
+  EXPECT_EQ(outcome.failed_cells[1].cell_index, 2u);
+  EXPECT_EQ(outcome.failed_cells[2].cell_index, 3u);
+  EXPECT_EQ(outcome.failed_cells[2].error, "holds cell 103");
+  for (const FailedCell& f : outcome.failed_cells) {
+    EXPECT_EQ(f.attempts, 0u);
+    EXPECT_EQ(f.label, "fake" + std::to_string(f.cell_index));
+  }
+  EXPECT_EQ(job.accepted, (std::vector<bool>{true, false, false, false, true}));
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ struct Config {
        "src/detection/roc.cpp"},
       {"ReplayGridPoint", false, "src/detection/replay_grid.hpp",
        "src/detection/replay_grid.cpp"},
-      // Multi-process replay-grid wire schema (frames carried by
-      // detection/replay_proc.hpp, codecs in scenario/wire.cpp).
+      // Replay-grid wire schema (frames carried by
+      // detection::ReplayGridJob, codecs in scenario/wire.cpp).
       {"ReplayGridCell", false, "src/detection/replay_grid.hpp",
        "src/scenario/wire.cpp"},
       {"ReplayGridReport", false, "src/detection/replay_grid.hpp",

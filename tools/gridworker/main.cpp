@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "common/fileio.hpp"
-#include "detection/replay_proc.hpp"
+#include "detection/replay_grid.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/trace_io.hpp"
@@ -216,8 +216,11 @@ int run_replay_mode(const gridcli::Options& options) {
   const detection::ReplayGrid grid(grid_config);
 
   if (options.role == gridcli::Role::kMerge) {
-    const detection::ReplayGridReport report = detection::merge_replay_frames(
-        grid, options.traces.size(), options.results_dir);
+    // Merge-only: one null (never executed) slot per --trace.
+    detection::ReplayGridJob job(
+        grid, std::vector<const TraceSource*>(options.traces.size()));
+    const detection::ReplayGridReport report =
+        job.report(merge_job_frames(job, options.results_dir));
     write_file_atomic(options.results_dir + "/replay_report.frame",
                       wire::encode_replay_report(report));
     print_replay_report(report, grid.cell_count(options.traces.size()));
@@ -234,6 +237,7 @@ int run_replay_mode(const gridcli::Options& options) {
     campaigns.push_back(readers.back().get());
   }
   const std::size_t cell_total = grid.cell_count(campaigns.size());
+  detection::ReplayGridJob job(grid, campaigns);
 
   if (options.role == gridcli::Role::kWorker) {
     for (const CellAssignment& a : options.cells)
@@ -242,17 +246,15 @@ int run_replay_mode(const gridcli::Options& options) {
                                 std::to_string(a.cell_index) + " of a " +
                                 std::to_string(cell_total) +
                                 "-cell replay grid");
-    detection::run_replay_worker_cells(grid, campaigns, options.cells,
-                                       options.results_dir,
-                                       options.config.faults);
+    run_job_worker_cells(job, options.cells, options.results_dir,
+                         options.config.faults);
     std::printf("wrote %zu replay cell frame(s) into %s\n",
                 options.cells.size(), options.results_dir.c_str());
     return 0;
   }
 
-  detection::ReplayGridCoordinator coordinator(grid, campaigns,
-                                               options.config);
-  const detection::ReplayGridReport report = coordinator.run();
+  const detection::ReplayGridReport report =
+      job.report(coordinate_job(job, options.config));
   write_file_atomic(options.results_dir + "/replay_report.frame",
                     wire::encode_replay_report(report));
   print_replay_report(report, cell_total);
@@ -289,6 +291,7 @@ int run(const gridcli::Options& options) {
   if (options.replay_grid) return run_replay_mode(options);
 
   const CampaignGrid grid = named_grid(options.grid_name);
+  CampaignCellJob job(grid);
 
   if (options.role == gridcli::Role::kWorker) {
     for (const CellAssignment& a : options.cells)
@@ -296,15 +299,14 @@ int run(const gridcli::Options& options) {
         throw gridcli::CliError("--cells: cell " +
                                 std::to_string(a.cell_index) + " of a " +
                                 std::to_string(grid.size()) + "-cell grid");
-    run_worker_cells(grid, options.cells, options.results_dir,
-                     options.config.faults);
+    run_job_worker_cells(job, options.cells, options.results_dir,
+                         options.config.faults);
     std::printf("wrote %zu cell frame(s) into %s\n", options.cells.size(),
                 options.results_dir.c_str());
     return 0;
   }
 
-  GridCoordinator coordinator(grid, options.config);
-  const GridReport report = coordinator.run();
+  const GridReport report = job.report(coordinate_job(job, options.config));
   // The merged report is itself a resumable artifact: decode it later
   // with --show-report (or any wire consumer) without re-running.
   write_file_atomic(options.results_dir + "/grid_report.frame",
