@@ -128,7 +128,10 @@ std::uint64_t read_be64(BytesView b) {
   return v;
 }
 
-void put_u64(Bytes& out, std::uint64_t v) { append(out, be64(v)); }
+void put_u64(Bytes& out, std::uint64_t v) {
+  for (int shift = 56; shift >= 0; shift -= 8)
+    out.push_back(static_cast<std::uint8_t>(v >> shift));
+}
 
 void put_f64(Bytes& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
@@ -136,7 +139,7 @@ void put_f64(Bytes& out, double v) {
 
 void put_string(Bytes& out, std::string_view s) {
   put_u64(out, s.size());
-  append(out, to_bytes(s));
+  out.insert(out.end(), s.begin(), s.end());
 }
 
 std::uint64_t ByteReader::u64() {

@@ -51,10 +51,10 @@ void append(Bytes& dst, BytesView src);
 /// descriptor time-period and key-derivation inputs.
 Bytes be64(std::uint64_t v);
 
-/// Canonical-serialization helpers shared by every fingerprinted stream
-/// (snapshots, campaign events, traffic traces, ROC points): big-endian
-/// 64-bit words, doubles bit-cast, strings length-prefixed. One
-/// definition, so the byte conventions cannot drift between modules.
+/// Canonical-serialization helpers shared by every fingerprinted stream:
+/// big-endian 64-bit words, doubles bit-cast, strings length-prefixed.
+/// One definition, so the byte conventions cannot drift between modules;
+/// serialized structs reach them through common/codec.hpp.
 void put_u64(Bytes& out, std::uint64_t v);
 void put_f64(Bytes& out, double v);
 void put_string(Bytes& out, std::string_view s);
@@ -67,8 +67,8 @@ std::uint64_t read_be64(BytesView b);
 /// counterpart of put_u64/put_f64/put_string. Every read validates the
 /// remaining length and throws std::out_of_range on underflow, so a
 /// truncated buffer surfaces as an exception at the exact field, never
-/// as an out-of-bounds access. Decoders (scenario/wire) wrap the throw
-/// in their own error type with frame context.
+/// as an out-of-bounds access. common/codec.hpp wraps the throw in a
+/// WireError naming the struct and field.
 class ByteReader {
  public:
   explicit ByteReader(BytesView data) : data_(data) {}

@@ -171,27 +171,7 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   return out;
 }
 
-Bytes serialize(const ReplayGridPoint& p) {
-  Bytes out;
-  out.reserve(8 * 10 + p.detector.size() + p.params.size());
-  put_u64(out, p.campaign);
-  put_u64(out, p.replay_seed);
-  put_string(out, p.detector);
-  put_string(out, p.params);
-  put_u64(out, p.flows);
-  put_u64(out, p.flagged);
-  put_u64(out, p.true_positives);
-  put_u64(out, p.false_positives);
-  put_f64(out, p.tpr);
-  put_f64(out, p.fpr);
-  put_u64(out, p.families.size());
-  for (const RocFamilyCount& f : p.families) {
-    put_string(out, f.family);
-    put_u64(out, f.flagged);
-    put_u64(out, f.population);
-  }
-  return out;
-}
+Bytes serialize(const ReplayGridPoint& p) { return codec::encode(p); }
 
 void ReplayGridReport::write_csv(std::FILE* out) const {
   std::fprintf(out,

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "detection/flow_scorer.hpp"
 #include "detection/replay.hpp"
 #include "scenario/runner.hpp"
@@ -94,10 +95,23 @@ struct ReplayGridPoint {
   /// Per-population counts in GroundTruth order — the family resolution
   /// the paper's argument needs (tor-flagger's benign_tor FPR).
   std::vector<RocFamilyCount> families;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("ReplayGridPoint", codec::u64("campaign", s.campaign),
+             codec::u64("replay_seed", s.replay_seed),
+             codec::str("detector", s.detector),
+             codec::str("params", s.params), codec::u64("flows", s.flows),
+             codec::u64("flagged", s.flagged),
+             codec::u64("true_positives", s.true_positives),
+             codec::u64("false_positives", s.false_positives),
+             codec::f64("tpr", s.tpr), codec::f64("fpr", s.fpr),
+             codec::list("families", s.families));
+  }
 };
 
-/// Canonical serialization of one point — the unit the grid fingerprint
-/// hashes.
+/// Canonical serialization of one point (codec::encode over fields()) —
+/// the unit the grid fingerprint hashes.
 Bytes serialize(const ReplayGridPoint& p);
 
 /// The grid fingerprint over `points` (chained SHA-256, hex, in the
@@ -115,6 +129,15 @@ struct ReplayGridCell {
   std::uint64_t replay_seed = 0;
   std::vector<ReplayGridPoint> points;
   double wall_seconds = 0.0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("ReplayGridCell", codec::u64("cell_index", s.cell_index),
+             codec::u64("campaign", s.campaign),
+             codec::u64("replay_seed", s.replay_seed),
+             codec::framed("points", s.points),
+             codec::f64("wall_seconds", s.wall_seconds));
+  }
 };
 
 /// The grid's outcome, points in grid order: campaign-major, then seed,
@@ -139,6 +162,17 @@ struct ReplayGridReport {
 
   /// One CSV row per point (plus a header).
   void write_csv(std::FILE* out) const;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("ReplayGridReport", codec::framed("points", s.points),
+             codec::list("failed_cells", s.failed_cells),
+             codec::str("fingerprint", s.fingerprint),
+             codec::u64("threads_used", s.threads_used),
+             codec::f64("wall_seconds", s.wall_seconds),
+             codec::u64("retries", s.retries),
+             codec::u64("resumed_cells", s.resumed_cells));
+  }
 };
 
 class ReplayGrid {

@@ -86,30 +86,7 @@ std::string tor_flagger_params(std::size_t min_flows) {
   return "min_flows=" + fmt(min_flows);
 }
 
-Bytes serialize(const RocPoint& p) {
-  Bytes out;
-  out.reserve(8 * 7 + p.detector.size() + p.params.size());
-  put_string(out, p.detector);
-  put_string(out, p.params);
-  put_u64(out, p.flagged);
-  put_u64(out, p.true_positives);
-  put_u64(out, p.false_positives);
-  put_f64(out, p.tpr);
-  put_f64(out, p.fpr);
-  put_f64(out, p.precision);
-  // Per-family block present iff the sweep was family-resolved: legacy
-  // aggregate points keep their exact historical encoding, so committed
-  // ROC fingerprints cannot move. D5-manifested as conditional.
-  if (!p.families.empty()) {
-    put_u64(out, p.families.size());
-    for (const RocFamilyCount& f : p.families) {
-      put_string(out, f.family);
-      put_u64(out, f.flagged);
-      put_u64(out, f.population);
-    }
-  }
-  return out;
-}
+Bytes serialize(const RocPoint& p) { return codec::encode(p); }
 
 void RocReport::write_csv(std::FILE* out) const {
   std::fprintf(out,

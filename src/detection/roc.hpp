@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "detection/flow_scorer.hpp"
 #include "detection/telemetry.hpp"
 
@@ -56,6 +57,13 @@ struct RocFamilyCount {
   std::string family;  // "onion", "dga", "benign_tor", ...
   std::size_t flagged = 0;
   std::size_t population = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("RocFamilyCount", codec::str("family", s.family),
+             codec::u64("flagged", s.flagged),
+             codec::u64("population", s.population));
+  }
 };
 
 /// Named host populations scored alongside the aggregate TPR/FPR. Order
@@ -85,6 +93,18 @@ struct RocPoint {
   /// sweeps and serialized only when present, so legacy points (and the
   /// goldens hashing them) encode exactly as before.
   std::vector<RocFamilyCount> families;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("RocPoint", codec::str("detector", s.detector),
+             codec::str("params", s.params),
+             codec::u64("flagged", s.flagged),
+             codec::u64("true_positives", s.true_positives),
+             codec::u64("false_positives", s.false_positives),
+             codec::f64("tpr", s.tpr), codec::f64("fpr", s.fpr),
+             codec::f64("precision", s.precision),
+             codec::trailing("families", s.families));
+  }
 };
 
 /// Ground truth digested once for scoring many verdicts: the infected
@@ -112,8 +132,8 @@ RocPoint score_verdict(std::string detector, std::string params,
 std::string flow_beacon_params(double size_cv, double gap_cv);
 std::string tor_flagger_params(std::size_t min_flows);
 
-/// Canonical serialization of one point (strings length-prefixed,
-/// doubles bit-cast) — the unit the sweep fingerprint hashes.
+/// Canonical serialization of one point (codec::encode over fields()) —
+/// the unit the sweep fingerprint hashes.
 Bytes serialize(const RocPoint& p);
 
 /// The sweep's outcome, points in grid order (family by family, axes in

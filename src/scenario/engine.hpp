@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "core/ddsr.hpp"
 #include "core/overlay.hpp"
@@ -36,6 +37,13 @@ struct CampaignCounters {
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t takedowns = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("CampaignCounters", codec::u64("joins", s.joins),
+             codec::u64("leaves", s.leaves),
+             codec::u64("takedowns", s.takedowns));
+  }
 };
 
 /// Runs one ScenarioSpec to its horizon. Single-shot: construct, run(),

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/snapshot.hpp"
 #include "scenario/spec.hpp"
@@ -59,6 +60,19 @@ struct CellResult {
   CampaignCounters counters;
   std::uint64_t events_executed = 0;
   double wall_seconds = 0.0;
+
+  /// Wire layout (common/codec.hpp), in encoding order. Snapshots are
+  /// framed: their encoding is not self-delimiting (the wave block is
+  /// trailing).
+  static auto fields(auto& s, auto&& v) {
+    return v("CellResult", codec::str("label", s.label),
+             codec::u64("seed", s.seed),
+             codec::str("fingerprint", s.fingerprint),
+             codec::framed("series", s.series),
+             codec::nested("counters", s.counters),
+             codec::u64("events_executed", s.events_executed),
+             codec::f64("wall_seconds", s.wall_seconds));
+  }
 };
 
 /// A cell that never produced an accepted frame (see GridOutcome for
@@ -70,6 +84,14 @@ struct FailedCell {
   std::uint64_t seed = 0;
   std::uint64_t attempts = 0;
   std::string error;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("FailedCell", codec::u64("cell_index", s.cell_index),
+             codec::str("label", s.label), codec::u64("seed", s.seed),
+             codec::u64("attempts", s.attempts),
+             codec::str("error", s.error));
+  }
 };
 
 /// Aggregated outcome of a grid run.
@@ -91,6 +113,17 @@ struct GridReport {
   /// only, like wall_seconds.
   std::uint64_t retries = 0;        // cell re-executions scheduled
   std::uint64_t resumed_cells = 0;  // valid frames skipped on resume
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("GridReport", codec::framed("cells", s.cells),
+             codec::list("failed_cells", s.failed_cells),
+             codec::str("combined_fingerprint", s.combined_fingerprint),
+             codec::u64("threads_used", s.threads_used),
+             codec::f64("wall_seconds", s.wall_seconds),
+             codec::u64("retries", s.retries),
+             codec::u64("resumed_cells", s.resumed_cells));
+  }
 };
 
 /// The combined fingerprint over the completed cells of `cells` (empty

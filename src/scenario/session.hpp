@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 
 namespace onion::scenario {
@@ -42,6 +43,17 @@ struct SessionSpec {
   /// to that constant (the degenerate but well-defined corner).
   double min_hours = 0.0;
   double max_hours = std::numeric_limits<double>::infinity();
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("SessionSpec",
+             codec::enum_u64<SessionModel::LogNormal>("model", s.model),
+             codec::f64("mean_hours", s.mean_hours),
+             codec::f64("pareto_alpha", s.pareto_alpha),
+             codec::f64("lognormal_sigma", s.lognormal_sigma),
+             codec::f64("min_hours", s.min_hours),
+             codec::f64("max_hours", s.max_hours));
+  }
 };
 
 /// One session length in hours. Draws exactly one uniform for

@@ -2,43 +2,7 @@
 
 namespace onion::scenario {
 
-Bytes serialize(const MetricsSnapshot& s) {
-  Bytes out;
-  out.reserve(8 * 20 + 4 * s.degree_histogram.size());
-  put_u64(out, s.time);
-  put_u64(out, s.honest_alive);
-  put_u64(out, s.sybil_alive);
-  put_u64(out, s.honest_edges);
-  put_u64(out, s.components);
-  put_u64(out, s.largest_component);
-  put_f64(out, s.largest_fraction);
-  put_f64(out, s.average_degree);
-  put_u64(out, s.diameter);
-  put_u64(out, s.joins);
-  put_u64(out, s.leaves);
-  put_u64(out, s.takedowns);
-  put_u64(out, s.repair_edges);
-  put_u64(out, s.prune_edges);
-  put_u64(out, s.refill_edges);
-  put_u64(out, s.repair_messages);
-  put_u64(out, s.soap_clones);
-  put_u64(out, s.soap_contained);
-  put_u64(out, s.degree_histogram.size());
-  for (const std::uint32_t count : s.degree_histogram) {
-    out.push_back(static_cast<std::uint8_t>(count >> 24));
-    out.push_back(static_cast<std::uint8_t>(count >> 16));
-    out.push_back(static_cast<std::uint8_t>(count >> 8));
-    out.push_back(static_cast<std::uint8_t>(count));
-  }
-  // Wave attribution is appended only when present: a plan-free
-  // snapshot keeps the exact pre-wave byte layout (the committed golden
-  // fingerprints depend on it).
-  if (!s.wave_takedowns.empty()) {
-    put_u64(out, s.wave_takedowns.size());
-    for (const std::uint64_t count : s.wave_takedowns) put_u64(out, count);
-  }
-  return out;
-}
+Bytes serialize(const MetricsSnapshot& s) { return codec::encode(s); }
 
 void HashSink::on_snapshot(const MetricsSnapshot& s) {
   const Bytes encoded = serialize(s);

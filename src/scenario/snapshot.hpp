@@ -11,6 +11,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 #include "crypto/sha256.hpp"
 
 namespace onion::scenario {
@@ -55,12 +56,35 @@ struct MetricsSnapshot {
   std::vector<std::uint64_t> wave_takedowns;
 
   bool connected() const { return components <= 1; }
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("MetricsSnapshot", codec::u64("time", s.time),
+             codec::u64("honest_alive", s.honest_alive),
+             codec::u64("sybil_alive", s.sybil_alive),
+             codec::u64("honest_edges", s.honest_edges),
+             codec::u64("components", s.components),
+             codec::u64("largest_component", s.largest_component),
+             codec::f64("largest_fraction", s.largest_fraction),
+             codec::f64("average_degree", s.average_degree),
+             codec::u64("diameter", s.diameter),
+             codec::u64("joins", s.joins),
+             codec::u64("leaves", s.leaves),
+             codec::u64("takedowns", s.takedowns),
+             codec::u64("repair_edges", s.repair_edges),
+             codec::u64("prune_edges", s.prune_edges),
+             codec::u64("refill_edges", s.refill_edges),
+             codec::u64("repair_messages", s.repair_messages),
+             codec::u64("soap_clones", s.soap_clones),
+             codec::u64("soap_contained", s.soap_contained),
+             codec::u32s("degree_histogram", s.degree_histogram),
+             codec::trailing("wave_takedowns", s.wave_takedowns));
+  }
 };
 
-/// Canonical serialization: fixed field order, big-endian 64-bit words
-/// (doubles bit-cast), histogram length-prefixed. Byte-identical across
-/// platforms for identical snapshots — the unit the determinism tests
-/// hash.
+/// Canonical serialization (codec::encode over fields()): byte-identical
+/// across platforms for identical snapshots — the unit the determinism
+/// tests hash.
 Bytes serialize(const MetricsSnapshot& s);
 
 /// Where snapshots go. Implementations must not mutate the campaign.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 #include "scenario/session.hpp"
 
 namespace onion::scenario {
@@ -37,6 +38,15 @@ struct ChurnSpec {
   /// measured P2P pattern of many short sessions plus a long-lived core.
   bool session_leaves = false;
   SessionSpec session;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("ChurnSpec", codec::f64("joins_per_hour", s.joins_per_hour),
+             codec::f64("leaves_per_hour", s.leaves_per_hour),
+             codec::boolean("heal_on_leave", s.heal_on_leave),
+             codec::boolean("session_leaves", s.session_leaves),
+             codec::nested("session", s.session));
+  }
 };
 
 /// What an attack phase does while its window is open.
@@ -89,6 +99,20 @@ struct AttackPhase {
   /// SoapInjection: campaign cadence and per-tick round count.
   SimDuration soap_tick = kMinute;
   std::size_t soap_rounds_per_tick = 1;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("AttackPhase",
+             codec::enum_u64<AttackKind::AdaptiveTakedown>("kind", s.kind),
+             codec::u64("start", s.start), codec::u64("stop", s.stop),
+             codec::f64("takedowns_per_hour", s.takedowns_per_hour),
+             codec::boolean("heal", s.heal),
+             codec::u64("betweenness_pivots", s.betweenness_pivots),
+             codec::enum_u64<RankMetric::Degree>("rank", s.rank),
+             codec::u64("refresh_period", s.refresh_period),
+             codec::u64("soap_tick", s.soap_tick),
+             codec::u64("soap_rounds_per_tick", s.soap_rounds_per_tick));
+  }
 };
 
 /// One wave of a staged campaign plan: an attack that runs for
@@ -100,6 +124,13 @@ struct AttackWave {
   AttackPhase attack;
   SimDuration duration = 0;
   SimDuration quiet_after = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("AttackWave", codec::nested("attack", s.attack),
+             codec::u64("duration", s.duration),
+             codec::u64("quiet_after", s.quiet_after));
+  }
 };
 
 /// An ordered takedown→heal→re-takedown plan: waves run back to back
@@ -112,6 +143,12 @@ struct AttackWave {
 struct WavePlan {
   SimTime start = 0;
   std::vector<AttackWave> waves;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("WavePlan", codec::u64("start", s.start),
+             codec::list("waves", s.waves));
+  }
 };
 
 /// Defense toggles (Section VII-A). They gate the overlay's *peering
@@ -142,6 +179,16 @@ struct DefenseSpec {
   /// original uncharged graph-level repair semantics — and the
   /// committed golden fingerprints — exactly.
   bool charge_healing = false;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("DefenseSpec",
+             codec::u64("rate_limit_per_round", s.rate_limit_per_round),
+             codec::f64("pow_base_cost", s.pow_base_cost),
+             codec::f64("pow_growth", s.pow_growth),
+             codec::u64("round", s.round),
+             codec::boolean("charge_healing", s.charge_healing));
+  }
 };
 
 /// Snapshot cadence and which optional (costlier) metrics to include.
@@ -151,6 +198,13 @@ struct MetricsSpec {
   bool degree_histogram = true;
   /// Double-sweep diameter restarts; 0 skips the diameter entirely.
   std::size_t diameter_sweeps = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("MetricsSpec", codec::u64("period", s.period),
+             codec::boolean("degree_histogram", s.degree_histogram),
+             codec::u64("diameter_sweeps", s.diameter_sweeps));
+  }
 };
 
 /// The full declarative scenario.
@@ -168,6 +222,20 @@ struct ScenarioSpec {
   WavePlan waves;
   DefenseSpec defense;
   MetricsSpec metrics;
+
+  /// Wire layout (common/codec.hpp), in encoding order: the spec echo
+  /// every trace header carries.
+  static auto fields(auto& s, auto&& v) {
+    return v("ScenarioSpec", codec::u64("seed", s.seed),
+             codec::u64("initial_size", s.initial_size),
+             codec::u64("degree", s.degree),
+             codec::u64("horizon", s.horizon),
+             codec::nested("churn", s.churn),
+             codec::list("attacks", s.attacks),
+             codec::nested("waves", s.waves),
+             codec::nested("defense", s.defense),
+             codec::nested("metrics", s.metrics));
+  }
 };
 
 }  // namespace onion::scenario

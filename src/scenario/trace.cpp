@@ -9,15 +9,7 @@
 
 namespace onion::scenario {
 
-Bytes serialize(const CampaignEvent& e) {
-  Bytes out;
-  out.reserve(8 * 3 + 1);
-  put_u64(out, e.at);
-  out.push_back(static_cast<std::uint8_t>(e.kind));
-  put_u64(out, e.a);
-  put_u64(out, e.b);
-  return out;
-}
+Bytes serialize(const CampaignEvent& e) { return codec::encode(e); }
 
 void CampaignTrace::on_begin(const ScenarioSpec& spec,
                              const std::vector<graph::NodeId>& initial) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 #include "graph/graph.hpp"
 #include "scenario/snapshot.hpp"
 #include "scenario/spec.hpp"
@@ -51,10 +52,17 @@ struct CampaignEvent {
 
   friend bool operator==(const CampaignEvent&,
                          const CampaignEvent&) = default;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("CampaignEvent", codec::u64("at", s.at),
+             codec::enum_u8<TraceEventKind::HealPeering>("kind", s.kind),
+             codec::u64("a", s.a), codec::u64("b", s.b));
+  }
 };
 
-/// Canonical serialization of one event (fixed field order, big-endian
-/// words) — the unit the trace fingerprint hashes.
+/// Canonical serialization of one event (codec::encode over fields()) —
+/// the unit the trace fingerprint hashes.
 Bytes serialize(const CampaignEvent& e);
 
 /// Receives the campaign's event stream. Implementations must not

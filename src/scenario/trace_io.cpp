@@ -13,84 +13,6 @@ namespace {
   throw wire::WireError("trace: " + what);
 }
 
-/// Converts ByteReader underflow into a WireError naming the region, so
-/// a truncated payload reports *where* decoding fell off the end.
-template <typename Fn>
-auto decode_payload(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::out_of_range& e) {
-    bad(std::string(what) + ": " + e.what());
-  }
-}
-
-// Bools travel as full canonical words: one convention repo-wide, and a
-// flipped bit anywhere in the word still decodes to "true" — the
-// integrity digest, not the codec, is what detects corruption.
-void put_bool(Bytes& out, bool v) { put_u64(out, v ? 1 : 0); }
-bool get_bool(ByteReader& r) { return r.u64() != 0; }
-
-std::size_t get_size(ByteReader& r) {
-  return static_cast<std::size_t>(r.u64());
-}
-
-void put_session(Bytes& out, const SessionSpec& s) {
-  put_u64(out, static_cast<std::uint64_t>(s.model));
-  put_f64(out, s.mean_hours);
-  put_f64(out, s.pareto_alpha);
-  put_f64(out, s.lognormal_sigma);
-  put_f64(out, s.min_hours);
-  put_f64(out, s.max_hours);
-}
-
-SessionSpec get_session(ByteReader& r) {
-  SessionSpec s;
-  const std::uint64_t model = r.u64();
-  if (model > static_cast<std::uint64_t>(SessionModel::LogNormal))
-    bad("unknown SessionModel value " + std::to_string(model));
-  s.model = static_cast<SessionModel>(model);
-  s.mean_hours = r.f64();
-  s.pareto_alpha = r.f64();
-  s.lognormal_sigma = r.f64();
-  s.min_hours = r.f64();
-  s.max_hours = r.f64();
-  return s;
-}
-
-void put_phase(Bytes& out, const AttackPhase& p) {
-  put_u64(out, static_cast<std::uint64_t>(p.kind));
-  put_u64(out, p.start);
-  put_u64(out, p.stop);
-  put_f64(out, p.takedowns_per_hour);
-  put_bool(out, p.heal);
-  put_u64(out, p.betweenness_pivots);
-  put_u64(out, static_cast<std::uint64_t>(p.rank));
-  put_u64(out, p.refresh_period);
-  put_u64(out, p.soap_tick);
-  put_u64(out, p.soap_rounds_per_tick);
-}
-
-AttackPhase get_phase(ByteReader& r) {
-  AttackPhase p;
-  const std::uint64_t kind = r.u64();
-  if (kind > static_cast<std::uint64_t>(AttackKind::AdaptiveTakedown))
-    bad("unknown AttackKind value " + std::to_string(kind));
-  p.kind = static_cast<AttackKind>(kind);
-  p.start = r.u64();
-  p.stop = r.u64();
-  p.takedowns_per_hour = r.f64();
-  p.heal = get_bool(r);
-  p.betweenness_pivots = get_size(r);
-  const std::uint64_t rank = r.u64();
-  if (rank > static_cast<std::uint64_t>(RankMetric::Degree))
-    bad("unknown RankMetric value " + std::to_string(rank));
-  p.rank = static_cast<RankMetric>(rank);
-  p.refresh_period = r.u64();
-  p.soap_tick = r.u64();
-  p.soap_rounds_per_tick = get_size(r);
-  return p;
-}
-
 /// Minimal RAII stdio handle for the reader's streaming passes.
 class File {
  public:
@@ -155,111 +77,24 @@ Bytes read_frame_payload(File& f, std::uint64_t magic, std::size_t pos,
 
 }  // namespace
 
-Bytes serialize(const ScenarioSpec& spec) {
-  Bytes out;
-  put_u64(out, spec.seed);
-  put_u64(out, spec.initial_size);
-  put_u64(out, spec.degree);
-  put_u64(out, spec.horizon);
-  put_f64(out, spec.churn.joins_per_hour);
-  put_f64(out, spec.churn.leaves_per_hour);
-  put_bool(out, spec.churn.heal_on_leave);
-  put_bool(out, spec.churn.session_leaves);
-  put_session(out, spec.churn.session);
-  put_u64(out, spec.attacks.size());
-  for (const AttackPhase& p : spec.attacks) put_phase(out, p);
-  put_u64(out, spec.waves.start);
-  put_u64(out, spec.waves.waves.size());
-  for (const AttackWave& w : spec.waves.waves) {
-    put_phase(out, w.attack);
-    put_u64(out, w.duration);
-    put_u64(out, w.quiet_after);
-  }
-  put_u64(out, spec.defense.rate_limit_per_round);
-  put_f64(out, spec.defense.pow_base_cost);
-  put_f64(out, spec.defense.pow_growth);
-  put_u64(out, spec.defense.round);
-  put_bool(out, spec.defense.charge_healing);
-  put_u64(out, spec.metrics.period);
-  put_bool(out, spec.metrics.degree_histogram);
-  put_u64(out, spec.metrics.diameter_sweeps);
-  return out;
-}
+Bytes serialize(const ScenarioSpec& spec) { return codec::encode(spec); }
 
 ScenarioSpec deserialize_spec(ByteReader& r) {
   ScenarioSpec spec;
-  spec.seed = r.u64();
-  spec.initial_size = get_size(r);
-  spec.degree = get_size(r);
-  spec.horizon = r.u64();
-  spec.churn.joins_per_hour = r.f64();
-  spec.churn.leaves_per_hour = r.f64();
-  spec.churn.heal_on_leave = get_bool(r);
-  spec.churn.session_leaves = get_bool(r);
-  spec.churn.session = get_session(r);
-  spec.attacks.resize(get_size(r));
-  for (AttackPhase& p : spec.attacks) p = get_phase(r);
-  spec.waves.start = r.u64();
-  spec.waves.waves.resize(get_size(r));
-  for (AttackWave& w : spec.waves.waves) {
-    w.attack = get_phase(r);
-    w.duration = r.u64();
-    w.quiet_after = r.u64();
-  }
-  spec.defense.rate_limit_per_round = get_size(r);
-  spec.defense.pow_base_cost = r.f64();
-  spec.defense.pow_growth = r.f64();
-  spec.defense.round = r.u64();
-  spec.defense.charge_healing = get_bool(r);
-  spec.metrics.period = r.u64();
-  spec.metrics.degree_histogram = get_bool(r);
-  spec.metrics.diameter_sweeps = get_size(r);
+  codec::decode_into(r, spec);
   return spec;
 }
 
-Bytes serialize(const TraceHeader& header) {
-  Bytes out = serialize(header.spec);
-  put_u64(out, header.initial_nodes.size());
-  for (const graph::NodeId u : header.initial_nodes) put_u64(out, u);
-  return out;
-}
+Bytes serialize(const TraceHeader& header) { return codec::encode(header); }
 
 TraceHeader deserialize_header(BytesView payload) {
-  return decode_payload("header payload", [&] {
-    ByteReader r(payload);
-    TraceHeader h;
-    h.spec = deserialize_spec(r);
-    h.initial_nodes.resize(get_size(r));
-    for (graph::NodeId& u : h.initial_nodes)
-      u = static_cast<graph::NodeId>(r.u64());
-    if (!r.done()) bad("header payload: trailing bytes");
-    return h;
-  });
+  return codec::decode<TraceHeader>(payload);
 }
 
-Bytes serialize(const TraceFooter& footer) {
-  Bytes out;
-  out.reserve(kFooterPayloadBytes);
-  put_u64(out, footer.event_count);
-  put_u64(out, footer.snapshot_count);
-  put_u64(out, footer.chunk_count);
-  out.insert(out.end(), footer.event_digest.begin(),
-             footer.event_digest.end());
-  return out;
-}
+Bytes serialize(const TraceFooter& footer) { return codec::encode(footer); }
 
 TraceFooter deserialize_footer(BytesView payload) {
-  return decode_payload("footer payload", [&] {
-    ByteReader r(payload);
-    TraceFooter f;
-    f.event_count = r.u64();
-    f.snapshot_count = r.u64();
-    f.chunk_count = r.u64();
-    const BytesView digest = r.raw(f.event_digest.size());
-    std::copy(digest.begin(), digest.end(), f.event_digest.begin());
-    if (!r.done()) bad("footer payload: trailing bytes");
-    return f;
-  });
+  return codec::decode<TraceFooter>(payload);
 }
 
 TraceWriter::TraceWriter(std::string path, TraceWriterConfig config)
@@ -278,20 +113,19 @@ void TraceWriter::on_begin(const ScenarioSpec& spec,
 
 void TraceWriter::on_event(const CampaignEvent& e) {
   ONION_EXPECTS(began_ && !finished_);
-  const Bytes encoded = scenario::serialize(e);
-  event_hasher_.update(encoded);
   chunk_.push_back(kEventTag);
-  append(chunk_, encoded);
+  const std::size_t body = chunk_.size();
+  codec::encode_into(chunk_, e);
+  event_hasher_.update(BytesView(chunk_).subspan(body));
   ++events_;
   if (++chunk_records_ >= config_.chunk_records) flush_chunk();
 }
 
 void TraceWriter::on_snapshot(const MetricsSnapshot& s) {
   ONION_EXPECTS(began_ && !finished_);
-  const Bytes encoded = scenario::serialize(s);
   chunk_.push_back(kSnapshotTag);
-  put_u64(chunk_, encoded.size());
-  append(chunk_, encoded);
+  put_u64(chunk_, codec::encoded_size(s));
+  codec::encode_into(chunk_, s);
   ++snapshots_;
   if (++chunk_records_ >= config_.chunk_records) flush_chunk();
 }
@@ -360,13 +194,13 @@ std::uint64_t TraceReader::for_each_record(
         read_frame_payload(f, kChunkMagic, pos, limit, &frame_bytes);
     pos += frame_bytes;
     ++chunks;
-    decode_payload("chunk payload", [&] {
-      ByteReader r(payload);
+    ByteReader r(payload);
+    try {
       while (!r.done()) {
         const std::uint8_t tag = r.raw(1)[0];
         if (tag == kEventTag) {
           ++events;
-          fn(tag, r.raw(25));  // serialize(CampaignEvent) is 25 bytes
+          fn(tag, r.raw(codec::fixed_size<CampaignEvent>()));
         } else if (tag == kSnapshotTag) {
           ++snapshots;
           fn(tag, r.raw(static_cast<std::size_t>(r.u64())));
@@ -374,7 +208,9 @@ std::uint64_t TraceReader::for_each_record(
           bad("unknown record tag " + std::to_string(tag));
         }
       }
-    });
+    } catch (const std::out_of_range& e) {
+      bad(std::string("chunk payload: ") + e.what());
+    }
   }
   if (chunks != footer_.chunk_count || events != footer_.event_count ||
       snapshots != footer_.snapshot_count)
@@ -390,14 +226,7 @@ std::uint64_t TraceReader::for_each_record(
 void TraceReader::for_each_event(
     const std::function<void(const CampaignEvent&)>& fn) const {
   for_each_record([&](std::uint8_t tag, BytesView body) {
-    if (tag != kEventTag) return;
-    ByteReader r(body);
-    CampaignEvent e;
-    e.at = r.u64();
-    e.kind = static_cast<TraceEventKind>(r.raw(1)[0]);
-    e.a = r.u64();
-    e.b = r.u64();
-    fn(e);
+    if (tag == kEventTag) fn(codec::decode<CampaignEvent>(body));
   });
 }
 
@@ -413,8 +242,11 @@ std::string TraceReader::fingerprint() const {
   crypto::Sha256 hasher;
   for_each_record([&](std::uint8_t tag, BytesView body) {
     // An event's record body IS serialize(CampaignEvent), so hashing it
-    // directly reproduces CampaignTrace::fingerprint() byte-for-byte.
-    if (tag == kEventTag) hasher.update(body);
+    // directly reproduces CampaignTrace::fingerprint() byte-for-byte;
+    // decoding it first rejects what for_each_event would reject.
+    if (tag != kEventTag) return;
+    (void)codec::decode<CampaignEvent>(body);
+    hasher.update(body);
   });
   const crypto::Sha256Digest digest = hasher.finalize();
   if (digest != footer_.event_digest)

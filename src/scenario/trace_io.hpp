@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/fileio.hpp"
 #include "crypto/sha256.hpp"
 #include "scenario/trace.hpp"
@@ -61,6 +62,12 @@ inline constexpr std::uint8_t kSnapshotTag = 1;
 struct TraceHeader {
   ScenarioSpec spec;
   std::vector<graph::NodeId> initial_nodes;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("TraceHeader", codec::nested("spec", s.spec),
+             codec::list("initial_nodes", s.initial_nodes));
+  }
 };
 
 /// The footer frame's content (fixed-size payload, so a reader finds it
@@ -73,18 +80,27 @@ struct TraceFooter {
   /// Chained SHA-256 over the serialized event stream — the digest
   /// CampaignTrace::fingerprint() renders as hex.
   crypto::Sha256Digest event_digest{};
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("TraceFooter", codec::u64("event_count", s.event_count),
+             codec::u64("snapshot_count", s.snapshot_count),
+             codec::u64("chunk_count", s.chunk_count),
+             codec::raw("event_digest", s.event_digest));
+  }
 };
 
 /// Serialized footer payload size: 3 u64 words + the raw digest.
-inline constexpr std::size_t kFooterPayloadBytes = 24 + 32;
+inline constexpr std::size_t kFooterPayloadBytes =
+    codec::fixed_size<TraceFooter>();
 /// A complete footer frame on disk: frame header + payload + digest.
 inline constexpr std::size_t kFooterFrameBytes =
     wire::kFrameHeaderBytes + kFooterPayloadBytes + wire::kFrameDigestBytes;
 
 // --- payload codecs (version-1 field order, no framing) --------------
-// The spec codec round-trips every ScenarioSpec bit-for-bit (doubles
-// bit-cast); growing any spec struct without updating both sides fails
-// detlint D5 via the serialized_fields.txt manifest.
+// All derived from the structs' fields() lists (common/codec.hpp): the
+// spec codec round-trips every ScenarioSpec bit-for-bit (doubles
+// bit-cast), and a spec member missing from its list does not compile.
 
 Bytes serialize(const ScenarioSpec& spec);
 ScenarioSpec deserialize_spec(ByteReader& r);

@@ -13,295 +13,42 @@ namespace {
   throw WireError("wire: " + what);
 }
 
-std::uint32_t get_u32(ByteReader& r) {
-  const BytesView b = r.raw(4);
-  return static_cast<std::uint32_t>(b[0]) << 24 |
-         static_cast<std::uint32_t>(b[1]) << 16 |
-         static_cast<std::uint32_t>(b[2]) << 8 |
-         static_cast<std::uint32_t>(b[3]);
-}
-
-/// Payload decoders run behind the frame digest, so a short read means
-/// a bug or a hand-fed buffer — either way it surfaces as a WireError
-/// naming the payload kind, not a bare std::out_of_range.
-template <typename Fn>
-auto decode_payload(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::out_of_range& e) {
-    bad(std::string(what) + ": " + e.what());
-  }
-}
-
-detection::ReplayGridPoint read_replay_point(ByteReader& r) {
-  detection::ReplayGridPoint p;
-  p.campaign = static_cast<std::size_t>(r.u64());
-  p.replay_seed = r.u64();
-  p.detector = r.str();
-  p.params = r.str();
-  p.flows = r.u64();
-  p.flagged = static_cast<std::size_t>(r.u64());
-  p.true_positives = static_cast<std::size_t>(r.u64());
-  p.false_positives = static_cast<std::size_t>(r.u64());
-  p.tpr = r.f64();
-  p.fpr = r.f64();
-  const std::uint64_t families = r.u64();
-  p.families.reserve(static_cast<std::size_t>(families));
-  for (std::uint64_t i = 0; i < families; ++i) {
-    detection::RocFamilyCount f;
-    f.family = r.str();
-    f.flagged = static_cast<std::size_t>(r.u64());
-    f.population = static_cast<std::size_t>(r.u64());
-    p.families.push_back(std::move(f));
-  }
-  return p;
-}
-
-/// Points travel length-prefixed (like snapshots in a CellResult):
-/// the canonical point encoding detection::serialize produces is what
-/// fingerprints hash, and the prefix keeps the frame decodable without
-/// touching that layout.
-void put_replay_points(
-    Bytes& out, const std::vector<detection::ReplayGridPoint>& points) {
-  put_u64(out, points.size());
-  for (const detection::ReplayGridPoint& p : points) {
-    const Bytes encoded = detection::serialize(p);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
-}
-
-std::vector<detection::ReplayGridPoint> read_replay_points(ByteReader& r) {
-  std::vector<detection::ReplayGridPoint> points;
-  const std::uint64_t count = r.u64();
-  points.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t len = r.u64();
-    ByteReader point_reader(r.raw(static_cast<std::size_t>(len)));
-    points.push_back(read_replay_point(point_reader));
-    if (!point_reader.done()) bad("replay point: trailing bytes");
-  }
-  return points;
-}
-
-void put_failed_cells(Bytes& out, const std::vector<FailedCell>& failed) {
-  put_u64(out, failed.size());
-  for (const FailedCell& cell : failed) {
-    put_u64(out, cell.cell_index);
-    put_string(out, cell.label);
-    put_u64(out, cell.seed);
-    put_u64(out, cell.attempts);
-    put_string(out, cell.error);
-  }
-}
-
-std::vector<FailedCell> read_failed_cells(ByteReader& r) {
-  std::vector<FailedCell> failed;
-  const std::uint64_t count = r.u64();
-  failed.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    FailedCell cell;
-    cell.cell_index = r.u64();
-    cell.label = r.str();
-    cell.seed = r.u64();
-    cell.attempts = r.u64();
-    cell.error = r.str();
-    failed.push_back(std::move(cell));
-  }
-  return failed;
-}
-
-CellResult read_cell_result(ByteReader& r) {
-  CellResult cell;
-  cell.label = r.str();
-  cell.seed = r.u64();
-  cell.fingerprint = r.str();
-  const std::uint64_t count = r.u64();
-  cell.series.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t len = r.u64();
-    cell.series.push_back(
-        deserialize_snapshot(r.raw(static_cast<std::size_t>(len))));
-  }
-  cell.counters.joins = r.u64();
-  cell.counters.leaves = r.u64();
-  cell.counters.takedowns = r.u64();
-  cell.events_executed = r.u64();
-  cell.wall_seconds = r.f64();
-  return cell;
-}
-
 }  // namespace
 
-Bytes serialize(const CellResult& cell) {
-  Bytes out;
-  put_string(out, cell.label);
-  put_u64(out, cell.seed);
-  put_string(out, cell.fingerprint);
-  // Each snapshot length-prefixed: the canonical snapshot encoding is
-  // not self-delimiting (the wave block is conditional), and the prefix
-  // keeps it that way without touching the fingerprinted layout.
-  put_u64(out, cell.series.size());
-  for (const MetricsSnapshot& s : cell.series) {
-    const Bytes encoded = scenario::serialize(s);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
-  put_u64(out, cell.counters.joins);
-  put_u64(out, cell.counters.leaves);
-  put_u64(out, cell.counters.takedowns);
-  put_u64(out, cell.events_executed);
-  put_f64(out, cell.wall_seconds);  // informational: see header contract
-  return out;
-}
+Bytes serialize(const CellResult& cell) { return codec::encode(cell); }
 
 CellResult deserialize_cell_result(BytesView payload) {
-  return decode_payload("cell-result payload", [&] {
-    ByteReader r(payload);
-    CellResult cell = read_cell_result(r);
-    if (!r.done()) bad("cell-result payload: trailing bytes");
-    return cell;
-  });
+  return codec::decode<CellResult>(payload);
 }
 
-Bytes serialize(const GridReport& report) {
-  Bytes out;
-  put_u64(out, report.cells.size());
-  for (const CellResult& cell : report.cells) {
-    const Bytes encoded = serialize(cell);
-    put_u64(out, encoded.size());
-    append(out, encoded);
-  }
-  put_failed_cells(out, report.failed_cells);
-  put_string(out, report.combined_fingerprint);
-  put_u64(out, report.threads_used);    // informational from here down
-  put_f64(out, report.wall_seconds);
-  put_u64(out, report.retries);
-  put_u64(out, report.resumed_cells);
-  return out;
-}
+Bytes serialize(const GridReport& report) { return codec::encode(report); }
 
 GridReport deserialize_grid_report(BytesView payload) {
-  return decode_payload("grid-report payload", [&] {
-    ByteReader r(payload);
-    GridReport report;
-    const std::uint64_t cells = r.u64();
-    report.cells.reserve(static_cast<std::size_t>(cells));
-    for (std::uint64_t i = 0; i < cells; ++i) {
-      const std::uint64_t len = r.u64();
-      ByteReader cell_reader(r.raw(static_cast<std::size_t>(len)));
-      report.cells.push_back(read_cell_result(cell_reader));
-      if (!cell_reader.done()) bad("grid-report payload: trailing cell bytes");
-    }
-    report.failed_cells = read_failed_cells(r);
-    report.combined_fingerprint = r.str();
-    report.threads_used = r.u64();
-    report.wall_seconds = r.f64();
-    report.retries = r.u64();
-    report.resumed_cells = r.u64();
-    if (!r.done()) bad("grid-report payload: trailing bytes");
-    return report;
-  });
+  return codec::decode<GridReport>(payload);
 }
 
 Bytes serialize(const detection::ReplayGridCell& cell) {
-  Bytes out;
-  put_u64(out, cell.cell_index);
-  put_u64(out, cell.campaign);
-  put_u64(out, cell.replay_seed);
-  put_replay_points(out, cell.points);
-  put_f64(out, cell.wall_seconds);  // informational: see header contract
-  return out;
+  return codec::encode(cell);
 }
 
 detection::ReplayGridCell deserialize_replay_cell(BytesView payload) {
-  return decode_payload("replay-cell payload", [&] {
-    ByteReader r(payload);
-    detection::ReplayGridCell cell;
-    cell.cell_index = r.u64();
-    cell.campaign = r.u64();
-    cell.replay_seed = r.u64();
-    cell.points = read_replay_points(r);
-    cell.wall_seconds = r.f64();
-    if (!r.done()) bad("replay-cell payload: trailing bytes");
-    return cell;
-  });
+  return codec::decode<detection::ReplayGridCell>(payload);
 }
 
 Bytes serialize(const detection::ReplayGridReport& report) {
-  Bytes out;
-  put_replay_points(out, report.points);
-  put_failed_cells(out, report.failed_cells);
-  put_string(out, report.fingerprint);
-  put_u64(out, report.threads_used);  // informational from here down
-  put_f64(out, report.wall_seconds);
-  put_u64(out, report.retries);
-  put_u64(out, report.resumed_cells);
-  return out;
+  return codec::encode(report);
 }
 
 detection::ReplayGridReport deserialize_replay_report(BytesView payload) {
-  return decode_payload("replay-report payload", [&] {
-    ByteReader r(payload);
-    detection::ReplayGridReport report;
-    report.points = read_replay_points(r);
-    report.failed_cells = read_failed_cells(r);
-    report.fingerprint = r.str();
-    report.threads_used = static_cast<std::size_t>(r.u64());
-    report.wall_seconds = r.f64();
-    report.retries = r.u64();
-    report.resumed_cells = r.u64();
-    if (!r.done()) bad("replay-report payload: trailing bytes");
-    return report;
-  });
+  return codec::decode<detection::ReplayGridReport>(payload);
 }
 
 detection::ReplayGridPoint deserialize_replay_point(BytesView encoded) {
-  return decode_payload("replay point", [&] {
-    ByteReader r(encoded);
-    detection::ReplayGridPoint p = read_replay_point(r);
-    if (!r.done()) bad("replay point: trailing bytes");
-    return p;
-  });
+  return codec::decode<detection::ReplayGridPoint>(encoded);
 }
 
 MetricsSnapshot deserialize_snapshot(BytesView encoded) {
-  return decode_payload("snapshot", [&] {
-    ByteReader r(encoded);
-    MetricsSnapshot s;
-    s.time = static_cast<SimTime>(r.u64());
-    s.honest_alive = r.u64();
-    s.sybil_alive = r.u64();
-    s.honest_edges = r.u64();
-    s.components = r.u64();
-    s.largest_component = r.u64();
-    s.largest_fraction = r.f64();
-    s.average_degree = r.f64();
-    s.diameter = r.u64();
-    s.joins = r.u64();
-    s.leaves = r.u64();
-    s.takedowns = r.u64();
-    s.repair_edges = r.u64();
-    s.prune_edges = r.u64();
-    s.refill_edges = r.u64();
-    s.repair_messages = r.u64();
-    s.soap_clones = r.u64();
-    s.soap_contained = r.u64();
-    const std::uint64_t bins = r.u64();
-    s.degree_histogram.reserve(static_cast<std::size_t>(bins));
-    for (std::uint64_t i = 0; i < bins; ++i)
-      s.degree_histogram.push_back(get_u32(r));
-    // The conditional trailing block: present iff bytes remain, exactly
-    // mirroring the serializer's empty-guard.
-    if (!r.done()) {
-      const std::uint64_t waves = r.u64();
-      s.wave_takedowns.reserve(static_cast<std::size_t>(waves));
-      for (std::uint64_t i = 0; i < waves; ++i)
-        s.wave_takedowns.push_back(r.u64());
-    }
-    if (!r.done()) bad("snapshot: trailing bytes");
-    return s;
-  });
+  return codec::decode<MetricsSnapshot>(encoded);
 }
 
 Bytes frame(std::uint64_t magic, BytesView payload) {

@@ -4,8 +4,8 @@
 //
 //   magic u64 | version u64 | payload_len u64 | payload | SHA-256(payload)
 //
-// over the repo-wide canonical conventions (common/bytes put_u64 /
-// put_f64 / put_string: big-endian words, doubles bit-cast, strings
+// with the payload encoded from the struct's fields() list
+// (common/codec.hpp: big-endian words, doubles bit-cast, strings
 // length-prefixed). Decoding verifies magic, version, exact length, and
 // the trailing integrity digest, so a truncated, torn, or bit-flipped
 // result file is *detected* — decode throws WireError — never merged.
@@ -34,15 +34,16 @@
 // (combine_cell_fingerprints in scenario/runner.cpp, which
 // static_asserts on kInformationalFieldsEnterFingerprints below) — so
 // timing jitter, retry history, and worker topology can never move a
-// golden. Growing this list is a wire change like any other: the D5
-// manifest (tools/detlint/serialized_fields.txt) guards the field sets.
+// golden. Growing this list is a wire change like any other: each
+// struct's fields() list (common/codec.hpp) is the one place its layout
+// is written down.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "detection/replay_grid.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/snapshot.hpp"
@@ -75,14 +76,14 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 inline constexpr std::size_t kFrameDigestBytes = 32;
 
 /// Thrown on any malformed frame: truncation at any byte, bad magic,
-/// unknown version, length mismatch, or integrity-digest mismatch. The
-/// message names the failing check.
-class WireError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// unknown version, length mismatch, or integrity-digest mismatch — and,
+/// being codec::WireError, on any malformed payload. The message names
+/// the failing check.
+using codec::WireError;
 
 // --- payload codecs (version-1 field order, no framing) --------------
+// Each is codec::encode / codec::decode over the struct's fields() list,
+// so the layouts are declared once, next to the structs.
 
 Bytes serialize(const CellResult& cell);
 CellResult deserialize_cell_result(BytesView payload);

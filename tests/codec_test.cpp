@@ -6,10 +6,18 @@
 // non-default defense and session, a trace footer) and both
 // omitted-when-empty variants. A pin moving means the wire layout moved:
 // that is a wire-version bump, never a constant update.
+//
+// Below the pins: the codec's own guarantees. Forged counts fail as
+// WireError before any allocation, every serialized enum accepts exactly
+// its enumerators, and the member-count check that makes an unlisted
+// field a compile error counts what it should.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 
+#include "common/codec.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/roc.hpp"
@@ -274,6 +282,193 @@ TEST(CodecLayout, ReplayGridReportWithFailedCells) {
   report.resumed_cells = 6;
   EXPECT_EQ(sha(wire::serialize(report)),
             "d17426d1f18585a8930fea773b08d4052cdd5786e6493a9bacc3ff220a26b96d");
+}
+
+// ====================================================================
+// Forged counts: rejected against the remaining bytes, before reserve
+// ====================================================================
+
+/// `bytes` with the big-endian word at `offset` replaced by `value`.
+Bytes forge(Bytes bytes, std::size_t offset, std::uint64_t value) {
+  const Bytes word = be64(value);
+  std::copy(word.begin(), word.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+  return bytes;
+}
+
+/// The WireError message `decode` throws; any other exception escapes
+/// and fails the test.
+template <typename Fn>
+std::string wire_error(Fn&& decode) {
+  try {
+    decode();
+  } catch (const wire::WireError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "decoded without a WireError";
+  return {};
+}
+
+constexpr std::uint64_t kForgedCounts[] = {std::uint64_t{1} << 62,
+                                           std::uint64_t{1} << 32,
+                                           ~std::uint64_t{0}};
+
+TEST(CodecBounds, ForgedSnapshotHistogramCountIsAWireError) {
+  MetricsSnapshot s = full_snapshot(false);
+  s.degree_histogram.clear();
+  const Bytes encoded = serialize(s);
+  const std::size_t count_at = 18 * 8;  // after the 18 leading words
+  for (const std::uint64_t forged : kForgedCounts) {
+    const std::string what = wire_error(
+        [&] { (void)wire::deserialize_snapshot(forge(encoded, count_at, forged)); });
+    EXPECT_NE(what.find("MetricsSnapshot.degree_histogram"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(CodecBounds, ForgedReplayPointFamiliesCountIsAWireError) {
+  detection::ReplayGridPoint p = full_replay_point(9);
+  p.families.clear();
+  const Bytes encoded = detection::serialize(p);
+  for (const std::uint64_t forged : kForgedCounts) {
+    const std::string what = wire_error([&] {
+      (void)wire::deserialize_replay_point(
+          forge(encoded, encoded.size() - 8, forged));
+    });
+    EXPECT_NE(what.find("ReplayGridPoint.families"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(CodecBounds, ForgedTraceHeaderNodeCountIsAWireError) {
+  const Bytes encoded = trace_io::serialize(trace_io::TraceHeader{full_spec(), {}});
+  for (const std::uint64_t forged : kForgedCounts) {
+    const std::string what = wire_error([&] {
+      (void)trace_io::deserialize_header(
+          forge(encoded, encoded.size() - 8, forged));
+    });
+    EXPECT_NE(what.find("TraceHeader.initial_nodes"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(CodecBounds, ForgedGridReportCellCountIsAWireError) {
+  GridReport report;
+  report.combined_fingerprint = std::string(64, 'f');
+  const Bytes encoded = wire::serialize(report);
+  for (const std::uint64_t forged : kForgedCounts) {
+    const std::string what = wire_error([&] {
+      (void)wire::deserialize_grid_report(forge(encoded, 0, forged));
+    });
+    EXPECT_NE(what.find("GridReport.cells"), std::string::npos) << what;
+  }
+}
+
+TEST(CodecBounds, ErrorsNameTheFieldPathThroughNestedStructs) {
+  trace_io::TraceHeader header{full_spec(), {1, 2}};
+  header.spec.attacks[1].kind = static_cast<AttackKind>(9);
+  const std::string what = wire_error([&] {
+    (void)trace_io::deserialize_header(trace_io::serialize(header));
+  });
+  EXPECT_NE(what.find("TraceHeader.spec: ScenarioSpec.attacks: "
+                      "AttackPhase.kind: unknown enumerator value 9"),
+            std::string::npos)
+      << what;
+}
+
+// ====================================================================
+// Enums: each accepts exactly its enumerators
+// ====================================================================
+
+/// Round-trips every value of `holder.*field` up to `last`, and expects
+/// the next value and the largest byte to be rejected.
+template <typename S, typename E>
+void expect_enumerators_up_to(S holder, E S::*field, E last) {
+  const auto n = static_cast<std::uint64_t>(last);
+  for (std::uint64_t v = 0; v <= n; ++v) {
+    holder.*field = static_cast<E>(v);
+    EXPECT_EQ(codec::decode<S>(codec::encode(holder)).*field, holder.*field);
+  }
+  for (const std::uint64_t v : {n + 1, std::uint64_t{255}}) {
+    holder.*field = static_cast<E>(v);
+    const Bytes encoded = codec::encode(holder);
+    const std::string what =
+        wire_error([&] { (void)codec::decode<S>(encoded); });
+    EXPECT_NE(what.find("unknown enumerator value " + std::to_string(v)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(CodecEnums, EverySerializedEnumAcceptsExactlyItsEnumerators) {
+  expect_enumerators_up_to(AttackPhase{}, &AttackPhase::kind,
+                           AttackKind::AdaptiveTakedown);
+  expect_enumerators_up_to(AttackPhase{}, &AttackPhase::rank,
+                           RankMetric::Degree);
+  expect_enumerators_up_to(SessionSpec{}, &SessionSpec::model,
+                           SessionModel::LogNormal);
+  expect_enumerators_up_to(CampaignEvent{}, &CampaignEvent::kind,
+                           TraceEventKind::HealPeering);
+}
+
+TEST(CodecEnums, TraceHoldingAnUnknownEventKindFailsToRead) {
+  const std::string path = ::testing::TempDir() + "codec_unknown_kind.trace";
+  {
+    trace_io::TraceWriter writer(path);
+    writer.on_begin(ScenarioSpec{}, {1, 2});
+    writer.on_event({.at = 5, .kind = TraceEventKind::Join, .a = 3, .b = 0});
+    writer.on_event({.at = 9,
+                     .kind = static_cast<TraceEventKind>(200),
+                     .a = 1,
+                     .b = 0});
+    writer.finish();
+  }
+  const trace_io::TraceReader reader(path);
+  const std::string what = wire_error(
+      [&] { reader.for_each_event([](const CampaignEvent&) {}); });
+  EXPECT_NE(what.find("CampaignEvent.kind: unknown enumerator value 200"),
+            std::string::npos)
+      << what;
+  EXPECT_THROW((void)reader.fingerprint(), wire::WireError);
+  EXPECT_THROW((void)reader.lifetimes(), wire::WireError);
+  std::remove(path.c_str());
+}
+
+// ====================================================================
+// Member counting: what turns an unlisted field into a compile error
+// ====================================================================
+
+/// A struct whose field list forgot a member: encode() on it would not
+/// compile, so the test inspects the two counts the check compares.
+struct ForgotAMember {
+  std::uint64_t listed = 0;
+  std::uint64_t forgotten = 0;
+  static auto fields(auto& s, auto&& v) {
+    return v("ForgotAMember", codec::u64("listed", s.listed));
+  }
+};
+
+TEST(CodecArity, UnlistedMemberMakesTheCountsDiffer) {
+  EXPECT_EQ(codec::detail::member_count<ForgotAMember>(), 2u);
+  EXPECT_EQ((codec::detail::Layout<ForgotAMember,
+                                   codec::detail::CountFields>::value),
+            1u);
+}
+
+TEST(CodecArity, MemberCountSeesNestedAggregatesAndArraysAsOneMember) {
+  EXPECT_EQ(codec::detail::member_count<ScenarioSpec>(), 9u);
+  EXPECT_EQ(codec::detail::member_count<AttackWave>(), 3u);
+  EXPECT_EQ(codec::detail::member_count<trace_io::TraceFooter>(), 4u);
+  EXPECT_EQ(codec::detail::member_count<MetricsSnapshot>(), 20u);
+}
+
+TEST(CodecArity, FixedSizesComeFromTheFieldLists) {
+  EXPECT_EQ(codec::fixed_size<CampaignEvent>(), 25u);
+  EXPECT_EQ(serialize(CampaignEvent{}).size(),
+            codec::fixed_size<CampaignEvent>());
+  EXPECT_EQ(trace_io::kFooterPayloadBytes, 56u);
+  EXPECT_EQ(codec::min_size<MetricsSnapshot>(), 19u * 8);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Unit tests for tools/detlint: each rule D1–D5 must fire on a seeded
+// Unit tests for tools/detlint: each rule D1–D4 must fire on a seeded
 // fixture violation with the right [Dn] tag, stay quiet on the idiomatic
 // deterministic pattern, and honor `// detlint:allow(Dn reason)`
 // suppressions. The tree-wide run is a separate ctest (detlint_tree);
 // these fixtures pin the rule semantics themselves.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -307,365 +306,6 @@ long f(int n) {
   EXPECT_EQ(r.counts.at("D4").suppressions, 1u);
 }
 
-// --- D5: the serialized-schema manifest -------------------------------
-
-const char* kSnapshotHeader = R"(
-#include <cstdint>
-#include <vector>
-struct MetricsSnapshot {
-  std::uint64_t time = 0;
-  std::uint64_t joins = 0;
-  std::vector<std::uint64_t> wave_takedowns;
-  bool connected() const { return true; }
-};
-)";
-
-const char* kSnapshotImplGuarded = R"(
-#include "scenario/snapshot.hpp"
-void serialize(const MetricsSnapshot& s) {
-  put(s.time);
-  put(s.joins);
-  if (!s.wave_takedowns.empty()) {
-    put(s.wave_takedowns.size());
-  }
-}
-)";
-
-const char* kTraceHeader = R"(
-enum class TraceEventKind : unsigned char {
-  Join,
-  Leave,
-};
-)";
-
-const char* kRunnerHeader = R"(
-#include <cstdint>
-#include <string>
-#include <vector>
-struct CellResult {
-  std::string label;
-  double wall_seconds = 0.0;
-};
-struct FailedCell {
-  std::uint64_t cell_index = 0;
-  std::string error;
-};
-struct GridReport {
-  std::vector<CellResult> cells;
-  std::vector<FailedCell> failed_cells;
-  std::string combined_fingerprint;
-};
-)";
-
-const char* kWireImpl = R"(
-#include "scenario/runner.hpp"
-void serialize(const CellResult& cell) {
-  put(cell.label);
-  put(cell.wall_seconds);
-}
-)";
-
-Config d5_config(const std::string& manifest_text) {
-  Config config;
-  config.manifest = parse_manifest(manifest_text);
-  // The fixture subset of the schema table; absent headers are skipped,
-  // so binding only what each test feeds keeps diagnostics focused.
-  config.d5_owners = {
-      {"MetricsSnapshot", false, "src/scenario/snapshot.hpp",
-       "src/scenario/snapshot.cpp"},
-      {"TraceEventKind", true, "src/scenario/trace.hpp",
-       "src/scenario/snapshot.cpp"},
-      {"CellResult", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-      {"GridReport", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-      {"FailedCell", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-  };
-  return config;
-}
-
-std::vector<SourceFile> d5_files() {
-  return {{"src/scenario/snapshot.hpp", kSnapshotHeader},
-          {"src/scenario/snapshot.cpp", kSnapshotImplGuarded},
-          {"src/scenario/trace.hpp", kTraceHeader}};
-}
-
-/// The wire-schema manifest matching kRunnerHeader exactly.
-const char* kGridManifest =
-    "CellResult.label\n"
-    "CellResult.wall_seconds\n"
-    "FailedCell.cell_index\n"
-    "FailedCell.error\n"
-    "GridReport.cells\n"
-    "GridReport.failed_cells\n"
-    "GridReport.combined_fingerprint\n";
-
-std::vector<SourceFile> d5_grid_files() {
-  return {{"src/scenario/runner.hpp", kRunnerHeader},
-          {"src/scenario/wire.cpp", kWireImpl}};
-}
-
-TEST(DetlintD5, MatchingManifestIsClean) {
-  const LintResult r = lint_files(
-      d5_files(), d5_config("MetricsSnapshot.time\n"
-                            "MetricsSnapshot.joins\n"
-                            "MetricsSnapshot.wave_takedowns conditional\n"
-                            "TraceEventKind.Join\n"
-                            "TraceEventKind.Leave\n"));
-  EXPECT_TRUE(violations(r, "D5").empty()) << r.diagnostics.size();
-}
-
-TEST(DetlintD5, QualifiedMemberFunctionDeclarationIsNotAField) {
-  // `void write_csv(...) const;` must parse as a member-function
-  // declaration, not a data member named `const`: keywords tokenize as
-  // identifiers, so without the trailing-qualifier strip the name scan
-  // reported the qualifier and demanded a bogus manifest entry.
-  const char* header = R"(
-#include <cstdint>
-#include <cstdio>
-struct MetricsSnapshot {
-  std::uint64_t time = 0;
-  void write_csv(std::FILE* out) const;
-  MetricsSnapshot& canonical() & noexcept;
-  bool merged() const noexcept;
-};
-)";
-  const LintResult r = lint_files({{"src/scenario/snapshot.hpp", header}},
-                                  d5_config("MetricsSnapshot.time\n"));
-  EXPECT_TRUE(violations(r, "D5").empty())
-      << violations(r, "D5").front().message;
-}
-
-TEST(DetlintD5, UnlistedFieldFires) {
-  const LintResult r = lint_files(
-      d5_files(), d5_config("MetricsSnapshot.time\n"
-                            "MetricsSnapshot.wave_takedowns conditional\n"
-                            "TraceEventKind.Join\n"
-                            "TraceEventKind.Leave\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("MetricsSnapshot::joins"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, UnlistedEnumeratorFires) {
-  const LintResult r = lint_files(
-      d5_files(), d5_config("MetricsSnapshot.time\n"
-                            "MetricsSnapshot.joins\n"
-                            "MetricsSnapshot.wave_takedowns conditional\n"
-                            "TraceEventKind.Join\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("TraceEventKind::Leave"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, StaleManifestEntryFires) {
-  const LintResult r = lint_files(
-      d5_files(), d5_config("MetricsSnapshot.time\n"
-                            "MetricsSnapshot.joins\n"
-                            "MetricsSnapshot.wave_takedowns conditional\n"
-                            "MetricsSnapshot.removed_field\n"
-                            "TraceEventKind.Join\n"
-                            "TraceEventKind.Leave\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("stale"), std::string::npos);
-}
-
-TEST(DetlintD5, ConditionalFieldWithoutGuardFires) {
-  const char* unguarded = R"(
-#include "scenario/snapshot.hpp"
-void serialize(const MetricsSnapshot& s) {
-  put(s.time);
-  put(s.joins);
-  put(s.wave_takedowns.size());
-}
-)";
-  std::vector<SourceFile> files = d5_files();
-  files[1].content = unguarded;
-  const LintResult r = lint_files(
-      files, d5_config("MetricsSnapshot.time\n"
-                       "MetricsSnapshot.joins\n"
-                       "MetricsSnapshot.wave_takedowns conditional\n"
-                       "TraceEventKind.Join\n"
-                       "TraceEventKind.Leave\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("empty"), std::string::npos);
-}
-
-TEST(DetlintD5, GridWireStructsWithMatchingManifestAreClean) {
-  const LintResult r =
-      lint_files(d5_grid_files(), d5_config(kGridManifest));
-  EXPECT_TRUE(violations(r, "D5").empty());
-}
-
-TEST(DetlintD5, UnlistedGridWireFieldFires) {
-  // Drop GridReport.combined_fingerprint from the manifest.
-  const LintResult r = lint_files(
-      d5_grid_files(), d5_config("CellResult.label\n"
-                                 "CellResult.wall_seconds\n"
-                                 "FailedCell.cell_index\n"
-                                 "FailedCell.error\n"
-                                 "GridReport.cells\n"
-                                 "GridReport.failed_cells\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("GridReport::combined_fingerprint"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, StaleGridWireEntryFires) {
-  const LintResult r = lint_files(
-      d5_grid_files(),
-      d5_config(std::string(kGridManifest) + "CellResult.removed_field\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("stale"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("CellResult.removed_field"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, ConditionalGridWireFieldChecksTheWireSerializer) {
-  // Mark CellResult.label conditional: kWireImpl has no empty() guard,
-  // so the violation must cite wire.cpp, not snapshot.cpp.
-  const LintResult r = lint_files(
-      d5_grid_files(), d5_config("CellResult.label conditional\n"
-                                 "CellResult.wall_seconds\n"
-                                 "FailedCell.cell_index\n"
-                                 "FailedCell.error\n"
-                                 "GridReport.cells\n"
-                                 "GridReport.failed_cells\n"
-                                 "GridReport.combined_fingerprint\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("src/scenario/wire.cpp"),
-            std::string::npos);
-}
-
-// --- D5 via the schema table (trace_io-style owners) ------------------
-
-const char* kTraceIoHeader = R"(
-#include <cstdint>
-struct TraceFooter {
-  std::uint64_t event_count = 0;
-  std::uint64_t chunk_count = 0;
-};
-)";
-
-const char* kRocHeaderFixture = R"(
-#include <string>
-#include <vector>
-struct RocPoint {
-  std::string detector;
-  std::vector<int> families;
-};
-)";
-
-const char* kRocImplGuarded = R"(
-#include "detection/roc.hpp"
-void serialize(const RocPoint& p) {
-  put(p.detector);
-  if (!p.families.empty()) put(p.families);
-}
-)";
-
-const char* kRocImplUnguarded = R"(
-#include "detection/roc.hpp"
-void serialize(const RocPoint& p) {
-  put(p.detector);
-  put(p.families);
-}
-)";
-
-/// Binds fixture owners through the schema table the way the tree run
-/// binds trace_io / roc — proves rule D5 is table-driven, not special-
-/// cased per owner.
-Config d5_table_config(const std::string& manifest_text) {
-  Config config;
-  config.manifest = parse_manifest(manifest_text);
-  config.d5_owners = {
-      {"TraceFooter", false, "src/scenario/trace_io.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"RocPoint", false, "src/detection/roc.hpp",
-       "src/detection/roc.cpp"},
-  };
-  return config;
-}
-
-TEST(DetlintD5, TableBoundOwnerUnlistedFieldFires) {
-  const LintResult r = lint_files(
-      {{"src/scenario/trace_io.hpp", kTraceIoHeader}},
-      d5_table_config("TraceFooter.event_count\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("TraceFooter::chunk_count"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, TableBoundConditionalFieldHonorsGuard) {
-  const std::string manifest =
-      "RocPoint.detector\n"
-      "RocPoint.families conditional\n";
-  const LintResult guarded = lint_files(
-      {{"src/detection/roc.hpp", kRocHeaderFixture},
-       {"src/detection/roc.cpp", kRocImplGuarded}},
-      d5_table_config(manifest));
-  EXPECT_TRUE(violations(guarded, "D5").empty());
-
-  const LintResult unguarded = lint_files(
-      {{"src/detection/roc.hpp", kRocHeaderFixture},
-       {"src/detection/roc.cpp", kRocImplUnguarded}},
-      d5_table_config(manifest));
-  const auto hits = violations(unguarded, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("src/detection/roc.cpp"),
-            std::string::npos);
-}
-
-TEST(DetlintD5, StaleEntryForTableBoundOwnerFires) {
-  const LintResult r = lint_files(
-      {{"src/scenario/trace_io.hpp", kTraceIoHeader}},
-      d5_table_config("TraceFooter.event_count\n"
-                      "TraceFooter.chunk_count\n"
-                      "TraceFooter.removed_field\n"));
-  const auto hits = violations(r, "D5");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("stale"), std::string::npos);
-}
-
-TEST(DetlintD5, EntryForUnboundOwnerIsSkipped) {
-  // An owner with no binding (or whose header is absent) cannot be
-  // proven stale from a partial file set.
-  const LintResult r = lint_files(
-      {{"src/scenario/trace_io.hpp", kTraceIoHeader}},
-      d5_table_config("TraceFooter.event_count\n"
-                      "TraceFooter.chunk_count\n"
-                      "SomeOtherOwner.some_field\n"));
-  EXPECT_TRUE(violations(r, "D5").empty());
-}
-
-TEST(DetlintManifest, ParsesFlagsAndComments) {
-  const auto entries = parse_manifest(
-      "# comment\n"
-      "\n"
-      "MetricsSnapshot.time\n"
-      "MetricsSnapshot.wave_takedowns conditional  # trailing\n");
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].owner, "MetricsSnapshot");
-  EXPECT_EQ(entries[0].name, "time");
-  EXPECT_FALSE(entries[0].conditional);
-  EXPECT_TRUE(entries[1].conditional);
-}
-
-TEST(DetlintManifest, RejectsMalformedLines) {
-  EXPECT_THROW(parse_manifest("no_dot_here\n"), std::runtime_error);
-  EXPECT_THROW(parse_manifest("MetricsSnapshot.time bogus_flag\n"),
-               std::runtime_error);
-}
-
 // --- Output format and counts -----------------------------------------
 
 TEST(DetlintOutput, DiagnosticFormatsAsFileLineRule) {
@@ -679,7 +319,7 @@ TEST(DetlintOutput, DiagnosticFormatsAsFileLineRule) {
 
 TEST(DetlintOutput, AllRuleCountsArePresentEvenWhenZero) {
   const LintResult r = lint_source("src/foo/empty.cpp", "int x = 0;\n", {});
-  for (const char* rule : {"D1", "D2", "D3", "D4", "D5"}) {
+  for (const char* rule : {"D1", "D2", "D3", "D4"}) {
     ASSERT_TRUE(r.counts.count(rule)) << rule;
     EXPECT_EQ(r.counts.at(rule).violations, 0u);
   }

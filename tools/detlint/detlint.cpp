@@ -7,7 +7,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
 namespace onion::detlint {
 
@@ -291,7 +290,7 @@ class Linter {
   }
 
   LintResult run() {
-    for (const char* rule : {"D1", "D2", "D3", "D4", "D5"})
+    for (const char* rule : {"D1", "D2", "D3", "D4"})
       result_.counts[rule];  // present even when zero
     for (auto& [path, info] : files_) {
       rule_d1(info);
@@ -299,7 +298,6 @@ class Linter {
       rule_d3(info);
       rule_d4(info);
     }
-    rule_d5();
     std::sort(result_.diagnostics.begin(), result_.diagnostics.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 return std::tie(a.file, a.line, a.rule) <
@@ -616,208 +614,6 @@ class Linter {
     return false;
   }
 
-  // --- D5: serialized-schema manifest ----------------------------------
-  struct Member {
-    std::string name;
-    int line = 0;
-  };
-
-  /// Data members of `struct <name> { ... }` (functions and using/friend
-  /// declarations skipped).
-  static std::vector<Member> struct_fields(const std::vector<Token>& ts,
-                                           const std::string& name) {
-    std::vector<Member> out;
-    for (std::size_t i = 0; i + 2 < ts.size(); ++i) {
-      if (!(is(ts[i], "struct") && ts[i + 1].text == name &&
-            is(ts[i + 2], "{")))
-        continue;
-      std::size_t j = i + 3;
-      std::vector<Token> stmt;
-      int depth = 1;
-      for (; j < ts.size() && depth > 0; ++j) {
-        if (is(ts[j], "{")) {
-          // Nested braces: a member-function body or initializer — the
-          // statement is not a plain data member.
-          j = skip_balanced(ts, j, "{", "}") - 1;
-          stmt.push_back(ts[j]);  // marker so the `;` flush sees braces
-          continue;
-        }
-        if (is(ts[j], "}")) {
-          --depth;
-          continue;
-        }
-        if (is(ts[j], ";")) {
-          flush_member(stmt, out);
-          stmt.clear();
-          continue;
-        }
-        stmt.push_back(ts[j]);
-      }
-      break;
-    }
-    return out;
-  }
-
-  static void flush_member(const std::vector<Token>& stmt,
-                           std::vector<Member>& out) {
-    if (stmt.empty()) return;
-    if (is(stmt.front(), "using") || is(stmt.front(), "friend") ||
-        is(stmt.front(), "static") || is(stmt.front(), "}"))
-      return;
-    // The declared name: last identifier before `=`, or before the end.
-    std::size_t stop = stmt.size();
-    for (std::size_t k = 0; k < stmt.size(); ++k)
-      if (is(stmt[k], "=")) {
-        stop = k;
-        break;
-      }
-    // Trailing qualifiers (`) const;`, `) noexcept;`, ref-qualified
-    // overloads) belong to a member-function declarator, not a name —
-    // without this, the name scan below would report the qualifier
-    // keyword (keywords tokenize as Ident) as a data member.
-    while (stop > 0 &&
-           (is(stmt[stop - 1], "const") || is(stmt[stop - 1], "noexcept") ||
-            is(stmt[stop - 1], "override") || is(stmt[stop - 1], "final") ||
-            is(stmt[stop - 1], "&") || is(stmt[stop - 1], "&&")))
-      --stop;
-    // A declarator ending in `)` is a function: in-class data members
-    // can never end with one (paren-initializers are illegal there).
-    if (stop > 0 && is(stmt[stop - 1], ")")) return;
-    // A `(` before the name position marks a function declaration.
-    std::size_t name_pos = std::string::npos;
-    for (std::size_t k = stop; k-- > 0;)
-      if (stmt[k].kind == Token::Ident) {
-        name_pos = k;
-        break;
-      }
-    if (name_pos == std::string::npos) return;
-    for (std::size_t k = name_pos + 1; k < stop; ++k)
-      if (is(stmt[k], "(")) return;  // function
-    if (name_pos + 1 < stop && is(stmt[name_pos + 1], "(")) return;
-    out.push_back({stmt[name_pos].text, stmt[name_pos].line});
-  }
-
-  /// Enumerators of `enum class <name> ... { ... }`.
-  static std::vector<Member> enum_values(const std::vector<Token>& ts,
-                                         const std::string& name) {
-    std::vector<Member> out;
-    for (std::size_t i = 0; i + 2 < ts.size(); ++i) {
-      if (!(is(ts[i], "enum") && is(ts[i + 1], "class") &&
-            ts[i + 2].text == name))
-        continue;
-      std::size_t j = i + 3;
-      while (j < ts.size() && !is(ts[j], "{")) ++j;
-      bool expect_name = true;
-      int depth = 0;
-      for (++j; j < ts.size(); ++j) {
-        if (is(ts[j], "(") || is(ts[j], "{")) ++depth;
-        if (is(ts[j], ")")) --depth;
-        if (is(ts[j], "}")) {
-          if (depth == 0) break;
-          --depth;
-          continue;
-        }
-        if (depth > 0) continue;
-        if (is(ts[j], ",")) {
-          expect_name = true;
-          continue;
-        }
-        if (expect_name && ts[j].kind == Token::Ident) {
-          out.push_back({ts[j].text, ts[j].line});
-          expect_name = false;
-        }
-      }
-      break;
-    }
-    return out;
-  }
-
-  void rule_d5() {
-    if (config_.manifest.empty()) return;
-
-    std::map<std::string, const ManifestEntry*> by_key;
-    for (const ManifestEntry& e : config_.manifest)
-      by_key[e.owner + "." + e.name] = &e;
-    std::set<std::string> seen;
-
-    // Schema table walk: every owner whose header is in the linted set
-    // has its declared members diffed against the manifest, and its
-    // `conditional` entries checked for the serializer guard in the
-    // owner's bound impl.
-    for (const D5Owner& binding : config_.d5_owners) {
-      const FileInfo* file = find(binding.header);
-      if (file == nullptr) continue;
-      const FileInfo* impl = find(binding.impl);
-      const std::vector<Member> members =
-          binding.is_enum ? enum_values(file->scan.tokens, binding.owner)
-                          : struct_fields(file->scan.tokens, binding.owner);
-      for (const Member& m : members) {
-        const std::string key = binding.owner + "." + m.name;
-        seen.insert(key);
-        const auto it = by_key.find(key);
-        if (it == by_key.end()) {
-          report(*file, m.line, "D5",
-                 binding.owner + "::" + m.name +
-                     " is not in tools/detlint/serialized_fields.txt: new "
-                     "serialized schema entries must keep committed golden "
-                     "fingerprints byte-identical (serialize the field "
-                     "only when non-empty/non-default — the PR-5 pattern) "
-                     "and then be added to the manifest");
-          continue;
-        }
-        if (it->second->conditional && impl != nullptr &&
-            !guarded_in_serializer(impl->scan.tokens, m.name)) {
-          report(*file, m.line, "D5",
-                 binding.owner + "::" + m.name +
-                     " is marked `conditional` in the manifest but " +
-                     binding.impl +
-                     " has no `if (....empty())` guard around it; the "
-                     "empty = byte-identical encoding contract is broken");
-        }
-      }
-    }
-
-    for (const ManifestEntry& e : config_.manifest) {
-      const std::string key = e.owner + "." + e.name;
-      if (seen.count(key)) continue;
-      // Stale entries report at the owner's bound header; entries for
-      // owners without a binding (or whose header is not in the linted
-      // set) are skipped — a partial file set cannot prove staleness.
-      const FileInfo* file = nullptr;
-      for (const D5Owner& binding : config_.d5_owners)
-        if (binding.owner == e.owner) {
-          file = find(binding.header);
-          break;
-        }
-      if (file == nullptr) continue;
-      report(*file, 1, "D5",
-             "stale manifest entry " + key +
-                 ": not found in the declaration; remove it from "
-                 "tools/detlint/serialized_fields.txt so the manifest "
-                 "stays exhaustive");
-    }
-  }
-
-  /// True when the serializer contains `if (...)` whose condition touches
-  /// `<field> . empty` — the conditional-append guard.
-  static bool guarded_in_serializer(const std::vector<Token>& ts,
-                                    const std::string& field) {
-    for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-      if (!(is(ts[i], "if") && is(ts[i + 1], "("))) continue;
-      const std::size_t close = skip_balanced(ts, i + 1, "(", ")");
-      for (std::size_t j = i + 2; j + 2 < close; ++j)
-        if (ts[j].text == field && is(ts[j + 1], ".") &&
-            is(ts[j + 2], "empty"))
-          return true;
-    }
-    return false;
-  }
-
-  const FileInfo* find(const std::string& path) const {
-    const auto it = files_.find(path);
-    return it == files_.end() ? nullptr : &it->second;
-  }
-
   Config config_;
   std::map<std::string, FileInfo> files_;
   LintResult result_;
@@ -855,38 +651,6 @@ LintResult lint_source(const std::string& path, const std::string& content,
   return lint_files({{path, content}}, config);
 }
 
-std::vector<ManifestEntry> parse_manifest(const std::string& text) {
-  std::vector<ManifestEntry> out;
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string key, flag;
-    if (!(fields >> key)) continue;  // blank / comment-only
-    ManifestEntry e;
-    const std::size_t dot = key.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 == key.size())
-      throw std::runtime_error("serialized_fields.txt line " +
-                               std::to_string(lineno) +
-                               ": expected Owner.name, got '" + key + "'");
-    e.owner = key.substr(0, dot);
-    e.name = key.substr(dot + 1);
-    if (fields >> flag) {
-      if (flag != "conditional")
-        throw std::runtime_error("serialized_fields.txt line " +
-                                 std::to_string(lineno) +
-                                 ": unknown flag '" + flag + "'");
-      e.conditional = true;
-    }
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
 LintResult lint_tree(const std::string& root) {
   namespace fs = std::filesystem;
   const fs::path base(root);
@@ -911,16 +675,7 @@ LintResult lint_tree(const std::string& root) {
               return a.path < b.path;
             });
 
-  Config config;
-  const fs::path manifest_path =
-      base / "tools" / "detlint" / "serialized_fields.txt";
-  if (fs::exists(manifest_path)) {
-    std::ifstream in(manifest_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    config.manifest = parse_manifest(buf.str());
-  }
-  return lint_files(files, config);
+  return lint_files(files, Config{});
 }
 
 }  // namespace onion::detlint

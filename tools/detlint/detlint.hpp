@@ -20,15 +20,10 @@
 //   D4  no compound assignment to captured (shared) state inside a
 //       parallel_for_index body: a data race, and floating-point
 //       accumulation order would depend on the thread schedule
-//   D5  every serialized-schema declaration — each owner in the
-//       Config::d5_owners table: snapshot fields, trace event kinds, the
-//       grid wire structs, the streaming trace-file schema (TraceHeader/
-//       TraceFooter plus the whole ScenarioSpec tree its header echoes),
-//       and the ROC / replay-grid point structs — must be listed in the
-//       committed serialization manifest; fields marked `conditional`
-//       must keep the "empty = byte-identical" guard in their serializer
-//       (the PR-5 pattern that keeps golden fingerprints stable across
-//       schema growth)
+//
+// (Serialized-schema drift needs no rule: every serialized struct lists
+// its fields once in fields(), and common/codec.hpp static_asserts that
+// the list covers every member.)
 //
 // Suppression: `// detlint:allow(Dn reason)` on the offending line or the
 // line directly above. A reason is mandatory; suppressions are counted and
@@ -46,7 +41,7 @@ namespace onion::detlint {
 struct Diagnostic {
   std::string file;  // path as given (repo-relative in tree runs)
   int line = 0;
-  std::string rule;     // "D1".."D5"
+  std::string rule;     // "D1".."D4"
   std::string message;  // human explanation, no trailing newline
   bool suppressed = false;
   std::string suppress_reason;  // non-empty iff suppressed
@@ -59,27 +54,6 @@ struct Diagnostic {
 struct SourceFile {
   std::string path;     // forward-slash, repo-relative (keys the graph)
   std::string content;
-};
-
-/// One entry of the D5 serialization manifest.
-struct ManifestEntry {
-  std::string owner;   // a schema owner from Config::d5_owners, e.g.
-                       // "MetricsSnapshot", "TraceEventKind", "RocPoint",
-                       // "ScenarioSpec", "TraceFooter"
-  std::string name;    // field / enumerator
-  bool conditional = false;  // must be guarded in serialize()
-};
-
-/// One D5 schema owner: a serialized struct (or enum) type, the header
-/// declaring it, and the TU holding its serializer — where the
-/// conditional `if (....empty())` guards are looked for. Growing the
-/// serialized surface is one row here plus manifest entries; rule D5
-/// iterates this table, nothing is hard-coded per owner.
-struct D5Owner {
-  std::string owner;
-  bool is_enum = false;
-  std::string header;
-  std::string impl;
 };
 
 struct Config {
@@ -96,69 +70,6 @@ struct Config {
       "src/common/rng.cpp",
       "src/common/clock.hpp",
   };
-  /// D5 manifest (parsed from tools/detlint/serialized_fields.txt in tree
-  /// runs). Empty disables D5.
-  std::vector<ManifestEntry> manifest;
-  /// The serialized-schema table D5 checks the manifest against. Owners
-  /// whose header is absent from the linted file set are skipped, so
-  /// fixture-based unit tests can bind any subset.
-  std::vector<D5Owner> d5_owners = {
-      // Snapshot stream and campaign events.
-      {"MetricsSnapshot", false, "src/scenario/snapshot.hpp",
-       "src/scenario/snapshot.cpp"},
-      {"TraceEventKind", true, "src/scenario/trace.hpp",
-       "src/scenario/snapshot.cpp"},
-      // Multi-process grid wire schema.
-      {"CellResult", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-      {"GridReport", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-      {"FailedCell", false, "src/scenario/runner.hpp",
-       "src/scenario/wire.cpp"},
-      // Streaming trace-file schema (header/footer frames plus the full
-      // ScenarioSpec echo the header carries — growing any spec struct
-      // without updating the trace_io codec fails here).
-      {"TraceHeader", false, "src/scenario/trace_io.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"TraceFooter", false, "src/scenario/trace_io.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"ScenarioSpec", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"ChurnSpec", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"AttackKind", true, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"RankMetric", true, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"AttackPhase", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"AttackWave", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"WavePlan", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"DefenseSpec", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"MetricsSpec", false, "src/scenario/spec.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"SessionModel", true, "src/scenario/session.hpp",
-       "src/scenario/trace_io.cpp"},
-      {"SessionSpec", false, "src/scenario/session.hpp",
-       "src/scenario/trace_io.cpp"},
-      // ROC sweep points (family columns are conditional) and the
-      // replay-level grid points.
-      {"RocPoint", false, "src/detection/roc.hpp",
-       "src/detection/roc.cpp"},
-      {"RocFamilyCount", false, "src/detection/roc.hpp",
-       "src/detection/roc.cpp"},
-      {"ReplayGridPoint", false, "src/detection/replay_grid.hpp",
-       "src/detection/replay_grid.cpp"},
-      // Replay-grid wire schema (frames carried by
-      // detection::ReplayGridJob, codecs in scenario/wire.cpp).
-      {"ReplayGridCell", false, "src/detection/replay_grid.hpp",
-       "src/scenario/wire.cpp"},
-      {"ReplayGridReport", false, "src/detection/replay_grid.hpp",
-       "src/scenario/wire.cpp"},
-  };
 };
 
 struct RuleCounts {
@@ -168,7 +79,7 @@ struct RuleCounts {
 
 struct LintResult {
   std::vector<Diagnostic> diagnostics;  // violations + suppressed, in order
-  /// Per-rule totals ("D1".."D5"), present even when zero.
+  /// Per-rule totals ("D1".."D4"), present even when zero.
   std::map<std::string, RuleCounts> counts;
 
   bool ok() const;  // no unsuppressed violations
@@ -177,22 +88,16 @@ struct LintResult {
 
 /// Lints a set of files as one program: builds the include graph over
 /// exactly these files (quoted includes resolved against src/ and the
-/// including file's directory), computes sink taint, and runs D1–D5.
+/// including file's directory), computes sink taint, and runs D1–D4.
 LintResult lint_files(const std::vector<SourceFile>& files,
                       const Config& config);
 
-/// Convenience for unit tests: lints snippets with D5 disabled unless the
-/// config carries a manifest.
+/// Convenience for unit tests: lints one snippet.
 LintResult lint_source(const std::string& path, const std::string& content,
                        const Config& config);
 
-/// Parses the committed manifest format: one `Owner.name [conditional]`
-/// per line, `#` comments. Throws std::runtime_error on malformed lines.
-std::vector<ManifestEntry> parse_manifest(const std::string& text);
-
-/// Loads *.cpp / *.hpp under root/{src,bench,examples,tests} plus the
-/// manifest at root/tools/detlint/serialized_fields.txt, and lints the
-/// tree. Paths in diagnostics are repo-relative.
+/// Loads *.cpp / *.hpp under root/{src,bench,examples,tests} and lints
+/// the tree. Paths in diagnostics are repo-relative.
 LintResult lint_tree(const std::string& root);
 
 }  // namespace onion::detlint

@@ -3,8 +3,7 @@
 //
 //   detlint [--root DIR] [--counts] [--verbose]
 //
-// Runs over DIR/{src,bench,examples,tests} (default: current directory)
-// with the D5 manifest at DIR/tools/detlint/serialized_fields.txt.
+// Runs over DIR/{src,bench,examples,tests} (default: current directory).
 // --counts appends machine-greppable per-rule totals (`detlint-counts
 // D1 violations=0 suppressions=1`) so CI can chart suppression growth;
 // --verbose also prints suppressed hits with their reasons.
@@ -24,10 +23,7 @@ const char* kRuleSummary =
     "      engines outside common/rng + common/clock\n"
     "  D3  no pointer-keyed std::map / std::set\n"
     "  D4  no compound assignment to captured state inside\n"
-    "      parallel_for_index bodies\n"
-    "  D5  MetricsSnapshot fields / TraceEventKind enumerators must match\n"
-    "      tools/detlint/serialized_fields.txt (conditional fields keep\n"
-    "      the empty = byte-identical serialize() guard)\n";
+    "      parallel_for_index bodies\n";
 
 }  // namespace
 
