@@ -3,13 +3,25 @@
 // acceptable outcomes are a parsed value or WireError — never a crash,
 // never an out-of-range read (ASan-observable), and never acceptance of
 // a tampered signed command.
+//
+// The scenario payload decoders (grid results, snapshots, replay points,
+// trace header and footer) get the same treatment at the end: their
+// frames carry an unkeyed digest, so a re-digested frame in a results
+// directory or trace file reaches them with any bytes at all.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "core/botnet.hpp"
 #include "core/messages.hpp"
 #include "core/rental.hpp"
 #include "core/wire.hpp"
 #include "crypto/elligator_sim.hpp"
+#include "detection/replay_grid.hpp"
+#include "scenario/trace_io.hpp"
+#include "scenario/wire.hpp"
 
 namespace onion::core {
 namespace {
@@ -201,3 +213,154 @@ TEST(Determinism, IdenticalSeedsYieldIdenticalRuns) {
 
 }  // namespace
 }  // namespace onion::core
+
+namespace onion::scenario {
+namespace {
+
+MetricsSnapshot fuzz_snapshot(std::uint64_t salt) {
+  MetricsSnapshot s;
+  s.time = 60 * kMinute + salt;
+  s.honest_alive = 500 + salt;
+  s.largest_fraction = 0.97;
+  s.degree_histogram = {0, 3, 9, 488};
+  s.takedowns = salt;
+  if (salt % 2 == 1) s.wave_takedowns = {salt, 2};
+  return s;
+}
+
+detection::ReplayGridPoint fuzz_point(std::uint64_t seed) {
+  detection::ReplayGridPoint p;
+  p.replay_seed = seed;
+  p.detector = "flow-beacon";
+  p.params = "size_cv=0.1,gap_cv=0.2";
+  p.flows = 4000;
+  p.tpr = 0.5;
+  p.families = {{"onion", 3, 6}, {"benign_tor", 1, 20}};
+  return p;
+}
+
+FailedCell fuzz_failed(std::uint64_t index) {
+  return {index, "seed=" + std::to_string(index), index, 2, "timed out"};
+}
+
+CellResult fuzz_cell(std::uint64_t seed) {
+  CellResult cell;
+  cell.label = "seed=" + std::to_string(seed);
+  cell.seed = seed;
+  cell.fingerprint = std::string(64, 'a');
+  cell.series = {fuzz_snapshot(seed), fuzz_snapshot(seed + 1)};
+  cell.counters.joins = seed;
+  cell.events_executed = 99;
+  return cell;
+}
+
+/// One random mutation of a valid payload: a byte flip, a forged word
+/// (often a count or length) at a random offset, a truncation, or
+/// appended garbage.
+Bytes mutate(Bytes bytes, Rng& rng) {
+  switch (rng.uniform(4)) {
+    case 0:
+      if (!bytes.empty())
+        bytes[rng.uniform(bytes.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.uniform(255));
+      break;
+    case 1:
+      if (bytes.size() >= 8) {
+        static constexpr std::uint64_t kWords[] = {
+            std::uint64_t{1} << 62, std::uint64_t{1} << 32, ~std::uint64_t{0},
+            (std::uint64_t{1} << 32) - 1, 1000, 200};
+        const std::uint64_t word = rng.uniform(2) == 0
+                                       ? kWords[rng.uniform(std::size(kWords))]
+                                       : rng.next_u64();
+        const Bytes be = be64(word);
+        std::copy(be.begin(), be.end(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(
+                                      rng.uniform(bytes.size() - 7)));
+      }
+      break;
+    case 2:
+      bytes.resize(rng.uniform(bytes.size() + 1));
+      break;
+    default:
+      for (std::uint64_t i = rng.uniform(16); i > 0; --i)
+        bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+      break;
+  }
+  return bytes;
+}
+
+/// Feeds `decode` random bytes and mutations of `valid`; anything it
+/// throws other than WireError escapes and fails the test.
+template <typename Decode>
+void fuzz_payload(Decode decode, const Bytes& valid, std::uint64_t seed) {
+  ASSERT_NO_THROW((void)decode(valid));
+  Rng rng(seed);
+  for (int i = 0; i < 3000; ++i) {
+    Bytes input = i % 4 == 0 ? core::random_bytes(rng, 400) : valid;
+    for (std::uint64_t m = 1 + rng.uniform(3); m > 0; --m)
+      input = mutate(std::move(input), rng);
+    try {
+      (void)decode(input);
+    } catch (const wire::WireError&) {
+      // The documented failure mode.
+    }
+  }
+}
+
+TEST(PayloadFuzz, SnapshotDecoderOnlyThrowsWireError) {
+  fuzz_payload(wire::deserialize_snapshot, serialize(fuzz_snapshot(1)), 21);
+}
+
+TEST(PayloadFuzz, ReplayPointDecoderOnlyThrowsWireError) {
+  fuzz_payload(wire::deserialize_replay_point,
+               detection::serialize(fuzz_point(1)), 22);
+}
+
+TEST(PayloadFuzz, CellResultDecoderOnlyThrowsWireError) {
+  fuzz_payload(wire::deserialize_cell_result, wire::serialize(fuzz_cell(4)),
+               23);
+}
+
+TEST(PayloadFuzz, GridReportDecoderOnlyThrowsWireError) {
+  GridReport report;
+  report.cells = {fuzz_cell(1), fuzz_cell(2)};
+  report.failed_cells = {fuzz_failed(3)};
+  report.combined_fingerprint = std::string(64, 'b');
+  fuzz_payload(wire::deserialize_grid_report, wire::serialize(report), 24);
+}
+
+TEST(PayloadFuzz, ReplayCellDecoderOnlyThrowsWireError) {
+  detection::ReplayGridCell cell;
+  cell.cell_index = 3;
+  cell.points = {fuzz_point(1), fuzz_point(2)};
+  fuzz_payload(wire::deserialize_replay_cell, wire::serialize(cell), 25);
+}
+
+TEST(PayloadFuzz, ReplayReportDecoderOnlyThrowsWireError) {
+  detection::ReplayGridReport report;
+  report.points = {fuzz_point(1), fuzz_point(2)};
+  report.failed_cells = {fuzz_failed(0), fuzz_failed(5)};
+  report.fingerprint = std::string(64, 'c');
+  fuzz_payload(wire::deserialize_replay_report, wire::serialize(report), 26);
+}
+
+TEST(PayloadFuzz, TraceHeaderDecoderOnlyThrowsWireError) {
+  trace_io::TraceHeader header;
+  AttackPhase phase;
+  phase.kind = AttackKind::AdaptiveTakedown;
+  header.spec.attacks = {phase};
+  header.spec.waves.waves = {{phase, kMinute, kMinute}};
+  header.spec.churn.session.model = SessionModel::Pareto;
+  header.initial_nodes = {0, 1, 2, 3};
+  fuzz_payload(trace_io::deserialize_header, trace_io::serialize(header), 27);
+}
+
+TEST(PayloadFuzz, TraceFooterDecoderOnlyThrowsWireError) {
+  trace_io::TraceFooter footer;
+  footer.event_count = 10;
+  footer.event_digest[0] = 0xab;
+  fuzz_payload(trace_io::deserialize_footer, trace_io::serialize(footer), 28);
+}
+
+}  // namespace
+}  // namespace onion::scenario
