@@ -175,13 +175,11 @@ int main(int argc, char** argv) {
                  "      \"sweep_baseline\": %.2f,\n"
                  "      \"incremental_growth_window\": %.3f,\n"
                  "      \"dynamic_deletion_window\": %.3f,\n"
-                 "      \"rebuild_deletion_window\": %.2f,\n"
                  "      \"speedup_growth_vs_sweep\": %.1f,\n"
                  "      \"speedup_deletion_vs_sweep\": %.1f\n"
                  "    }%s\n",
                  costs[i].nodes, costs[i].sweep_us,
                  costs[i].incremental_us, costs[i].deletion_us,
-                 costs[i].rebuild_us,
                  costs[i].sweep_us / costs[i].incremental_us,
                  costs[i].sweep_us / costs[i].deletion_us,
                  i + 1 == kCostRows ? "" : ",");

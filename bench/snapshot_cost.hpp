@@ -11,11 +11,6 @@
 //   deletion  — StructuralTracker::fill after a window that lost a bot:
 //               with fully-dynamic connectivity this is the same O(1)
 //               fill (the split was settled when the edges detached)
-//   rebuild   — the retired hybrid tracker's deletion-window price: one
-//               full union-find component rebuild, measured with the
-//               allocation-free UnionFind::reset storage reuse (the fix
-//               for the 50k regression where a fresh UnionFind per
-//               rebuild made it *slower* than the sweep)
 #pragma once
 
 #include <chrono>
@@ -35,7 +30,6 @@ struct SnapshotCosts {
   double sweep_us = 0.0;
   double incremental_us = 0.0;  // growth window
   double deletion_us = 0.0;     // deletion window, dynamic connectivity
-  double rebuild_us = 0.0;      // deletion window, retired rebuild scheme
 };
 
 namespace detail {
