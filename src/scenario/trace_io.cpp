@@ -1,6 +1,7 @@
 #include "scenario/trace_io.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "common/check.hpp"

@@ -1,7 +1,6 @@
 #include "scenario/wire.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "crypto/sha256.hpp"
 
