@@ -1,18 +1,100 @@
-// Order-statistics bitmap: a Fenwick (binary-indexed) tree over a
-// membership bitset, supporting set/clear/test in O(log n) and select
-// (k-th smallest member) in O(log n). The scenario engine uses one over
-// the honest-alive slots so that picking a uniform victim at 500k nodes
-// costs a tree walk instead of materializing the full ascending id
-// vector — while drawing the *same* random index, so snapshot streams
-// stay byte-identical to the vector-based code it replaces.
+// Fenwick (binary-indexed) trees for weighted rank/select. FenwickTree
+// holds non-negative counts per index and maps a cumulative position
+// back to the index that owns it in O(log n); OrderStatSet is the 0/1
+// special case over a membership bitset. The scenario engine uses an
+// OrderStatSet over the honest-alive slots so that picking a uniform
+// victim at 500k nodes costs a tree walk instead of materializing the
+// full ascending id vector, and the k-regular generator uses a weighted
+// FenwickTree to resolve an edge-list index without listing the edges —
+// both while drawing the *same* random index as the vector-based code
+// they replace, so every output stays byte-identical.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 
 namespace onion {
+
+/// Point-update / prefix-sum / select tree over non-negative counts.
+/// Builds and growth are linear; add, prefix and find are O(log n).
+class FenwickTree {
+ public:
+  /// Number of elements.
+  std::size_t size() const { return tree_.size() - 1; }
+
+  /// Replaces the contents with `values` (element i = values[i]).
+  template <typename Values>
+  void assign(const Values& values) {
+    tree_.assign(values.size() + 1, 0);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      tree_[i + 1] = static_cast<std::size_t>(values[i]);
+    propagate(1);
+  }
+
+  /// Appends zero-valued elements up to `n` in O(log size() + added).
+  /// Valid mid-life: a new node's span can reach back into old indices,
+  /// and the old nodes feeding it are exactly the prefix(size()) chain.
+  void grow(std::size_t n) {
+    const std::size_t old = size();
+    if (n <= old) return;
+    tree_.resize(n + 1, 0);
+    for (std::size_t c = old; c > 0; c &= c - 1) {
+      const std::size_t parent = c + lowbit(c);
+      if (parent <= n) tree_[parent] += tree_[c];
+    }
+    propagate(old + 1);
+  }
+
+  /// Adds `delta` to element i (0-based). The element must stay >= 0.
+  void add(std::size_t i, std::int64_t delta) {
+    ONION_EXPECTS(i < size());
+    for (++i; i < tree_.size(); i += lowbit(i))
+      tree_[i] += static_cast<std::size_t>(delta);  // modular for delta < 0
+  }
+
+  /// Sum of elements [0, i). Precondition: i <= size().
+  std::size_t prefix(std::size_t i) const {
+    std::size_t s = 0;
+    for (; i > 0; i &= i - 1) s += tree_[i];
+    return s;
+  }
+
+  /// Index of the element holding cumulative position k: the i with
+  /// prefix(i) <= k < prefix(i + 1). Writes k - prefix(i) to *offset
+  /// when non-null. Precondition: k < prefix(size()).
+  std::size_t find(std::size_t k, std::size_t* offset = nullptr) const {
+    std::size_t pos = 0;
+    std::size_t step = 1;
+    while ((step << 1) <= size()) step <<= 1;
+    for (; step > 0; step >>= 1) {
+      const std::size_t next = pos + step;
+      if (next <= size() && tree_[next] <= k) {
+        pos = next;
+        k -= tree_[next];
+      }
+    }
+    ONION_ENSURES_MSG(pos < size(), "position past the total");
+    if (offset != nullptr) *offset = k;
+    return pos;  // 1-based prefix length pos => 0-based element pos
+  }
+
+ private:
+  static std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
+
+  /// Pushes every node from `first` on into its parent, ascending, so
+  /// each node's span sum is final before it feeds the next level.
+  void propagate(std::size_t first) {
+    for (std::size_t i = first; i < tree_.size(); ++i) {
+      const std::size_t parent = i + lowbit(i);
+      if (parent < tree_.size()) tree_[parent] += tree_[i];
+    }
+  }
+
+  std::vector<std::size_t> tree_{0};  // 1-indexed; tree_[0] unused
+};
 
 /// Dynamic set of small integers with rank/select, backed by a Fenwick
 /// tree of 0/1 counts. Indices are slot ids; grow-only capacity.
@@ -27,21 +109,20 @@ class OrderStatSet {
     return i < bits_.size() && bits_[i] != 0;
   }
 
-  /// Grows capacity (new slots absent). Appended Fenwick nodes are
-  /// rebuilt from prefix sums, so growth is valid mid-life, not just on
-  /// an empty tree.
+  /// Replaces the membership with `bits` (1 = member, else 0) in O(n).
+  void assign(std::vector<std::uint8_t> bits) {
+    bits_ = std::move(bits);
+    count_ = 0;
+    for (const std::uint8_t b : bits_) count_ += b;
+    tree_.assign(bits_);
+  }
+
+  /// Grows capacity (new slots absent) in O(log n + added), valid
+  /// mid-life as well as on an empty set.
   void ensure_size(std::size_t capacity) {
     if (capacity <= bits_.size()) return;
     bits_.resize(capacity, 0);
-    // tree_ is 1-indexed; node i covers (i - lowbit(i), i]. A new node's
-    // span can reach back into old indices, so seed it with the prefix
-    // difference (the new elements themselves contribute 0).
-    tree_.reserve(capacity + 1);
-    if (tree_.empty()) tree_.push_back(0);
-    for (std::size_t i = tree_.size(); i <= capacity; ++i) {
-      const std::size_t low = i & (~i + 1);
-      tree_.push_back(prefix(i - 1) - prefix(i - low));
-    }
+    tree_.grow(capacity);
   }
 
   void set(std::size_t i) {
@@ -49,7 +130,7 @@ class OrderStatSet {
     if (bits_[i]) return;
     bits_[i] = 1;
     ++count_;
-    update(i + 1, +1);
+    tree_.add(i, +1);
   }
 
   void clear(std::size_t i) {
@@ -57,49 +138,24 @@ class OrderStatSet {
     if (!bits_[i]) return;
     bits_[i] = 0;
     --count_;
-    update(i + 1, -1);
+    tree_.add(i, -1);
   }
 
   /// Index of the k-th member (0-based, ascending). Precondition:
   /// k < count(). Equivalent to sorted_members()[k] without building it.
   std::size_t select(std::size_t k) const {
     ONION_EXPECTS_MSG(k < count_, "k=" << k << " count=" << count_);
-    std::size_t pos = 0;
-    std::size_t remaining = k + 1;
-    std::size_t step = 1;
-    while ((step << 1) <= bits_.size()) step <<= 1;
-    for (; step > 0; step >>= 1) {
-      const std::size_t next = pos + step;
-      if (next <= bits_.size() && tree_[next] < remaining) {
-        pos = next;
-        remaining -= tree_[next];
-      }
-    }
-    // pos = largest 1-based prefix length with fewer than k+1 members,
-    // so the hit is 1-based index pos+1, i.e. 0-based slot pos.
-    return pos;
+    return tree_.find(k);
   }
 
   /// Number of members with index < i.
   std::size_t rank(std::size_t i) const {
-    return prefix(i < bits_.size() ? i : bits_.size());
+    return tree_.prefix(i < bits_.size() ? i : bits_.size());
   }
 
  private:
-  std::size_t prefix(std::size_t i) const {  // sum of elements [1..i], 1-based
-    std::size_t s = 0;
-    for (; i > 0; i &= i - 1) s += tree_[i];
-    return s;
-  }
-
-  void update(std::size_t i, int delta) {  // 1-based
-    for (; i < tree_.size(); i += i & (~i + 1))
-      tree_[i] = static_cast<std::size_t>(
-          static_cast<std::int64_t>(tree_[i]) + delta);
-  }
-
   std::vector<std::uint8_t> bits_;
-  std::vector<std::size_t> tree_;  // tree_[0] unused
+  FenwickTree tree_;
   std::size_t count_ = 0;
 };
 

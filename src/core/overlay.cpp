@@ -14,21 +14,13 @@ OverlayNetwork OverlayNetwork::random_regular(std::size_t n, std::size_t k,
                                               OverlayConfig config,
                                               Rng& rng) {
   OverlayNetwork net(config, rng);
-  net.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) net.add_node(/*honest=*/true);
-  const graph::Graph topology = graph::random_regular(n, k, rng);
-  for (NodeId u = 0; u < n; ++u)
-    for (const NodeId v : topology.neighbors(u))
-      if (u < v) net.graph_.add_edge(u, v);
+  net.graph_ = graph::random_regular(n, k, rng);
+  net.graph_.order_lower_neighbors_first();
+  net.honest_.assign(n, 1);
+  net.declared_.assign(n, kTruthful32);
+  net.requests_seen_.assign(n, 0);
+  net.accepted_this_round_.assign(n, 0);
   return net;
-}
-
-void OverlayNetwork::reserve(std::size_t nodes) {
-  graph_.reserve(nodes);
-  honest_.reserve(nodes);
-  declared_.reserve(nodes);
-  requests_seen_.reserve(nodes);
-  accepted_this_round_.reserve(nodes);
 }
 
 NodeId OverlayNetwork::add_node(bool honest, std::size_t declared_degree) {

@@ -55,14 +55,15 @@ class OverlayNetwork {
       : config_(config), rng_(rng) {}
 
   /// Builds an overlay of `n` honest bots wired as a random k-regular
-  /// graph (the paper's starting topology).
+  /// graph (the paper's starting topology). The generated graph is moved
+  /// in, not copied. Adjacency-order contract: neighbors(u) lists u's
+  /// lower-id neighbours ascending, then its higher-id neighbours in
+  /// graph::random_regular's order — exactly what copying that graph
+  /// edge by edge (u ascending, add_edge(u, v) for each v > u) yields.
+  /// Refill, eviction tie-breaks and DDSR repair walk these lists, so
+  /// the order is as much a part of every seeded run as the edge set.
   static OverlayNetwork random_regular(std::size_t n, std::size_t k,
                                        OverlayConfig config, Rng& rng);
-
-  /// Pre-sizes the slot tables (graph adjacency + per-bot metadata) for
-  /// `nodes` bots, so building a 500k-node overlay is a handful of
-  /// allocations instead of log2(n) reallocation-and-copy cycles.
-  void reserve(std::size_t nodes);
 
   /// Adds a node. `declared_degree` == kTruthful means the node reports
   /// its true degree (honest); any other value is a fixed lie (Sybil).

@@ -99,9 +99,7 @@ void DynamicConnectivity::remove_vertex(NodeId u) {
   --num_vertices_;
 }
 
-void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
-  ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
-                    "u=" << u << " v=" << v);
+void DynamicConnectivity::link_edge(NodeId u, NodeId v) {
   // Carve a twin pair out of the pool (h even, twin = h|1).
   std::uint32_t h;
   if (!free_pairs_.empty()) {
@@ -121,6 +119,65 @@ void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ++degree_[u];
   ++degree_[v];
   ++num_edges_;
+}
+
+void DynamicConnectivity::load(const Graph& g,
+                               const std::vector<std::uint32_t>& labels) {
+  const std::size_t cap = g.capacity();
+  ONION_EXPECTS_MSG(labels.size() == cap,
+                    "labels=" << labels.size() << " capacity=" << cap);
+  reset(cap);
+
+  // Components straight from the labels: each roster is its members in
+  // ascending id order.
+  for (NodeId u = 0; u < cap; ++u) {
+    const std::uint32_t c = labels[u];
+    if (c == kUntracked) continue;
+    if (c >= comp_size_.size()) {
+      comp_size_.resize(c + 1, 0);
+      comp_head_.resize(c + 1, kNil);
+    }
+    label_[u] = c;
+    const std::uint32_t head = comp_head_[c];
+    if (head == kNil) {
+      comp_head_[c] = u;
+      member_next_[u] = u;
+      member_prev_[u] = u;
+    } else {  // append before the head = at the tail of the circle
+      const std::uint32_t tail = member_prev_[head];
+      member_next_[tail] = u;
+      member_prev_[u] = tail;
+      member_next_[u] = head;
+      member_prev_[head] = u;
+    }
+    ++comp_size_[c];
+    ++num_vertices_;
+  }
+  for (std::uint32_t c = 0; c < comp_size_.size(); ++c) {
+    ONION_EXPECTS_MSG(comp_size_[c] > 0, "component label " << c
+                                                            << " unused");
+    add_size(comp_size_[c]);
+  }
+  components_ = comp_size_.size();
+
+  half_to_.reserve(2 * g.num_edges());
+  half_next_.reserve(2 * g.num_edges());
+  for (NodeId u = 0; u < cap; ++u) {
+    if (label_[u] == kNil) continue;
+    for (const NodeId v : g.neighbors(u)) {
+      if (v < u || label_[v] == kNil) continue;
+      ONION_EXPECTS_MSG(label_[u] == label_[v],
+                        "edge " << u << "-" << v << " crosses components "
+                                << label_[u] << " and " << label_[v]);
+      link_edge(u, v);
+    }
+  }
+}
+
+void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
+  ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
+                    "u=" << u << " v=" << v);
+  link_edge(u, v);
 
   std::uint32_t big = label_[u];
   std::uint32_t small = label_[v];

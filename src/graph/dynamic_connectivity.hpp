@@ -26,7 +26,12 @@
 // Memory layout is struct-of-arrays over node slots with a pooled
 // half-edge adjacency (one flat pool, free-list reuse, no per-vertex
 // heap blocks), so a 500k–1M node overlay costs a handful of flat
-// vectors instead of a million tiny allocations. Determinism: no
+// vectors instead of a million tiny allocations. Attaching to an
+// existing graph goes through load(): the caller's component labelling
+// becomes the rosters directly and the edges are laid into the pool in
+// the sequential-insert order, so no merge runs at attach time and the
+// structure that results is search-for-search identical to inserting
+// one edge at a time. Determinism: no
 // randomness, no unordered-container iteration — adjacency iterates in
 // pool order, component sizes live in an ordered std::map — so every
 // derived quantity is a pure function of the operation sequence.
@@ -59,6 +64,20 @@ class DynamicConnectivity {
   /// Grows the slot table (new slots untracked). No-op if already big
   /// enough; never shrinks.
   void ensure_capacity(std::size_t capacity);
+
+  /// Bulk attach: re-initializes to g.capacity() slots and tracks every
+  /// slot u with labels[u] != kUntracked, in component labels[u]. The
+  /// labels must be the connected components of the subgraph of `g`
+  /// induced by the tracked slots, numbered 0..C-1 (one labelling pass,
+  /// e.g. core::OverlayNetwork::honest_component_labels()). Edges enter
+  /// the half-edge pool in the order "u ascending, v in g.neighbors(u)
+  /// with v > u and v tracked" — the exact layout that insert_vertex on
+  /// every tracked slot followed by insert_edge in that order leaves, so
+  /// later replacement searches visit nodes in the same order — but no
+  /// merge runs: O(n + m) with one size-map update per component, and
+  /// merges() stays 0.
+  static constexpr std::uint32_t kUntracked = ~std::uint32_t{0};
+  void load(const Graph& g, const std::vector<std::uint32_t>& labels);
 
   /// Starts tracking slot `u` as a fresh singleton component.
   /// Precondition: u < capacity() and not tracked.
@@ -118,6 +137,9 @@ class DynamicConnectivity {
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
+  /// Pushes the twin half-edges of {u,v} onto both adjacency lists
+  /// (pool slot from the free list, else appended) and bumps degrees.
+  void link_edge(NodeId u, NodeId v);
   std::uint32_t alloc_component();
   void free_component(std::uint32_t c);
   void add_size(std::uint32_t s);

@@ -1,7 +1,10 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
+
+#include "common/order_stat.hpp"
 
 namespace onion::graph {
 
@@ -16,40 +19,52 @@ bool try_regular(Graph& g, std::size_t n, std::size_t k, Rng& rng) {
     for (std::size_t c = 0; c < k; ++c) stubs.push_back(u);
   rng.shuffle(stubs);
 
+  // higher[u] = number of u's neighbours with a larger id, i.e. how many
+  // entries u owns in the edge list the repair draws index into.
+  g.reserve_degree(k);
+  std::vector<std::uint32_t> higher(n, 0);
   std::vector<std::pair<NodeId, NodeId>> clashes;
   for (std::size_t i = 0; i < stubs.size(); i += 2) {
     const NodeId u = stubs[i], v = stubs[i + 1];
     if (u == v || g.has_edge(u, v)) {
       clashes.emplace_back(u, v);
     } else {
-      g.add_edge(u, v);
+      g.add_edge_unchecked(u, v);
+      ++higher[std::min(u, v)];
     }
   }
 
   // Repair each clash {u,v} by stealing a random compatible edge {a,b}:
-  // replace it with {u,a} and {v,b}. Preserves all degrees.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  auto rebuild_edges = [&] {
-    edges.clear();
-    for (NodeId u = 0; u < n; ++u)
-      for (const NodeId v : g.neighbors(u))
-        if (u < v) edges.emplace_back(u, v);
+  // replace it with {u,a} and {v,b}. Preserves all degrees. The stolen
+  // edge is entry i of the list "for u ascending, for v in neighbors(u)
+  // with v > u"; a Fenwick tree over `higher` finds its owner u, and a
+  // scan of u's adjacency finds v, without ever listing the edges.
+  FenwickTree owners;
+  owners.assign(higher);
+  const auto edge_at = [&](std::size_t i) {
+    std::size_t offset = 0;
+    const NodeId lo = static_cast<NodeId>(owners.find(i, &offset));
+    for (const NodeId hi : g.neighbors(lo))
+      if (hi > lo && offset-- == 0) return std::pair{lo, hi};
+    ONION_ENSURES_MSG(false, "edge index " << i << " past node " << lo);
+    return std::pair{lo, lo};  // unreachable
   };
-  rebuild_edges();
 
   for (const auto& [u, v] : clashes) {
     bool fixed = false;
     for (int attempt = 0; attempt < 200 && !fixed; ++attempt) {
-      if (edges.empty()) break;
+      if (g.num_edges() == 0) break;
       auto [a, b] =
-          edges[static_cast<std::size_t>(rng.uniform(edges.size()))];
+          edge_at(static_cast<std::size_t>(rng.uniform(g.num_edges())));
       if (rng.bernoulli(0.5)) std::swap(a, b);
       if (a == u || a == v || b == u || b == v) continue;
       if (g.has_edge(u, a) || g.has_edge(v, b)) continue;
       g.remove_edge(a, b);
       g.add_edge(u, a);
       g.add_edge(v, b);
-      rebuild_edges();
+      owners.add(std::min(a, b), -1);
+      owners.add(std::min(u, a), +1);
+      owners.add(std::min(v, b), +1);
       fixed = true;
     }
     if (!fixed) return false;

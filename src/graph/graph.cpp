@@ -146,6 +146,23 @@ void Graph::remove_node(NodeId u) {
   if (observer_ != nullptr) observer_->on_node_removed(u);
 }
 
+void Graph::order_lower_neighbors_first() {
+  std::vector<NodeId> higher;
+  for (NodeId u = 0; u < adjacency_.size(); ++u) {
+    auto& list = adjacency_[u];
+    higher.clear();
+    auto lower_end = list.begin();
+    for (const NodeId v : list) {  // compaction never overtakes the read
+      if (v < u)
+        *lower_end++ = v;
+      else
+        higher.push_back(v);
+    }
+    std::sort(list.begin(), lower_end);
+    std::copy(higher.begin(), higher.end(), lower_end);
+  }
+}
+
 std::vector<NodeId> Graph::alive_nodes() const {
   std::vector<NodeId> out;
   out.reserve(num_alive_);

@@ -56,13 +56,19 @@ class Graph {
   /// injection and SuperOnion virtual-node resurrection).
   NodeId add_node();
 
-  /// Pre-sizes the slot tables for `nodes` slots (capacity hint only;
-  /// no nodes are created). Lets 500k-node builds skip the vector
-  /// doubling-and-copy cycles.
-  void reserve(std::size_t nodes) {
-    adjacency_.reserve(nodes);
-    alive_.reserve(nodes);
+  /// Pre-sizes every existing adjacency list for `degree` neighbours
+  /// (capacity hint only), so a builder that knows the final degree pays
+  /// one allocation per list instead of push_back doubling.
+  void reserve_degree(std::size_t degree) {
+    for (auto& list : adjacency_) list.reserve(degree);
   }
+
+  /// Reorders every adjacency list in place to: lower-id neighbours
+  /// ascending, then higher-id neighbours in their current relative
+  /// order. That is the order an edge-by-edge copy of this graph
+  /// ("for u ascending, add_edge(u, v) for each listed v > u") produces,
+  /// without building the copy.
+  void order_lower_neighbors_first();
 
   /// Number of node slots ever created (alive + deleted).
   std::size_t capacity() const { return adjacency_.size(); }

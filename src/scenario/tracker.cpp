@@ -1,5 +1,7 @@
 #include "scenario/tracker.hpp"
 
+#include <utility>
+
 #include "graph/union_find.hpp"
 
 namespace onion::scenario {
@@ -58,33 +60,29 @@ StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
   graph_.set_observer(this);  // throws if another observer is attached
   base_epoch_ = graph_.mutation_epoch();
 
-  // Absorb the current state: the one full pass this tracker ever pays.
+  // Absorb the current state. Connectivity comes from one labelling
+  // pass over the contiguous adjacency; the counters, histogram and
+  // honest bitmap from one more. Honest alive slots are exactly the
+  // labelled ones.
+  const std::vector<std::uint32_t> labels = net_.honest_component_labels();
+  dc_.load(graph_, labels);
+  honest_edges_ = dc_.num_edges();
   const std::size_t cap = graph_.capacity();
-  dc_.reset(cap);
-  honest_set_.ensure_size(cap);
+  std::vector<std::uint8_t> honest(cap, 0);
   for (NodeId u = 0; u < cap; ++u) {
     if (!graph_.alive(u)) continue;
-    if (!net_.honest(u)) {
+    if (labels[u] == graph::DynamicConnectivity::kUntracked) {
       ++sybil_alive_;
       continue;
     }
     ++honest_alive_;
-    dc_.insert_vertex(u);
-    honest_set_.set(u);
+    honest[u] = 1;
     const std::size_t d = graph_.degree(u);
     degree_sum_ += d;
     if (histogram_.size() <= d) histogram_.resize(d + 1, 0);
     ++histogram_[d];
   }
-  // Edges need both endpoints tracked, hence the second pass.
-  for (NodeId u = 0; u < cap; ++u) {
-    if (!graph_.alive(u) || !net_.honest(u)) continue;
-    for (const NodeId v : graph_.neighbors(u))
-      if (v > u && net_.honest(v)) {
-        ++honest_edges_;
-        dc_.insert_edge(u, v);
-      }
-  }
+  honest_set_.assign(std::move(honest));
 }
 
 StructuralTracker::~StructuralTracker() { graph_.set_observer(nullptr); }

@@ -42,8 +42,12 @@ MetricsSnapshot sweep_structural(const core::OverlayNetwork& net,
                                  bool degree_histogram);
 
 /// Maintains the structural snapshot fields per graph mutation. Attaches
-/// to net.graph_mut() on construction (one O(n+m) pass to absorb the
-/// current state) and detaches in the destructor. One tracker per graph;
+/// to net.graph_mut() on construction and detaches in the destructor.
+/// Attach absorbs the current state in bulk: one
+/// OverlayNetwork::honest_component_labels() pass feeds
+/// DynamicConnectivity::load (no per-edge merges), and one slot pass
+/// fills the counters, the histogram and the honest bitmap (a linear
+/// Fenwick build). One tracker per graph;
 /// nodes must enter through OverlayNetwork::add_node so honesty metadata
 /// exists when the node-added callback classifies them.
 class StructuralTracker final : public graph::MutationObserver {

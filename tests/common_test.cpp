@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
@@ -350,7 +352,51 @@ TEST(OrderStat, MatchesSortedVectorUnderRandomChurn) {
       ASSERT_EQ(set.select(k), *std::next(reference.begin(),
                                           static_cast<std::ptrdiff_t>(k)));
     }
+    // Rank right after each mid-run growth too: the linear Fenwick
+    // growth must leave every prefix sum exact.
+    const std::size_t r = rng.uniform(set.capacity() + 1);
+    ASSERT_EQ(set.rank(r), static_cast<std::size_t>(std::distance(
+                               reference.begin(), reference.lower_bound(r))))
+        << "op " << op << " r=" << r;
   }
+}
+
+TEST(OrderStat, AssignBuildsTheSameSetAsSetCalls) {
+  std::vector<std::uint8_t> bits(37, 0);
+  OrderStatSet one_by_one(bits.size());
+  for (const std::size_t i : {0u, 4u, 5u, 16u, 31u, 32u, 36u}) {
+    bits[i] = 1;
+    one_by_one.set(i);
+  }
+  OrderStatSet bulk;
+  bulk.assign(bits);
+  ASSERT_EQ(bulk.count(), one_by_one.count());
+  for (std::size_t k = 0; k < bulk.count(); ++k)
+    EXPECT_EQ(bulk.select(k), one_by_one.select(k));
+  for (std::size_t i = 0; i <= bits.size(); ++i)
+    EXPECT_EQ(bulk.rank(i), one_by_one.rank(i));
+  bulk.ensure_size(100);  // growth after a bulk build
+  bulk.set(99);
+  EXPECT_EQ(bulk.select(bulk.count() - 1), 99u);
+}
+
+TEST(Fenwick, FindResolvesWeightedPositions) {
+  // Weights 2,0,3,1: positions 0-1 -> element 0, 2-4 -> element 2, 5 -> 3.
+  FenwickTree tree;
+  tree.assign(std::vector<std::size_t>{2, 0, 3, 1});
+  const std::pair<std::size_t, std::size_t> expect[] = {
+      {0, 0}, {0, 1}, {2, 0}, {2, 1}, {2, 2}, {3, 0}};
+  for (std::size_t k = 0; k < 6; ++k) {
+    std::size_t offset = 99;
+    EXPECT_EQ(tree.find(k, &offset), expect[k].first) << "k=" << k;
+    EXPECT_EQ(offset, expect[k].second) << "k=" << k;
+  }
+  tree.add(1, +2);  // element 1 now owns positions 2-3
+  tree.add(2, -1);
+  EXPECT_EQ(tree.prefix(4), 7u);
+  EXPECT_EQ(tree.find(3), 1u);
+  EXPECT_EQ(tree.find(4), 2u);
+  EXPECT_THROW(tree.find(7), ContractViolation);
 }
 
 TEST(ByteReader, RoundTripsThePutHelpers) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -320,6 +324,127 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return "n" + std::to_string(info.param.n) + "_k" +
              std::to_string(info.param.k);
+    });
+
+// Oracle: the list-rebuilding generator the Fenwick-indexed repair
+// replaced. After every successful clash repair it re-lists all edges,
+// so each draw indexes a freshly materialized list — O(nk) per repair,
+// but transparently the draw-order contract in generators.hpp.
+bool legacy_try_regular(Graph& g, std::size_t n, std::size_t k, Rng& rng) {
+  std::vector<NodeId> stubs;
+  stubs.reserve(n * k);
+  for (NodeId u = 0; u < n; ++u)
+    for (std::size_t c = 0; c < k; ++c) stubs.push_back(u);
+  rng.shuffle(stubs);
+
+  std::vector<std::pair<NodeId, NodeId>> clashes;
+  for (std::size_t i = 0; i < stubs.size(); i += 2) {
+    const NodeId u = stubs[i], v = stubs[i + 1];
+    if (u == v || g.has_edge(u, v)) {
+      clashes.emplace_back(u, v);
+    } else {
+      g.add_edge(u, v);
+    }
+  }
+
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  auto rebuild_edges = [&] {
+    edges.clear();
+    for (NodeId u = 0; u < n; ++u)
+      for (const NodeId v : g.neighbors(u))
+        if (u < v) edges.emplace_back(u, v);
+  };
+  rebuild_edges();
+
+  for (const auto& [u, v] : clashes) {
+    bool fixed = false;
+    for (int attempt = 0; attempt < 200 && !fixed; ++attempt) {
+      if (edges.empty()) break;
+      auto [a, b] =
+          edges[static_cast<std::size_t>(rng.uniform(edges.size()))];
+      if (rng.bernoulli(0.5)) std::swap(a, b);
+      if (a == u || a == v || b == u || b == v) continue;
+      if (g.has_edge(u, a) || g.has_edge(v, b)) continue;
+      g.remove_edge(a, b);
+      g.add_edge(u, a);
+      g.add_edge(v, b);
+      rebuild_edges();
+      fixed = true;
+    }
+    if (!fixed) return false;
+  }
+  return true;
+}
+
+Graph legacy_random_regular(std::size_t n, std::size_t k, Rng& rng) {
+  if (k >= n) throw std::invalid_argument("random_regular: need k < n");
+  if ((n * k) % 2 != 0)
+    throw std::invalid_argument("random_regular: n*k must be even");
+  for (int restart = 0; restart < 50; ++restart) {
+    Graph g(n);
+    if (legacy_try_regular(g, n, k, rng)) return g;
+  }
+  throw std::runtime_error("random_regular: generation failed repeatedly");
+}
+
+/// Runs a generator, folding "threw X" into the result so the two
+/// implementations can be compared on failures as well as successes.
+template <typename Generate>
+std::pair<std::optional<Graph>, std::string> outcome(Generate generate) {
+  try {
+    return {generate(), ""};
+  } catch (const std::invalid_argument&) {
+    return {std::nullopt, "invalid_argument"};
+  } catch (const std::runtime_error&) {
+    return {std::nullopt, "runtime_error"};
+  }
+}
+
+class GeneratorOracle : public ::testing::TestWithParam<RegularParams> {};
+
+// n in {k+1, k+2, 64, 1000, 20000} x k in {3, 5, 10, 15}: small n forces
+// clashes and restarts (n = k+1 admits only K_{k+1}); odd n*k must be
+// rejected by both before touching the Rng.
+std::vector<RegularParams> oracle_cells() {
+  std::vector<RegularParams> cells;
+  for (const std::size_t k : {3u, 5u, 10u, 15u})
+    for (const std::size_t n : {k + 1, k + 2, std::size_t{64},
+                                std::size_t{1000}, std::size_t{20000}})
+      cells.push_back({n, k});
+  return cells;
+}
+
+TEST_P(GeneratorOracle, FenwickRepairMatchesListRebuildDrawForDraw) {
+  const auto [n, k] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng fast_rng(seed * 7919 + n * 31 + k);
+    Rng oracle_rng = fast_rng;
+    const auto fast =
+        outcome([&] { return random_regular(n, k, fast_rng); });
+    const auto oracle =
+        outcome([&] { return legacy_random_regular(n, k, oracle_rng); });
+    ASSERT_EQ(fast.second, oracle.second) << "seed " << seed;
+    // The caller's Rng must end in the same state: its next draw.
+    ASSERT_EQ(fast_rng(), oracle_rng()) << "seed " << seed;
+    if (!oracle.first) continue;
+    const Graph& a = *fast.first;
+    const Graph& b = *oracle.first;
+    ASSERT_EQ(a.capacity(), b.capacity()) << "seed " << seed;
+    ASSERT_EQ(a.num_edges(), b.num_edges()) << "seed " << seed;
+    for (NodeId u = 0; u < n; ++u)
+      ASSERT_EQ(a.neighbors(u), b.neighbors(u))
+          << "seed " << seed << " u=" << u;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GeneratorOracle, ::testing::ValuesIn(oracle_cells()),
+    [](const auto& info) {
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      return name;
     });
 
 TEST(Generators, ErdosRenyiDensityMatches) {

@@ -3,7 +3,10 @@
 // containment metrics.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/overlay.hpp"
+#include "graph/generators.hpp"
 
 namespace onion::core {
 namespace {
@@ -235,6 +238,37 @@ TEST(Overlay, RandomRegularConstruction) {
   for (const NodeId u : net.honest_nodes())
     EXPECT_EQ(net.graph().degree(u), 4u);
   EXPECT_EQ(net.honest_components(), 1u);
+}
+
+TEST(Overlay, RandomRegularKeepsTheEdgeByEdgeCopyOrder) {
+  // The adjacency-order contract in overlay.hpp: moving the generated
+  // graph in must list every node's peers exactly as copying it edge by
+  // edge into n fresh honest slots did. Refill and DDSR walk these lists,
+  // so a flipped order moves every seeded campaign.
+  for (const auto& [n, k, seed] :
+       {std::tuple{10000u, 10u, 0xbe7cu}, std::tuple{500u, 5u, 3u},
+        std::tuple{64u, 15u, 4u}, std::tuple{30u, 7u, 5u}}) {
+    Rng rng(seed);
+    const OverlayNetwork net =
+        OverlayNetwork::random_regular(n, k, band(k, k), rng);
+
+    Rng copy_rng(seed);
+    OverlayNetwork copy(band(k, k), copy_rng);
+    for (std::size_t i = 0; i < n; ++i) copy.add_node(/*honest=*/true);
+    const graph::Graph topology = graph::random_regular(n, k, copy_rng);
+    for (NodeId u = 0; u < n; ++u)
+      for (const NodeId v : topology.neighbors(u))
+        if (u < v) copy.graph_mut().add_edge(u, v);
+
+    ASSERT_EQ(rng(), copy_rng()) << "n=" << n;
+    ASSERT_EQ(net.graph().num_edges(), copy.graph().num_edges());
+    for (NodeId u = 0; u < n; ++u) {
+      ASSERT_EQ(net.neighbors(u), copy.neighbors(u))
+          << "n=" << n << " u=" << u;
+      ASSERT_TRUE(net.honest(u));
+      ASSERT_EQ(net.declared_degree(u), k);
+    }
+  }
 }
 
 }  // namespace

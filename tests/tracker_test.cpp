@@ -8,7 +8,12 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/ddsr.hpp"
+#include "graph/dynamic_connectivity.hpp"
 #include "mitigation/soap.hpp"
 #include "scenario/tracker.hpp"
 
@@ -303,6 +308,139 @@ TEST(Tracker, AbsorbsMidCampaignState) {
   MetricsSnapshot s;
   tracker.fill(s, true);
   EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+}
+
+// ====================================================================
+// Bulk attach vs the sequential insert_vertex / insert_edge oracle
+// ====================================================================
+
+/// The attach path the bulk load replaced: every honest alive slot as a
+/// singleton, then insert_edge for u ascending, v in neighbors(u), v > u.
+graph::DynamicConnectivity sequential_attach(const OverlayNetwork& net) {
+  const graph::Graph& g = net.graph();
+  graph::DynamicConnectivity dc(g.capacity());
+  for (NodeId u = 0; u < g.capacity(); ++u)
+    if (g.alive(u) && net.honest(u)) dc.insert_vertex(u);
+  for (NodeId u = 0; u < g.capacity(); ++u) {
+    if (!g.alive(u) || !net.honest(u)) continue;
+    for (const NodeId v : g.neighbors(u))
+      if (v > u && net.honest(v)) dc.insert_edge(u, v);
+  }
+  return dc;
+}
+
+/// Canonical partition: each tracked slot mapped to the smallest slot in
+/// its component (~0u for untracked), so two structures with different
+/// internal component ids compare equal iff they partition alike.
+std::vector<NodeId> partition_of(const graph::DynamicConnectivity& dc) {
+  std::vector<NodeId> rep(dc.capacity(), graph::kInvalidNode);
+  for (NodeId u = 0; u < dc.capacity(); ++u) {
+    if (!dc.tracked(u)) continue;
+    rep[u] = u;
+    for (NodeId w = 0; w < u; ++w)
+      if (dc.tracked(w) && dc.same_component(u, w)) {
+        rep[u] = rep[w];
+        break;
+      }
+  }
+  return rep;
+}
+
+void expect_same_structure(const graph::DynamicConnectivity& bulk,
+                           const graph::DynamicConnectivity& seq,
+                           const std::string& where) {
+  ASSERT_EQ(bulk.components(), seq.components()) << where;
+  ASSERT_EQ(bulk.largest_component(), seq.largest_component()) << where;
+  ASSERT_EQ(bulk.num_vertices(), seq.num_vertices()) << where;
+  ASSERT_EQ(bulk.num_edges(), seq.num_edges()) << where;
+  ASSERT_EQ(bulk.capacity(), seq.capacity()) << where;
+  for (NodeId u = 0; u < bulk.capacity(); ++u) {
+    ASSERT_EQ(bulk.tracked(u), seq.tracked(u)) << where << " u=" << u;
+    if (bulk.tracked(u)) {
+      ASSERT_EQ(bulk.degree(u), seq.degree(u)) << where << " u=" << u;
+    }
+  }
+  ASSERT_EQ(partition_of(bulk), partition_of(seq)) << where;
+}
+
+TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    OverlayNetwork net = make_overlay(120, rng);
+    DdsrEngine ddsr(net.graph_mut(), policy(), rng);
+    for (int op = 0; op < 60; ++op) random_op(net, ddsr, rng);
+    // Force the shapes the load must handle: isolated honest nodes (and
+    // so several components) next to the Sybils and dead slots the
+    // campaign left behind.
+    for (int i = 0; i < 2; ++i) {
+      const NodeId lone = rng.pick(net.honest_nodes());
+      while (net.graph().degree(lone) > 0)
+        net.drop_edge(lone, net.neighbors(lone).front());
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    std::size_t sybils = 0;
+    std::size_t dead = 0;
+    for (NodeId u = 0; u < net.graph().capacity(); ++u) {
+      if (!net.alive(u))
+        ++dead;
+      else if (!net.honest(u))
+        ++sybils;
+    }
+    ASSERT_GT(sybils, 0u) << where;
+    ASSERT_GT(dead, 0u) << where;
+
+    graph::DynamicConnectivity bulk;
+    bulk.load(net.graph(), net.honest_component_labels());
+    graph::DynamicConnectivity seq = sequential_attach(net);
+    ASSERT_GE(bulk.components(), 3u) << where;
+    EXPECT_EQ(bulk.merges(), 0u);
+    expect_same_structure(bulk, seq, where + " after attach");
+
+    {  // The tracker built on the same state agrees with the sweep.
+      StructuralTracker tracker(net);
+      MetricsSnapshot s;
+      tracker.fill(s, true);
+      ASSERT_EQ(serialize(s), serialize(sweep_structural(net, true)))
+          << where;
+      const std::vector<NodeId> honest = net.honest_nodes();
+      ASSERT_EQ(tracker.honest_alive(), honest.size());
+      for (std::size_t k = 0; k < honest.size(); ++k)
+        ASSERT_EQ(tracker.honest_at(k), honest[k]) << where << " k=" << k;
+    }
+
+    // One shared deletion sequence: equal pool layouts make the
+    // replacement searches visit the same nodes, so even the cost
+    // counters must agree.
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId u = 0; u < net.graph().capacity(); ++u) {
+      if (!bulk.tracked(u)) continue;
+      for (const NodeId v : net.neighbors(u))
+        if (v > u && bulk.tracked(v)) edges.emplace_back(u, v);
+    }
+    for (int op = 0; op < 150 && !edges.empty(); ++op) {
+      if (rng.uniform(4) != 0) {
+        const std::size_t e = rng.uniform(edges.size());
+        bulk.remove_edge(edges[e].first, edges[e].second);
+        seq.remove_edge(edges[e].first, edges[e].second);
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
+      } else {
+        const NodeId u = edges[rng.uniform(edges.size())].first;
+        for (std::size_t e = edges.size(); e-- > 0;) {
+          if (edges[e].first != u && edges[e].second != u) continue;
+          bulk.remove_edge(edges[e].first, edges[e].second);
+          seq.remove_edge(edges[e].first, edges[e].second);
+          edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
+        }
+        bulk.remove_vertex(u);
+        seq.remove_vertex(u);
+      }
+      const std::string at = where + " op " + std::to_string(op);
+      ASSERT_EQ(bulk.splits(), seq.splits()) << at;
+      ASSERT_EQ(bulk.search_steps(), seq.search_steps()) << at;
+      expect_same_structure(bulk, seq, at);
+    }
+    EXPECT_GT(bulk.splits(), 0u) << where;
+  }
 }
 
 }  // namespace
