@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "graph/generators.hpp"
-#include "graph/union_find.hpp"
 
 namespace onion::core {
 
@@ -177,18 +176,12 @@ std::vector<std::uint32_t> OverlayNetwork::honest_component_labels() const {
 }
 
 std::size_t OverlayNetwork::honest_components() const {
-  graph::UnionFind uf(graph_.capacity());
-  std::size_t honest_alive = 0;
-  for (NodeId u = 0; u < graph_.capacity(); ++u) {
-    if (!graph_.alive(u) || !honest(u)) continue;
-    ++honest_alive;
-    for (const NodeId v : graph_.neighbors(u))
-      if (v > u && graph_.alive(v) && honest(v)) uf.unite(u, v);
-  }
-  if (honest_alive == 0) return 0;
-  // num_sets counts singletons for every slot; correct by subtracting the
-  // non-honest/dead slots.
-  return uf.num_sets() - (graph_.capacity() - honest_alive);
+  // Labels are dense (0, 1, ...) in order of discovery, so the count is
+  // one past the largest.
+  std::size_t count = 0;
+  for (const std::uint32_t l : honest_component_labels())
+    if (l != ~std::uint32_t{0}) count = std::max<std::size_t>(count, l + 1);
+  return count;
 }
 
 std::vector<NodeId> OverlayNetwork::honest_nodes() const {

@@ -54,39 +54,13 @@ Components connected_components(const Graph& g) {
   return out;
 }
 
-Components components_union_find(const Graph& g) {
-  Components out;
-  const std::size_t cap = g.capacity();
-  out.label.assign(cap, kUnreachable);
-  UnionFind uf(cap);
-  for (NodeId u = 0; u < cap; ++u) {
-    if (!g.alive(u)) continue;
-    for (const NodeId v : g.neighbors(u))
-      if (v > u) uf.unite(u, v);
-  }
-  // Dense labels in ascending order of each component's smallest slot,
-  // matching the BFS labelling exactly.
-  std::vector<std::uint32_t> root_label(cap, kUnreachable);
-  for (NodeId u = 0; u < cap; ++u) {
-    if (!g.alive(u)) continue;
-    const std::size_t root = uf.find(u);
-    if (root_label[root] == kUnreachable) {
-      root_label[root] = static_cast<std::uint32_t>(out.count++);
-      out.sizes.push_back(0);
-    }
-    out.label[u] = root_label[root];
-    ++out.sizes[out.label[u]];
-  }
-  return out;
-}
-
 std::size_t Components::largest() const {
   if (sizes.empty()) return 0;
   return *std::max_element(sizes.begin(), sizes.end());
 }
 
 bool is_connected(const Graph& g) {
-  return g.num_alive() <= 1 || components_union_find(g).count == 1;
+  return g.num_alive() <= 1 || connected_components(g).count == 1;
 }
 
 std::size_t first_partition_index(const Graph& pristine,
@@ -307,7 +281,7 @@ std::size_t diameter_double_sweep(const Graph& g, std::size_t sweeps,
                                   Rng& rng) {
   if (g.num_alive() <= 1) return 0;
   // Match diameter_exact semantics: measure the largest component.
-  const Components comps = components_union_find(g);
+  const Components comps = connected_components(g);
   std::uint32_t target = 0;
   std::size_t best_size = 0;
   for (std::uint32_t c = 0; c < comps.count; ++c) {

@@ -47,12 +47,6 @@ struct Components {
 };
 Components connected_components(const Graph& g);
 
-/// Connected components via union-find over the alive edges: same output
-/// as connected_components (labels are assigned in ascending order of
-/// each component's smallest slot), but O((n+m)·α(n)) with no BFS queue —
-/// the fast path for per-snapshot connectivity at 10k–50k nodes.
-Components components_union_find(const Graph& g);
-
 /// True iff all alive nodes are mutually reachable (vacuously true for
 /// 0 or 1 alive nodes).
 bool is_connected(const Graph& g);

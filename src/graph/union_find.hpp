@@ -1,5 +1,7 @@
-// Disjoint-set forest with union by size and path halving. Used by the
-// partition-threshold experiment (Figure 6) and by graph tests.
+// Disjoint-set forest with union by size and path halving. Used by
+// graph::first_partition_index (the partition-threshold experiment of
+// Figure 6), by scenario::sweep_structural (the from-scratch snapshot
+// oracle) and by the rebuild oracle in tests/dynconn_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -15,27 +17,6 @@ class UnionFind {
  public:
   explicit UnionFind(std::size_t n) : parent_(n), size_(n, 1), sets_(n) {
     std::iota(parent_.begin(), parent_.end(), 0);
-  }
-
-  /// Re-initializes to `n` singleton elements, reusing the existing
-  /// storage — unlike `uf = UnionFind(n)`, a warmed instance resets
-  /// without touching the allocator (the micro bench's rebuild baseline
-  /// depends on this to measure union time, not malloc time).
-  void reset(std::size_t n) {
-    parent_.resize(n);
-    size_.assign(n, 1);
-    std::iota(parent_.begin(), parent_.end(), 0);
-    sets_ = n;
-  }
-
-  /// Appends one fresh singleton element and returns its index. Lets
-  /// incremental users (the scenario StructuralTracker) grow the universe
-  /// as graph slots are created instead of rebuilding.
-  std::size_t add() {
-    parent_.push_back(parent_.size());
-    size_.push_back(1);
-    ++sets_;
-    return parent_.size() - 1;
   }
 
   /// Number of elements in the universe.
@@ -68,10 +49,10 @@ class UnionFind {
   /// Number of disjoint sets over the FULL index range — every element
   /// of the universe counts, including slots a caller considers dead
   /// (graph tombstones, removed bots). Callers tracking a live subset
-  /// must subtract their dead-singleton count (core::OverlayNetwork::
-  /// honest_components does) or count components by live members only
-  /// (scenario::sweep_structural does); reading num_sets() raw over a
-  /// tombstoned slot table silently inflates the component count.
+  /// must subtract their dead-singleton count or count components by
+  /// live members only (scenario::sweep_structural does); reading
+  /// num_sets() raw over a tombstoned slot table silently inflates the
+  /// component count.
   std::size_t num_sets() const { return sets_; }
 
   /// Size of the set containing x.

@@ -254,8 +254,8 @@ TEST(UnionFindTest, BasicMerging) {
 TEST(UnionFindTest, NumSetsCountsTheFullUniverseIncludingDeadSlots) {
   // num_sets() is universe-wide by contract: slots a caller considers
   // dead still count as singletons. Consumers over tombstoned tables
-  // must subtract them (OverlayNetwork::honest_components) or count by
-  // live members (scenario::sweep_structural).
+  // must subtract them or count by live members
+  // (scenario::sweep_structural).
   UnionFind uf(6);
   uf.unite(0, 1);
   uf.unite(2, 3);
@@ -263,21 +263,6 @@ TEST(UnionFindTest, NumSetsCountsTheFullUniverseIncludingDeadSlots) {
   EXPECT_EQ(uf.num_sets(), 4u);  // {0,1} {2,3} {4} {5}
   const std::size_t dead = 2;
   EXPECT_EQ(uf.num_sets() - dead, 2u);  // the live-component answer
-}
-
-TEST(UnionFindTest, ResetReinitializesAndReusesStorage) {
-  UnionFind uf(4);
-  uf.unite(0, 1);
-  uf.unite(2, 3);
-  EXPECT_EQ(uf.num_sets(), 2u);
-  uf.reset(6);
-  EXPECT_EQ(uf.size(), 6u);
-  EXPECT_EQ(uf.num_sets(), 6u);
-  for (std::size_t x = 0; x < 6; ++x) EXPECT_EQ(uf.set_size(x), 1u);
-  EXPECT_FALSE(uf.same(0, 1));
-  uf.reset(2);  // shrinking works too
-  EXPECT_EQ(uf.size(), 2u);
-  EXPECT_EQ(uf.num_sets(), 2u);
 }
 
 TEST(Generators, RegularGraphHasExactDegrees) {

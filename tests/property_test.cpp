@@ -168,20 +168,6 @@ TEST_P(MetricSweep, DiameterMatchesBruteForce) {
   EXPECT_GE(estimate + 2, want) << "double sweep is a tight estimator";
 }
 
-TEST_P(MetricSweep, UnionFindComponentsMatchBfsLabelling) {
-  Rng rng(GetParam() ^ 0x55);
-  Graph g = graph::erdos_renyi(50, 0.05, rng);
-  // Some deletions so dead slots are exercised too.
-  for (int i = 0; i < 10 && g.num_alive() > 1; ++i)
-    g.remove_node(rng.pick(g.alive_nodes()));
-  const auto bfs = graph::connected_components(g);
-  const auto uf = graph::components_union_find(g);
-  EXPECT_EQ(uf.count, bfs.count);
-  EXPECT_EQ(uf.sizes, bfs.sizes);
-  for (const NodeId u : g.alive_nodes())
-    EXPECT_EQ(uf.label[u], bfs.label[u]) << "label mismatch at " << u;
-}
-
 TEST_P(MetricSweep, SampledClosenessTracksExact) {
   Rng rng(GetParam() ^ 0x77);
   Graph g = graph::random_regular(60, 6, rng);

@@ -57,7 +57,7 @@ ScenarioSpec ten_k_spec(std::uint64_t seed) {
 }
 
 // The pinned 500k campaign (same spec as tests/scale_test.cpp's
-// half-million smoke and bench_report's "scale_runs").
+// half-million smoke and bench_report's campaign_500k).
 ScenarioSpec half_million_spec() {
   ScenarioSpec spec;
   spec.seed = 0x5ca1e;

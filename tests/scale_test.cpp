@@ -202,12 +202,12 @@ TEST(ScaleCampaign, FiftyThousandNodeDenseCadenceSmoke) {
 }
 
 TEST(ScaleCampaign, HalfMillionNodeLeaveHeavyDenseCadenceSmoke) {
-  // The 500k tier: the same spec bench_report.cpp records under
-  // "scale_runs" (seed 0x5ca1e, ten minutes at a 1 s cadence, 18000
-  // leaves/h plus a 6000/h takedown wave). Every one of the ~600
-  // snapshot windows contains deletions — the exact regime where the
-  // old hybrid tracker re-ran a full O(n+m) component rebuild per
-  // snapshot (~600 × ~59 ms ≈ 35 s of pure rebuild at this size).
+  // The 500k tier: the same spec bench_report.cpp prints the
+  // campaign_500k golden for (seed 0x5ca1e, ten minutes at a 1 s
+  // cadence, 18000 leaves/h plus a 6000/h takedown wave). Every one of
+  // the ~600 snapshot windows contains deletions — the exact regime
+  // where the old hybrid tracker re-ran a full O(n+m) component rebuild
+  // per snapshot (~600 × ~59 ms ≈ 35 s of pure rebuild at this size).
 #ifndef NDEBUG
   // Building and healing a 500k-node overlay under ASan/UBSan blows
   // well past the sanitized tier's wall budget; Release CI runs this
