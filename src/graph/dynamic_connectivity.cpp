@@ -4,17 +4,13 @@
 
 namespace onion::graph {
 
-void DynamicConnectivity::reset(std::size_t capacity) {
-  label_.assign(capacity, kNil);
-  degree_.assign(capacity, 0);
-  head_half_.assign(capacity, kNil);
-  member_next_.assign(capacity, kNil);
-  member_prev_.assign(capacity, kNil);
-  visit_mark_.assign(capacity, 0);
-  visit_side_.assign(capacity, 0);
-  half_to_.clear();
-  half_next_.clear();
-  free_pairs_.clear();
+void DynamicConnectivity::reset() {
+  const std::size_t cap = g_.capacity();
+  label_.assign(cap, kNil);
+  member_next_.assign(cap, kNil);
+  member_prev_.assign(cap, kNil);
+  visit_mark_.assign(cap, 0);
+  visit_side_.assign(cap, 0);
   comp_size_.clear();
   comp_head_.clear();
   comp_free_.clear();
@@ -30,15 +26,14 @@ void DynamicConnectivity::reset(std::size_t capacity) {
   queue_b_.clear();
 }
 
-void DynamicConnectivity::ensure_capacity(std::size_t capacity) {
-  if (capacity <= label_.size()) return;
-  label_.resize(capacity, kNil);
-  degree_.resize(capacity, 0);
-  head_half_.resize(capacity, kNil);
-  member_next_.resize(capacity, kNil);
-  member_prev_.resize(capacity, kNil);
-  visit_mark_.resize(capacity, 0);
-  visit_side_.resize(capacity, 0);
+void DynamicConnectivity::grow() {
+  const std::size_t cap = g_.capacity();
+  if (cap <= label_.size()) return;
+  label_.resize(cap, kNil);
+  member_next_.resize(cap, kNil);
+  member_prev_.resize(cap, kNil);
+  visit_mark_.resize(cap, 0);
+  visit_side_.resize(cap, 0);
 }
 
 std::uint32_t DynamicConnectivity::alloc_component() {
@@ -68,14 +63,12 @@ void DynamicConnectivity::drop_size(std::uint32_t s) {
 }
 
 void DynamicConnectivity::insert_vertex(NodeId u) {
-  ONION_EXPECTS_MSG(u < label_.size() && label_[u] == kNil,
-                    "u=" << u << " capacity=" << label_.size());
+  ONION_EXPECTS_MSG(g_.alive(u) && !tracked(u), "u=" << u);
+  grow();
   const std::uint32_t c = alloc_component();
   comp_size_[c] = 1;
   comp_head_[c] = u;
   label_[u] = c;
-  degree_[u] = 0;
-  head_half_[u] = kNil;
   member_next_[u] = u;
   member_prev_[u] = u;
   ++num_vertices_;
@@ -84,14 +77,14 @@ void DynamicConnectivity::insert_vertex(NodeId u) {
 }
 
 void DynamicConnectivity::remove_vertex(NodeId u) {
-  ONION_EXPECTS(tracked(u));
-  ONION_EXPECTS_MSG(degree_[u] == 0,
-                    "u=" << u << " still has degree " << degree_[u]);
+  ONION_EXPECTS_MSG(tracked(u), "u=" << u);
   const std::uint32_t c = label_[u];
-  // Removing u's last edge already split it into a singleton (the u-side
-  // frontier of the replacement search cannot expand), so the component
-  // record is exactly {u}.
-  ONION_ENSURES(comp_size_[c] == 1 && comp_head_[c] == u);
+  // Removing u's last tracked edge already split it into a singleton
+  // (the u-side frontier of the replacement search cannot expand), so
+  // the component record must be exactly {u}.
+  ONION_EXPECTS_MSG(comp_size_[c] == 1,
+                    "u=" << u << " still shares a component of size "
+                         << comp_size_[c]);
   drop_size(1);
   free_component(c);
   label_[u] = kNil;
@@ -99,37 +92,15 @@ void DynamicConnectivity::remove_vertex(NodeId u) {
   --num_vertices_;
 }
 
-void DynamicConnectivity::link_edge(NodeId u, NodeId v) {
-  // Carve a twin pair out of the pool (h even, twin = h|1).
-  std::uint32_t h;
-  if (!free_pairs_.empty()) {
-    h = free_pairs_.back();
-    free_pairs_.pop_back();
-  } else {
-    h = static_cast<std::uint32_t>(half_to_.size());
-    half_to_.resize(h + 2);
-    half_next_.resize(h + 2);
-  }
-  half_to_[h] = v;
-  half_next_[h] = head_half_[u];
-  head_half_[u] = h;
-  half_to_[h + 1] = u;
-  half_next_[h + 1] = head_half_[v];
-  head_half_[v] = h + 1;
-  ++degree_[u];
-  ++degree_[v];
-  ++num_edges_;
-}
-
-void DynamicConnectivity::load(const Graph& g,
-                               const std::vector<std::uint32_t>& labels) {
-  const std::size_t cap = g.capacity();
+void DynamicConnectivity::load(const std::vector<std::uint32_t>& labels) {
+  const std::size_t cap = g_.capacity();
   ONION_EXPECTS_MSG(labels.size() == cap,
                     "labels=" << labels.size() << " capacity=" << cap);
-  reset(cap);
+  reset();
 
   // Components straight from the labels: each roster is its members in
-  // ascending id order.
+  // ascending id order. Each tracked edge is counted (and checked against
+  // the labelling) from its higher endpoint, once the lower one is in.
   for (NodeId u = 0; u < cap; ++u) {
     const std::uint32_t c = labels[u];
     if (c == kUntracked) continue;
@@ -152,6 +123,13 @@ void DynamicConnectivity::load(const Graph& g,
     }
     ++comp_size_[c];
     ++num_vertices_;
+    for (const NodeId v : g_.neighbors(u)) {
+      if (v > u || label_[v] == kNil) continue;
+      ONION_EXPECTS_MSG(label_[v] == c, "edge " << v << "-" << u
+                                                << " crosses components "
+                                                << label_[v] << " and " << c);
+      ++num_edges_;
+    }
   }
   for (std::uint32_t c = 0; c < comp_size_.size(); ++c) {
     ONION_EXPECTS_MSG(comp_size_[c] > 0, "component label " << c
@@ -159,25 +137,13 @@ void DynamicConnectivity::load(const Graph& g,
     add_size(comp_size_[c]);
   }
   components_ = comp_size_.size();
-
-  half_to_.reserve(2 * g.num_edges());
-  half_next_.reserve(2 * g.num_edges());
-  for (NodeId u = 0; u < cap; ++u) {
-    if (label_[u] == kNil) continue;
-    for (const NodeId v : g.neighbors(u)) {
-      if (v < u || label_[v] == kNil) continue;
-      ONION_EXPECTS_MSG(label_[u] == label_[v],
-                        "edge " << u << "-" << v << " crosses components "
-                                << label_[u] << " and " << label_[v]);
-      link_edge(u, v);
-    }
-  }
 }
 
 void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
                     "u=" << u << " v=" << v);
-  link_edge(u, v);
+  ONION_DEBUG_EXPECTS(g_.has_edge(u, v));
+  ++num_edges_;
 
   std::uint32_t big = label_[u];
   std::uint32_t small = label_[v];
@@ -209,27 +175,12 @@ void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ++merges_;
 }
 
-std::uint32_t DynamicConnectivity::detach_half(NodeId u, NodeId v) {
-  std::uint32_t prev = kNil;
-  for (std::uint32_t h = head_half_[u]; h != kNil;
-       prev = h, h = half_next_[h]) {
-    if (half_to_[h] != v) continue;
-    if (prev == kNil)
-      head_half_[u] = half_next_[h];
-    else
-      half_next_[prev] = half_next_[h];
-    return h;
-  }
-  ONION_ENSURES_MSG(false, "edge " << u << "-" << v << " not present");
-  return kNil;  // unreachable
-}
-
 bool DynamicConnectivity::expand(std::vector<NodeId>& queue,
                                  std::size_t& head, std::uint8_t side) {
   const NodeId x = queue[head++];
   ++search_steps_;
-  for (std::uint32_t h = head_half_[x]; h != kNil; h = half_next_[h]) {
-    const NodeId w = half_to_[h];
+  for (const NodeId w : g_.neighbors(x)) {
+    if (!tracked(w)) continue;  // no path through untracked slots (Sybils)
     if (visit_mark_[w] == epoch_) {
       if (visit_side_[w] != side) return true;  // frontiers met
       continue;
@@ -281,14 +232,11 @@ void DynamicConnectivity::split_component(const std::vector<NodeId>& members,
 }
 
 void DynamicConnectivity::remove_edge(NodeId u, NodeId v) {
-  ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v,
-                    "u=" << u << " v=" << v);
-  const std::uint32_t hu = detach_half(u, v);
-  const std::uint32_t hv = detach_half(v, u);
-  ONION_ENSURES((hu ^ 1u) == hv);
-  free_pairs_.push_back(hu & ~1u);
-  --degree_[u];
-  --degree_[v];
+  ONION_EXPECTS_MSG(tracked(u) && tracked(v) && u != v &&
+                        label_[u] == label_[v] && !g_.has_edge(u, v),
+                    "u=" << u << " v=" << v
+                         << ": both must be tracked, in one component, "
+                            "and the edge already gone from the graph");
   --num_edges_;
 
   // Replacement-path search: alternate one-vertex BFS expansions from

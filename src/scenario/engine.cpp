@@ -178,11 +178,7 @@ void CampaignEngine::do_leave() {
   const NodeId victim = tracker_.honest_at(rng_.uniform(honest_count));
   ++counters_.leaves;
   emit(TraceEventKind::Leave, victim);
-  if (spec_.churn.heal_on_leave) {
-    ddsr_.remove_node(victim);
-  } else {
-    ddsr_.remove_node_no_repair(victim);
-  }
+  remove_bot(victim, spec_.churn.heal_on_leave);
 }
 
 void CampaignEngine::do_session_leave(NodeId bot) {
@@ -192,7 +188,11 @@ void CampaignEngine::do_session_leave(NodeId bot) {
   if (tracker_.honest_alive() <= 1) return;
   ++counters_.leaves;
   emit(TraceEventKind::Leave, bot);
-  if (spec_.churn.heal_on_leave) {
+  remove_bot(bot, spec_.churn.heal_on_leave);
+}
+
+void CampaignEngine::remove_bot(NodeId bot, bool heal) {
+  if (heal) {
     ddsr_.remove_node(bot);
   } else {
     ddsr_.remove_node_no_repair(bot);
@@ -228,11 +228,7 @@ void CampaignEngine::do_takedown(std::size_t phase_index) {
   if (phase_index >= wave_base_)
     ++wave_takedowns_[phase_index - wave_base_];
   emit(TraceEventKind::Takedown, victim);
-  if (phases_[phase_index].heal) {
-    ddsr_.remove_node(victim);
-  } else {
-    ddsr_.remove_node_no_repair(victim);
-  }
+  remove_bot(victim, phases_[phase_index].heal);
 }
 
 namespace {

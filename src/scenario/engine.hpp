@@ -99,6 +99,8 @@ class CampaignEngine {
   void do_leave();
   void do_session_leave(NodeId bot);
   void do_takedown(std::size_t phase_index);
+  /// Deletes a bot through DDSR, with clique repair iff `heal`.
+  void remove_bot(NodeId bot, bool heal);
   NodeId pick_victim(std::size_t phase_index,
                      const std::vector<NodeId>& honest);
   /// Recomputes an adaptive phase's score table from the live graph.

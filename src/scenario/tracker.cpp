@@ -56,7 +56,7 @@ MetricsSnapshot sweep_structural(const core::OverlayNetwork& net,
 }
 
 StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
-    : net_(net), graph_(net.graph_mut()) {
+    : net_(net), graph_(net.graph_mut()), dc_(graph_) {
   graph_.set_observer(this);  // throws if another observer is attached
   base_epoch_ = graph_.mutation_epoch();
 
@@ -65,7 +65,7 @@ StructuralTracker::StructuralTracker(core::OverlayNetwork& net)
   // honest bitmap from one more. Honest alive slots are exactly the
   // labelled ones.
   const std::vector<std::uint32_t> labels = net_.honest_component_labels();
-  dc_.load(graph_, labels);
+  dc_.load(labels);
   honest_edges_ = dc_.num_edges();
   const std::size_t cap = graph_.capacity();
   std::vector<std::uint8_t> honest(cap, 0);
@@ -108,7 +108,6 @@ void StructuralTracker::shift_histogram(std::size_t from, std::size_t to) {
 
 void StructuralTracker::on_node_added(NodeId u) {
   ++events_seen_;
-  dc_.ensure_capacity(graph_.capacity());
   honest_set_.ensure_size(graph_.capacity());
   if (net_.honest(u)) {
     ++honest_alive_;
@@ -172,7 +171,7 @@ void StructuralTracker::on_edge_removed(NodeId u, NodeId v) {
   if (hu && hv) {
     --honest_edges_;
     // The replacement-path search settles the split (or proves there is
-    // none) right now — no dirty flag, no deferred rebuild.
+    // none) right now, over the graph that has just dropped the edge.
     dc_.remove_edge(u, v);
   }
 }

@@ -7,15 +7,15 @@
 // used to pay per snapshot.
 //
 // Components and the largest component live in a fully-dynamic
-// connectivity structure (graph::DynamicConnectivity): insertions merge
-// by weighted relabeling, deletions run a bidirectional replacement-path
-// search. There is no dirty flag and no deletion-window rebuild cliff —
-// takedown-heavy campaigns (the paper's Section V resilience sweeps) pay
-// per-event costs proportional to actual structural change, not to
-// graph size. tests/tracker_test.cpp proves byte-equality with the
-// from-scratch sweep across randomized join/leave/takedown/SOAP
+// connectivity structure (graph::DynamicConnectivity) that searches the
+// overlay graph itself: insertions merge by weighted relabeling,
+// deletions run a bidirectional replacement-path search over the honest
+// neighbours. Takedown-heavy campaigns (the paper's Section V resilience
+// sweeps) pay per-event costs proportional to actual structural change,
+// not to graph size. tests/tracker_test.cpp proves byte-equality with
+// the from-scratch sweep across randomized join/leave/takedown/SOAP
 // interleavings; bench/micro_snapshot.cpp measures the deletion-window
-// gap versus both the sweep and the retired union-find rebuild.
+// gap versus the sweep.
 //
 // The tracker also keeps an order-statistics bitmap over honest alive
 // slots, so the engine can draw a uniform honest victim in O(log n)
@@ -70,7 +70,7 @@ class StructuralTracker final : public graph::MutationObserver {
   /// Writes the structural fields into `s`: byte-identical to
   /// sweep_structural() on the same state. Always O(1) plus the
   /// histogram copy — deletions were already folded in when they
-  /// happened, so there is no rebuild path.
+  /// happened.
   void fill(MetricsSnapshot& s, bool with_histogram);
 
   /// --- honest-population order statistics ----------------------------
@@ -83,10 +83,6 @@ class StructuralTracker final : public graph::MutationObserver {
   }
 
   /// --- introspection (tests and benches) -----------------------------
-  /// Full component rebuilds paid so far. Always 0 since the tracker
-  /// went fully dynamic; kept so benches and scale tests can assert the
-  /// deletion-window cliff stays dead.
-  std::uint64_t rebuilds() const { return rebuilds_; }
   /// The underlying connectivity structure (search-step counters etc.).
   const graph::DynamicConnectivity& connectivity() const { return dc_; }
 
@@ -109,7 +105,6 @@ class StructuralTracker final : public graph::MutationObserver {
   graph::DynamicConnectivity dc_;
   // Honest alive slots as a rank/select bitmap (engine victim draws).
   OrderStatSet honest_set_;
-  std::uint64_t rebuilds_ = 0;
 
   // Every mutation since attach must have been observed: fill() asserts
   // graph_.mutation_epoch() == base_epoch_ + events_seen_.

@@ -1,10 +1,14 @@
 // DynamicConnectivity tests: exact component tracking under arbitrary
-// add/delete interleavings. Unit cases pin the replacement-search edge
-// cases (bridges, cycles, two-clique necks, vertex retirement order);
-// the adversarial suite drives the worst case for replacement-edge
-// search (cutting a long path bridge by bridge); the property sweep
-// differential-tests 12 seeds of randomized operations against a
-// from-scratch union-find reference.
+// add/delete interleavings. The structure searches the graph it views,
+// so every case applies each mutation to a Graph first and reports it
+// second (the Mirror helper), exactly as a MutationObserver would. Unit
+// cases pin the replacement-search edge cases (bridges, cycles, two-
+// clique necks, vertex retirement order, paths through untracked
+// slots) and the reporting contract; the adversarial suite drives the
+// worst case for replacement-edge search (cutting a long path bridge by
+// bridge); the property sweep differential-tests 12 seeds of randomized
+// operations, with untracked slots carrying graph edges, against a
+// from-scratch union-find reference over the tracked-tracked edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +23,36 @@
 namespace onion::graph {
 namespace {
 
-/// From-scratch reference: components / largest / per-size counts of the
-/// current edge multiset, via union-find over the tracked vertices.
+/// A graph and the structure viewing it. Each operation is applied to
+/// the graph, then reported to the structure.
+struct Mirror {
+  Graph g;
+  DynamicConnectivity dc{g};
+
+  explicit Mirror(std::size_t n) : g(n) {}
+  Mirror(const Mirror&) = delete;
+  Mirror& operator=(const Mirror&) = delete;
+
+  void add_edge(NodeId u, NodeId v) {
+    const bool added = g.add_edge(u, v);
+    ASSERT_TRUE(added) << u << "-" << v;
+    dc.insert_edge(u, v);
+  }
+  void remove_edge(NodeId u, NodeId v) {
+    const bool removed = g.remove_edge(u, v);
+    ASSERT_TRUE(removed) << u << "-" << v;
+    dc.remove_edge(u, v);
+  }
+  /// Retires a vertex whose tracked edges were already removed; the
+  /// graph drops any untracked edges it still has.
+  void remove_vertex(NodeId u) {
+    g.remove_node(u);
+    dc.remove_vertex(u);
+  }
+};
+
+/// From-scratch reference: components and largest component of the
+/// tracked vertices under the tracked-tracked edges, via union-find.
 struct Reference {
   std::uint64_t components = 0;
   std::uint64_t largest = 0;
@@ -46,7 +78,8 @@ Reference reference_of(const std::vector<NodeId>& vertices,
 // ====================================================================
 
 TEST(DynConn, SingletonLifecycle) {
-  DynamicConnectivity dc(4);
+  Mirror m(4);
+  DynamicConnectivity& dc = m.dc;
   EXPECT_EQ(dc.components(), 0u);
   EXPECT_EQ(dc.largest_component(), 0u);
   dc.insert_vertex(2);
@@ -54,37 +87,39 @@ TEST(DynConn, SingletonLifecycle) {
   EXPECT_FALSE(dc.tracked(0));
   EXPECT_EQ(dc.components(), 1u);
   EXPECT_EQ(dc.largest_component(), 1u);
-  dc.remove_vertex(2);
+  m.remove_vertex(2);
   EXPECT_FALSE(dc.tracked(2));
   EXPECT_EQ(dc.components(), 0u);
   EXPECT_EQ(dc.largest_component(), 0u);
 }
 
 TEST(DynConn, BridgeDeletionSplits) {
-  DynamicConnectivity dc(2);
+  Mirror m(2);
+  DynamicConnectivity& dc = m.dc;
   dc.insert_vertex(0);
   dc.insert_vertex(1);
-  dc.insert_edge(0, 1);
+  m.add_edge(0, 1);
   EXPECT_EQ(dc.components(), 1u);
   EXPECT_TRUE(dc.same_component(0, 1));
-  dc.remove_edge(0, 1);
+  m.remove_edge(0, 1);
   EXPECT_EQ(dc.components(), 2u);
   EXPECT_FALSE(dc.same_component(0, 1));
   EXPECT_EQ(dc.splits(), 1u);
 }
 
 TEST(DynConn, CycleEdgeDeletionDoesNotSplit) {
-  DynamicConnectivity dc(3);
+  Mirror m(3);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 3; ++u) dc.insert_vertex(u);
-  dc.insert_edge(0, 1);
-  dc.insert_edge(1, 2);
-  dc.insert_edge(2, 0);
+  m.add_edge(0, 1);
+  m.add_edge(1, 2);
+  m.add_edge(2, 0);
   EXPECT_EQ(dc.components(), 1u);
-  dc.remove_edge(0, 1);  // replacement path 0-2-1 exists
+  m.remove_edge(0, 1);  // replacement path 0-2-1 exists
   EXPECT_EQ(dc.components(), 1u);
   EXPECT_TRUE(dc.same_component(0, 1));
   EXPECT_EQ(dc.splits(), 0u);
-  dc.remove_edge(2, 0);  // now 0 is cut off
+  m.remove_edge(2, 0);  // now 0 is cut off
   EXPECT_EQ(dc.components(), 2u);
   EXPECT_EQ(dc.component_size(1), 2u);
   EXPECT_EQ(dc.component_size(0), 1u);
@@ -93,19 +128,20 @@ TEST(DynConn, CycleEdgeDeletionDoesNotSplit) {
 TEST(DynConn, TwoCliquesJoinedByNeck) {
   // Two 4-cliques joined by one edge: cutting intra-clique edges never
   // splits; cutting the neck splits into 4+4.
-  DynamicConnectivity dc(8);
+  Mirror m(8);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 8; ++u) dc.insert_vertex(u);
   for (NodeId a = 0; a < 4; ++a)
     for (NodeId b = a + 1; b < 4; ++b) {
-      dc.insert_edge(a, b);
-      dc.insert_edge(a + 4, b + 4);
+      m.add_edge(a, b);
+      m.add_edge(a + 4, b + 4);
     }
-  dc.insert_edge(3, 4);
+  m.add_edge(3, 4);
   EXPECT_EQ(dc.components(), 1u);
   EXPECT_EQ(dc.largest_component(), 8u);
-  dc.remove_edge(0, 1);  // clique-internal: still connected
+  m.remove_edge(0, 1);  // clique-internal: still connected
   EXPECT_EQ(dc.components(), 1u);
-  dc.remove_edge(3, 4);  // the neck
+  m.remove_edge(3, 4);  // the neck
   EXPECT_EQ(dc.components(), 2u);
   EXPECT_EQ(dc.largest_component(), 4u);
   EXPECT_FALSE(dc.same_component(0, 7));
@@ -116,46 +152,127 @@ TEST(DynConn, TwoCliquesJoinedByNeck) {
 TEST(DynConn, VertexRemovalAfterEdgeDetachment) {
   // The tracker removes a dying bot's edges one at a time, then the
   // vertex — mirroring Graph::remove_node's observer decomposition.
-  DynamicConnectivity dc(4);
+  Mirror m(4);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 4; ++u) dc.insert_vertex(u);
-  dc.insert_edge(0, 1);
-  dc.insert_edge(0, 2);
-  dc.insert_edge(0, 3);
-  dc.insert_edge(1, 2);
+  m.add_edge(0, 1);
+  m.add_edge(0, 2);
+  m.add_edge(0, 3);
+  m.add_edge(1, 2);
   EXPECT_EQ(dc.components(), 1u);
-  dc.remove_edge(0, 1);
-  dc.remove_edge(0, 2);
-  dc.remove_edge(0, 3);  // 3 loses its only path to {1,2}
-  EXPECT_EQ(dc.degree(0), 0u);
+  m.remove_edge(0, 1);
+  m.remove_edge(0, 2);
+  m.remove_edge(0, 3);  // 3 loses its only path to {1,2}
+  EXPECT_EQ(dc.component_size(0), 1u);
   EXPECT_EQ(dc.components(), 3u);  // {0} {3} {1,2}
-  dc.remove_vertex(0);
+  m.remove_vertex(0);
   EXPECT_EQ(dc.components(), 2u);
   EXPECT_EQ(dc.largest_component(), 2u);
   EXPECT_EQ(dc.num_vertices(), 3u);
 }
 
-TEST(DynConn, RemovingNonIsolatedVertexIsRejected) {
-  DynamicConnectivity dc(2);
+TEST(DynConn, PathThroughUntrackedSlotIsNotAReplacement) {
+  // a-b is tracked; a-S-b runs through the untracked slot S (a Sybil).
+  // The graph keeps a and b connected, but the tracked subgraph does
+  // not, so removing a-b must split.
+  constexpr NodeId a = 0, b = 1, S = 2;
+  Mirror m(3);
+  DynamicConnectivity& dc = m.dc;
+  dc.insert_vertex(a);
+  dc.insert_vertex(b);
+  m.add_edge(a, b);
+  m.g.add_edge(a, S);  // untracked endpoint: never reported
+  m.g.add_edge(S, b);
+  m.remove_edge(a, b);
+  EXPECT_EQ(dc.components(), 2u);
+  EXPECT_FALSE(dc.same_component(a, b));
+  EXPECT_EQ(dc.splits(), 1u);
+  EXPECT_EQ(dc.num_edges(), 0u);
+}
+
+TEST(DynConn, SlotsAddedAfterConstructionAreSearchable) {
+  // Slot tables follow the graph's capacity: a vertex on a slot created
+  // after the structure was built is tracked, and an untracked slot
+  // beyond the last tracked one is skipped by the search.
+  Mirror m(2);
+  DynamicConnectivity& dc = m.dc;
   dc.insert_vertex(0);
   dc.insert_vertex(1);
-  dc.insert_edge(0, 1);
+  const NodeId late = m.g.add_node();
+  dc.insert_vertex(late);
+  m.add_edge(0, late);
+  m.add_edge(late, 1);
+  m.add_edge(0, 1);
+  const NodeId sybil = m.g.add_node();
+  m.g.add_edge(0, sybil);
+  m.g.add_edge(sybil, late);
+  m.remove_edge(0, 1);  // replacement path 0-late-1
+  EXPECT_EQ(dc.components(), 1u);
+  m.remove_edge(0, late);  // 0-sybil-late does not count
+  EXPECT_EQ(dc.components(), 2u);
+  EXPECT_EQ(dc.largest_component(), 2u);
+}
+
+TEST(DynConn, RemovingNonIsolatedVertexIsRejected) {
+  // 2 is an isolated bystander, so a size-1 component exists and only
+  // the singleton check itself can catch the bad call.
+  Mirror m(3);
+  DynamicConnectivity& dc = m.dc;
+  for (NodeId u = 0; u < 3; ++u) dc.insert_vertex(u);
+  m.add_edge(0, 1);
   EXPECT_THROW(dc.remove_vertex(0), ContractViolation);
+  // The graph dropping the node does not help while the edge removal
+  // was never reported: 0 still has a tracked neighbour.
+  m.g.remove_node(0);
+  EXPECT_THROW(dc.remove_vertex(0), ContractViolation);
+  EXPECT_TRUE(dc.tracked(0));
+  EXPECT_EQ(dc.components(), 2u);
+}
+
+TEST(DynConnContract, RemoveEdgeStillInGraphIsRejected) {
+  // The structure searches the graph, so it must hear about a removal
+  // only after the graph has applied it.
+  Mirror m(3);
+  DynamicConnectivity& dc = m.dc;
+  for (NodeId u = 0; u < 3; ++u) dc.insert_vertex(u);
+  m.add_edge(0, 1);
+  m.add_edge(1, 2);
+  m.add_edge(2, 0);
+  EXPECT_THROW(dc.remove_edge(0, 1), ContractViolation);
+  EXPECT_EQ(dc.num_edges(), 3u);
+}
+
+TEST(DynConnContract, RemoveEdgeAcrossComponentsIsRejected) {
+  // An edge between two components was never reported (or the report
+  // went to another structure).
+  Mirror m(2);
+  DynamicConnectivity& dc = m.dc;
+  dc.insert_vertex(0);
+  dc.insert_vertex(1);
+  EXPECT_THROW(dc.remove_edge(0, 1), ContractViolation);
+  EXPECT_EQ(dc.components(), 2u);
+  EXPECT_EQ(dc.num_edges(), 0u);  // rejected before any state changed
 }
 
 TEST(DynConn, ResetReusesStorageAndClearsState) {
-  DynamicConnectivity dc(8);
+  Mirror m(8);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 8; ++u) dc.insert_vertex(u);
-  for (NodeId u = 0; u + 1 < 8; ++u) dc.insert_edge(u, u + 1);
+  for (NodeId u = 0; u + 1 < 8; ++u) m.add_edge(u, u + 1);
   EXPECT_EQ(dc.components(), 1u);
-  dc.reset(8);
+  dc.reset();
   EXPECT_EQ(dc.components(), 0u);
   EXPECT_EQ(dc.num_vertices(), 0u);
   EXPECT_EQ(dc.num_edges(), 0u);
   EXPECT_FALSE(dc.tracked(0));
+  // The path stays in the graph; 0 and 2 are tracked without 1 between
+  // them, so only a new direct edge joins them.
   dc.insert_vertex(0);
-  dc.insert_vertex(1);
-  dc.insert_edge(0, 1);
+  dc.insert_vertex(2);
+  m.add_edge(0, 2);
   EXPECT_EQ(dc.largest_component(), 2u);
+  m.remove_edge(0, 2);  // 0-1-2 runs through the untracked 1
+  EXPECT_EQ(dc.components(), 2u);
 }
 
 // ====================================================================
@@ -168,12 +285,13 @@ TEST(DynConnAdversarial, PathCutBridgeByBridge) {
   // the single detached prefix vertex, so total work stays linear even
   // though every deletion is the search's worst case.
   constexpr NodeId kN = 400;
-  DynamicConnectivity dc(kN);
+  Mirror m(kN);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < kN; ++u) dc.insert_vertex(u);
-  for (NodeId u = 0; u + 1 < kN; ++u) dc.insert_edge(u, u + 1);
+  for (NodeId u = 0; u + 1 < kN; ++u) m.add_edge(u, u + 1);
   EXPECT_EQ(dc.components(), 1u);
   for (NodeId u = 0; u + 1 < kN; ++u) {
-    dc.remove_edge(u, u + 1);
+    m.remove_edge(u, u + 1);
     EXPECT_EQ(dc.components(), static_cast<std::uint64_t>(u) + 2);
     EXPECT_EQ(dc.largest_component(), static_cast<std::uint64_t>(kN) - u - 1);
   }
@@ -187,11 +305,12 @@ TEST(DynConnAdversarial, MiddleCutPaysOnlySmallerSide) {
   // Cutting a path exactly in half: the search must charge the smaller
   // side, so the cost is ~n/2 expansions, not ~n.
   constexpr NodeId kN = 256;
-  DynamicConnectivity dc(kN);
+  Mirror m(kN);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < kN; ++u) dc.insert_vertex(u);
-  for (NodeId u = 0; u + 1 < kN; ++u) dc.insert_edge(u, u + 1);
+  for (NodeId u = 0; u + 1 < kN; ++u) m.add_edge(u, u + 1);
   const std::uint64_t before = dc.search_steps();
-  dc.remove_edge(kN / 2 - 1, kN / 2);
+  m.remove_edge(kN / 2 - 1, kN / 2);
   EXPECT_EQ(dc.components(), 2u);
   EXPECT_EQ(dc.largest_component(), kN / 2);
   EXPECT_LE(dc.search_steps() - before, kN + 4);  // both frontiers ≈ n/2
@@ -201,14 +320,15 @@ TEST(DynConnAdversarial, StarCenterRetirement) {
   // A star is n-1 bridges sharing an endpoint; killing the center one
   // spoke at a time rains singletons.
   constexpr NodeId kN = 64;
-  DynamicConnectivity dc(kN);
+  Mirror m(kN);
+  DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < kN; ++u) dc.insert_vertex(u);
-  for (NodeId u = 1; u < kN; ++u) dc.insert_edge(0, u);
+  for (NodeId u = 1; u < kN; ++u) m.add_edge(0, u);
   EXPECT_EQ(dc.largest_component(), kN);
-  for (NodeId u = 1; u < kN; ++u) dc.remove_edge(0, u);
+  for (NodeId u = 1; u < kN; ++u) m.remove_edge(0, u);
   EXPECT_EQ(dc.components(), static_cast<std::uint64_t>(kN));
   EXPECT_EQ(dc.largest_component(), 1u);
-  dc.remove_vertex(0);
+  m.remove_vertex(0);
   EXPECT_EQ(dc.components(), static_cast<std::uint64_t>(kN) - 1);
 }
 
@@ -217,24 +337,33 @@ TEST(DynConnAdversarial, StarCenterRetirement) {
 // ====================================================================
 
 TEST(DynConnDifferential, MatchesUnionFindRebuildAcrossSeeds) {
+  // Tracked vertices come and go on fresh graph slots; untracked Sybil
+  // slots (some created after the structure) carry graph edges to
+  // Sybils and tracked vertices alike, which must never count as paths.
   constexpr std::size_t kCap = 96;
+  constexpr NodeId kFirstSybils = 4;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
-    DynamicConnectivity dc(kCap);
+    Mirror m(kFirstSybils);
+    DynamicConnectivity& dc = m.dc;
+    std::vector<NodeId> sybils;
+    for (NodeId s = 0; s < kFirstSybils; ++s) sybils.push_back(s);
     std::vector<NodeId> vertices;
-    std::vector<std::pair<NodeId, NodeId>> edges;
+    std::vector<std::pair<NodeId, NodeId>> edges;  // tracked-tracked
     const auto vertex_index = [&](NodeId u) {
       return std::find(vertices.begin(), vertices.end(), u) -
              vertices.begin();
     };
+    std::size_t sybil_edges_added = 0;
     for (int op = 0; op < 600; ++op) {
       const std::uint64_t kind = rng.uniform(100);
-      if (kind < 30 && vertices.size() < kCap) {  // insert vertex
-        NodeId u = 0;
-        while (dc.tracked(u)) ++u;
+      if (kind < 20 && vertices.size() < kCap) {  // insert vertex
+        const NodeId u = m.g.add_node();
         dc.insert_vertex(u);
         vertices.push_back(u);
-      } else if (kind < 70 && vertices.size() >= 2) {  // insert edge
+      } else if (kind < 25) {  // a new Sybil slot, never tracked
+        sybils.push_back(m.g.add_node());
+      } else if (kind < 55 && vertices.size() >= 2) {  // insert edge
         const NodeId u = vertices[rng.uniform(vertices.size())];
         const NodeId v = vertices[rng.uniform(vertices.size())];
         if (u == v) continue;
@@ -244,25 +373,35 @@ TEST(DynConnDifferential, MatchesUnionFindRebuildAcrossSeeds) {
                  edges.end();
         };
         if (present(u, v)) continue;
-        dc.insert_edge(u, v);
+        m.add_edge(u, v);
         edges.emplace_back(std::min(u, v), std::max(u, v));
-      } else if (kind < 90 && !edges.empty()) {  // remove edge
+      } else if (kind < 70) {  // toggle a Sybil edge, graph only
+        const NodeId s = sybils[rng.uniform(sybils.size())];
+        const NodeId w = vertices.empty() || rng.uniform(2) == 0
+                             ? sybils[rng.uniform(sybils.size())]
+                             : vertices[rng.uniform(vertices.size())];
+        if (s == w) continue;
+        if (m.g.add_edge(s, w))
+          ++sybil_edges_added;
+        else
+          m.g.remove_edge(s, w);
+      } else if (kind < 88 && !edges.empty()) {  // remove edge
         const std::size_t e = rng.uniform(edges.size());
-        dc.remove_edge(edges[e].first, edges[e].second);
+        m.remove_edge(edges[e].first, edges[e].second);
         edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
       } else if (!vertices.empty()) {  // retire a vertex (edges first)
         const NodeId u = vertices[rng.uniform(vertices.size())];
         for (std::size_t e = edges.size(); e-- > 0;) {
           if (edges[e].first != u && edges[e].second != u) continue;
-          dc.remove_edge(edges[e].first, edges[e].second);
+          m.remove_edge(edges[e].first, edges[e].second);
           edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(e));
         }
-        dc.remove_vertex(u);
+        m.remove_vertex(u);  // also drops its Sybil edges from the graph
         vertices.erase(vertices.begin() +
                        static_cast<std::ptrdiff_t>(vertex_index(u)));
       }
 
-      const Reference ref = reference_of(vertices, edges, kCap);
+      const Reference ref = reference_of(vertices, edges, m.g.capacity());
       ASSERT_EQ(dc.components(), ref.components)
           << "seed " << seed << " op " << op;
       ASSERT_EQ(dc.largest_component(), ref.largest)
@@ -270,6 +409,7 @@ TEST(DynConnDifferential, MatchesUnionFindRebuildAcrossSeeds) {
       ASSERT_EQ(dc.num_vertices(), vertices.size());
       ASSERT_EQ(dc.num_edges(), edges.size());
     }
+    EXPECT_GT(sybil_edges_added, 50u) << "seed " << seed;
   }
 }
 
@@ -277,7 +417,8 @@ TEST(DynConnDifferential, CountersAreDeterministic) {
   // Same operation sequence => identical merge/split/search counters —
   // the structure draws no randomness and iterates no unordered state.
   const auto run = [] {
-    DynamicConnectivity dc(32);
+    Mirror m(32);
+    DynamicConnectivity& dc = m.dc;
     Rng rng(99);
     for (NodeId u = 0; u < 32; ++u) dc.insert_vertex(u);
     std::vector<std::pair<NodeId, NodeId>> edges;
@@ -288,10 +429,10 @@ TEST(DynConnDifferential, CountersAreDeterministic) {
       const auto key = std::make_pair(std::min(u, v), std::max(u, v));
       const auto it = std::find(edges.begin(), edges.end(), key);
       if (it == edges.end()) {
-        dc.insert_edge(key.first, key.second);
+        m.add_edge(key.first, key.second);
         edges.push_back(key);
       } else {
-        dc.remove_edge(key.first, key.second);
+        m.remove_edge(key.first, key.second);
         edges.erase(it);
       }
     }

@@ -30,8 +30,9 @@ using scenario::trace_io::TraceReader;
 using scenario::trace_io::TraceWriter;
 using scenario::trace_io::TraceWriterConfig;
 
-/// High-water RSS of this process in KB (Linux ru_maxrss units).
-std::size_t peak_rss_kb() {
+/// High-water RSS of this process in KB (Linux ru_maxrss units). Only
+/// the Release-only 500k test calls this and half_million_spec().
+[[maybe_unused]] std::size_t peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::size_t>(usage.ru_maxrss);
@@ -58,7 +59,7 @@ ScenarioSpec ten_k_spec(std::uint64_t seed) {
 
 // The pinned 500k campaign (same spec as tests/scale_test.cpp's
 // half-million smoke and bench_report's campaign_500k).
-ScenarioSpec half_million_spec() {
+[[maybe_unused]] ScenarioSpec half_million_spec() {
   ScenarioSpec spec;
   spec.seed = 0x5ca1e;
   spec.initial_size = 500'000;

@@ -186,11 +186,6 @@ TEST(ScaleCampaign, FiftyThousandNodeDenseCadenceSmoke) {
     EXPECT_GE(s.largest_fraction, 0.99)
         << "surviving core fragmented at t=" << s.time;
 
-  // Fully-dynamic connectivity retired the rebuild path outright:
-  // deletion windows (~2500 deletions over 3600 seconds) fold into the
-  // same O(changes) fill as pure-growth windows.
-  EXPECT_EQ(engine.tracker().rebuilds(), 0u);
-
 #ifdef NDEBUG
   // Generous wall-clock budget (measured ~3s in Release). Sanitized
   // Debug builds slow the 50k campaign 20-50x on loaded runners, so
@@ -244,9 +239,6 @@ TEST(ScaleCampaign, HalfMillionNodeLeaveHeavyDenseCadenceSmoke) {
   EXPECT_GT(end.leaves, 2000u);
   EXPECT_GT(end.takedowns, 400u);
   EXPECT_GT(end.honest_alive, 490'000u);
-  // No snapshot ever paid a component rebuild: deletions are folded in
-  // by the fully-dynamic connectivity structure as their edges detach.
-  EXPECT_EQ(engine.tracker().rebuilds(), 0u);
   // Self-healing holds the surviving core together throughout.
   for (const MetricsSnapshot& s : sink.snapshots())
     EXPECT_GE(s.largest_fraction, 0.99)
