@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/codec.hpp"
+#include "core/messages.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/roc.hpp"
@@ -473,3 +474,144 @@ TEST(CodecArity, FixedSizesComeFromTheFieldLists) {
 
 }  // namespace
 }  // namespace onion::scenario
+
+// ====================================================================
+// Bot-layer layouts (paper §IV-D): every control- and command-plane
+// message through its public encoder
+// ====================================================================
+
+namespace onion::core {
+namespace {
+
+std::string sha(const Bytes& bytes) {
+  const crypto::Sha256Digest d = crypto::Sha256::hash(bytes);
+  return to_hex(BytesView(d.data(), d.size()));
+}
+
+tor::OnionAddress address(std::uint8_t salt) {
+  tor::OnionAddress::Identifier id;
+  for (std::size_t i = 0; i < id.size(); ++i)
+    id[i] = static_cast<std::uint8_t>(salt * 17 + i);
+  return tor::OnionAddress(id);
+}
+
+RentalToken full_token() {
+  RentalToken token;
+  token.renter_key = {0xc0ffee1234567ull, 65537, 2048};
+  token.expires_at = 10 * kHour + 5;
+  token.whitelist = {CommandType::Spam, CommandType::Compute,
+                     CommandType::Recon};
+  token.master_signature = 0x0badc0de5eedull;
+  return token;
+}
+
+Command full_command() {
+  Command cmd;
+  cmd.type = CommandType::Ddos;
+  cmd.argument = "victim.example:443";
+  cmd.issued_at = 3 * kHour + 17;
+  cmd.nonce = 0xfeedfacecafebeefull;
+  return cmd;
+}
+
+SignedCommand full_signed(bool with_token) {
+  SignedCommand sc;
+  sc.command = full_command();
+  sc.signature = 0x123456789abcdefull;
+  if (with_token) sc.token = full_token();
+  return sc;
+}
+
+/// A token's wire form on its own (body, then master signature).
+Bytes token_wire(const RentalToken& token) {
+  Writer w;
+  token.serialize(w);
+  return w.take();
+}
+
+TEST(CodecLayout, BotPeerRequest) {
+  EXPECT_EQ(sha(encode_peer_request({address(1), 7})),
+            "51c1932cfcbdf33a1c7dd450f4dba2d1c4b20a499d30528c663ad9045c43580a");
+}
+
+TEST(CodecLayout, BotPeerReplyWithNeighbors) {
+  EXPECT_EQ(sha(encode_peer_reply({true, 4, {address(2), address(3)}})),
+            "dfa9b55cdc8799fa3fb13f654b48d1d2103efaf604ea8425e76715021f627972");
+}
+
+TEST(CodecLayout, BotPeerReplyWithoutNeighbors) {
+  EXPECT_EQ(sha(encode_peer_reply({false, 9, {}})),
+            "ee50296116974e4bd9513b393a58e4edecc729a6b689594a8be24521246b12be");
+}
+
+TEST(CodecLayout, BotPeerDrop) {
+  EXPECT_EQ(sha(encode_peer_drop({address(4)})),
+            "cc0e90fe6c5760f579aff314db341774645edcdd94da70f1d8e97b130e067c0b");
+}
+
+TEST(CodecLayout, BotNoNShare) {
+  EXPECT_EQ(sha(encode_non_share(
+                {address(5), {address(6), address(7), address(8)}, 3})),
+            "33f5c48eae4703d2ccee39c0199050f2a064bcf7e22d4ecb9b8aacf060c44914");
+}
+
+TEST(CodecLayout, BotAddressChange) {
+  EXPECT_EQ(sha(encode_address_change({address(9), address(10)})),
+            "eacf9d309e7171316af5be8ba941e46e786aacf7af7bd1da2736c09ffa0c13cc");
+}
+
+TEST(CodecLayout, BotProbe) {
+  EXPECT_EQ(sha(encode_probe({0xdeadbeef01ull, 6})),
+            "17d606435e28e8ed4f46ff1e6998b78549c64d178a98066b96ad8ede23cd0492");
+}
+
+TEST(CodecLayout, BotPing) {
+  EXPECT_EQ(sha(encode_ping()),
+            "e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db");
+}
+
+TEST(CodecLayout, BotBroadcast) {
+  Bytes envelope(300);
+  for (std::size_t i = 0; i < envelope.size(); ++i)
+    envelope[i] = static_cast<std::uint8_t>(i * 7);
+  EXPECT_EQ(sha(encode_broadcast(envelope)),
+            "c153fc33d89fe585fd95809cb9f24384de392680f9baa278b9d23d7fbd0ca677");
+}
+
+TEST(CodecLayout, BotProbeChallenge) {
+  EXPECT_EQ(sha(encode_probe_challenge(to_bytes("challenge-envelope"))),
+            "079f99f422fde0d542c800f00b15f458dea8345741e822c146ced0094774652e");
+}
+
+TEST(CodecLayout, BotDirectCommand) {
+  EXPECT_EQ(sha(encode_direct_command(full_signed(false))),
+            "ea46dd30ae02e9cd0475f4ef2399f0c0299a5a40f85fe2cc9e81a704bae551b7");
+}
+
+TEST(CodecLayout, BotDirectCommandWithRentalToken) {
+  EXPECT_EQ(sha(encode_direct_command(full_signed(true))),
+            "a4bf0e367a65aa6db4e9399feb37b30d7af212f8a03d0e1c0fd1d60580024cbd");
+}
+
+TEST(CodecLayout, BotCommand) {
+  EXPECT_EQ(sha(full_command().serialize()),
+            "29c2e3dd2b189c512e062e681445a0562948b4586e37a584cf4c95c6e6c490e7");
+}
+
+TEST(CodecLayout, BotSignedCommand) {
+  EXPECT_EQ(sha(full_signed(true).serialize()),
+            "b2c3b4310378d04fc7ca09b399fb85d60c2e8579adca7f7f43fd9ef4b104a4e9");
+}
+
+TEST(CodecLayout, BotRentalToken) {
+  EXPECT_EQ(sha(token_wire(full_token())),
+            "6a11fcfeb20f24542d4437dd8826157d66fcaaac353d61f5d87c633d7d0c77fb");
+}
+
+TEST(CodecLayout, BotRentalTokenSignedBody) {
+  EXPECT_EQ(sha(full_token().signed_body()),
+            "679c449aa17bed6fb224faea6fe1c56deefe5d0b34debdc50a524aeb526964a1");
+}
+
+}  // namespace
+}  // namespace onion::core
