@@ -15,22 +15,34 @@
 //
 // encode(), decode() and encoded_size() below are the only walkers of
 // those lists, so writer and reader cannot disagree on order or
-// encoding. The encodings (all over the common/bytes conventions):
+// encoding. Integers, lengths and counts are big-endian; where a width
+// can vary it is a template argument (default 8 bytes), so the campaign
+// formats use words throughout and the bot protocol (core/messages.hpp)
+// its narrow widths. The encodings:
 //
-//   u64       big-endian 64-bit word (any unsigned integer)
-//   f64       double, bit-cast to a word
-//   str       length-prefixed string
-//   boolean   a word, 1 or 0 (any non-zero word decodes as true)
-//   enum_u64  an enum as a word; enum_u8 as one byte. Decoding rejects
-//             a value past the enumerator named in the field line
-//   u32s      count-prefixed big-endian 32-bit entries
-//   raw       a fixed-size byte array (a digest), no prefix
-//   nested    another fields() struct, inline
-//   list      count-prefixed words or inline fields() structs
-//   framed    count-prefixed fields() structs, each length-prefixed
-//   trailing  a list omitted entirely when empty. Only as the last field
-//             of a struct whose encoding is length-delimited: decoding
-//             reads it iff bytes remain
+//   u64, u16, u8  an integer of 8, 2 or 1 bytes (u64 takes any integer;
+//                 a signed one travels as two's complement)
+//   f64           double, bit-cast to a word
+//   str<k>        string or byte string after a k-byte length
+//   boolean<k>    k bytes, 1 or 0 (any non-zero value decodes as true)
+//   enum_u64      an enum as a word; enum_u8 as one byte. Decoding
+//                 rejects a value past the enumerator named in the field
+//                 line
+//   u32s          count-prefixed big-endian 32-bit entries
+//   enum_u8s<L,k> a k-byte count, then one-byte enumerators up to L
+//   raw           a fixed-size byte array (a digest), no prefix
+//   nested<k>     another fields() struct: inline (k = 0), or after a
+//                 k-byte length its decoding must consume exactly
+//   list<k>       a k-byte count, then words or inline fields() structs
+//   framed        count-prefixed fields() structs, each length-prefixed
+//   optional      a one-byte presence flag (non-zero: present), then
+//                 the fields() struct inline when present
+//   trailing      a list omitted entirely when empty. Only as the last
+//                 field of a struct whose encoding is length-delimited:
+//                 decoding reads it iff bytes remain
+//
+// Encoding a length or count that does not fit its width is a caller
+// bug (ONION_EXPECTS), never silently truncated.
 //
 // Decoding checks every read against the remaining bytes, and rejects a
 // count larger than the remaining bytes could hold before allocating for
@@ -52,6 +64,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/check.hpp"
 
 namespace onion::codec {
 
@@ -181,130 +194,106 @@ inline void check_count(std::uint64_t count, const ByteReader& r,
                     std::to_string(r.remaining()) + " bytes left");
 }
 
-/// Elements of list/trailing: unsigned integers travel as words, structs
-/// through their own fields().
-template <typename E>
-constexpr std::size_t element_min_size() {
-  if constexpr (std::is_integral_v<E>)
-    return 8;
+/// The low kWidth bytes of `v`, big-endian.
+template <std::size_t kWidth>
+void put_uint(Bytes& out, std::uint64_t v) {
+  static_assert(kWidth == 1 || kWidth == 2 || kWidth == 4 || kWidth == 8);
+  if constexpr (kWidth == 8)
+    put_u64(out, v);
   else
-    return min_size<E>();
+    for (std::size_t i = kWidth; i-- > 0;)
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
-template <typename E>
-std::size_t element_size(const E& e) {
-  if constexpr (std::is_integral_v<E>)
-    return 8;
-  else
-    return encoded_size(e);
+template <std::size_t kWidth>
+std::uint64_t get_uint(ByteReader& r) {
+  if constexpr (kWidth == 8) {
+    return r.u64();
+  } else {
+    std::uint64_t v = 0;
+    for (const std::uint8_t b : r.raw(kWidth)) v = v << 8 | b;
+    return v;
+  }
 }
-template <typename E>
-void put_element(Bytes& out, const E& e) {
-  if constexpr (std::is_integral_v<E>)
-    put_u64(out, e);
-  else
-    encode_into(out, e);
-}
-template <typename E>
-void get_element(ByteReader& r, E& e) {
-  if constexpr (std::is_integral_v<E>)
-    e = static_cast<E>(r.u64());
-  else
-    decode_into(r, e);
+
+/// A length or count prefix of kWidth bytes. Encoding a value that does
+/// not fit is a caller bug, not a wire defect.
+template <std::size_t kWidth>
+void put_count(Bytes& out, std::size_t n) {
+  if constexpr (kWidth < 8) ONION_EXPECTS(n >> (8 * kWidth) == 0);
+  put_uint<kWidth>(out, n);
 }
 
 template <typename T>
 using Value = std::remove_const_t<T>;
 
+/// The element type of container T, const when T is.
+template <typename T>
+using ElementOf =
+    std::remove_reference_t<decltype(*std::declval<T&>().begin())>;
+
 // --- the encodings: each holds the field's name and a reference to it --
 
-/// One 64-bit word: unsigned integers and bools as is (a bool decodes
-/// as word != 0), doubles bit-cast.
-template <typename T>
+/// An integer of kWidth bytes: unsigned and signed integers (as two's
+/// complement) and bools (decoding as value != 0); at width 8 doubles
+/// too, bit-cast.
+template <std::size_t kWidth, typename T>
 struct Word {
-  static constexpr std::size_t kMinSize = 8;
-  static constexpr bool kFixed = true;
-  const char* name;
-  T& value;
-  std::size_t size() const { return 8; }
-  void put(Bytes& out) const {
-    if constexpr (std::is_floating_point_v<Value<T>>)
-      put_f64(out, value);
-    else
-      put_u64(out, static_cast<std::uint64_t>(value));
-  }
-  void get(ByteReader& r) const {
-    if constexpr (std::is_floating_point_v<Value<T>>)
-      value = r.f64();
-    else
-      value = static_cast<Value<T>>(r.u64());
-  }
-};
-
-template <typename T>
-struct Str {
-  static constexpr std::size_t kMinSize = 8;
-  static constexpr bool kFixed = false;
-  const char* name;
-  T& value;
-  std::size_t size() const { return 8 + value.size(); }
-  void put(Bytes& out) const { put_string(out, value); }
-  void get(ByteReader& r) const { value = r.str(); }
-};
-
-template <std::size_t kWidth, auto kLast, typename T>
-struct Enum {
-  static_assert(std::is_same_v<Value<T>, decltype(kLast)>);
-  static_assert(kWidth == 1 || kWidth == 8);
   static constexpr std::size_t kMinSize = kWidth;
   static constexpr bool kFixed = true;
   const char* name;
   T& value;
   std::size_t size() const { return kWidth; }
   void put(Bytes& out) const {
-    if constexpr (kWidth == 1)
-      out.push_back(static_cast<std::uint8_t>(value));
+    if constexpr (std::is_floating_point_v<Value<T>>)
+      put_f64(out, value);
     else
-      put_u64(out, static_cast<std::uint64_t>(value));
+      put_uint<kWidth>(out, static_cast<std::uint64_t>(value));
   }
   void get(ByteReader& r) const {
-    const std::uint64_t v = kWidth == 1 ? r.raw(1)[0] : r.u64();
+    if constexpr (std::is_floating_point_v<Value<T>>)
+      value = r.f64();
+    else
+      value = static_cast<Value<T>>(get_uint<kWidth>(r));
+  }
+};
+
+/// A string or byte string after a kLength-byte length.
+template <std::size_t kLength, typename T>
+struct Str {
+  static constexpr std::size_t kMinSize = kLength;
+  static constexpr bool kFixed = false;
+  const char* name;
+  T& value;
+  std::size_t size() const { return kLength + value.size(); }
+  void put(Bytes& out) const {
+    put_count<kLength>(out, value.size());
+    out.insert(out.end(), value.begin(), value.end());
+  }
+  void get(ByteReader& r) const {
+    const BytesView b = r.raw(static_cast<std::size_t>(get_uint<kLength>(r)));
+    value.assign(b.begin(), b.end());
+  }
+};
+
+template <std::size_t kWidth, auto kLast, typename T>
+struct Enum {
+  static_assert(std::is_same_v<Value<T>, decltype(kLast)>);
+  static constexpr std::size_t kMinSize = kWidth;
+  static constexpr bool kFixed = true;
+  const char* name;
+  T& value;
+  std::size_t size() const { return kWidth; }
+  void put(Bytes& out) const {
+    put_uint<kWidth>(out, static_cast<std::uint64_t>(value));
+  }
+  void get(ByteReader& r) const {
+    const std::uint64_t v = get_uint<kWidth>(r);
     if (v > static_cast<std::uint64_t>(kLast))
       throw WireError("unknown enumerator value " + std::to_string(v) +
                       " (the last is " +
                       std::to_string(static_cast<std::uint64_t>(kLast)) +
                       ")");
     value = static_cast<Value<T>>(v);
-  }
-};
-
-template <typename T>
-struct U32s {
-  static constexpr std::size_t kMinSize = 8;
-  static constexpr bool kFixed = false;
-  const char* name;
-  T& value;
-  std::size_t size() const { return 8 + 4 * value.size(); }
-  void put(Bytes& out) const {
-    put_u64(out, value.size());
-    for (const std::uint32_t v : value) {
-      out.push_back(static_cast<std::uint8_t>(v >> 24));
-      out.push_back(static_cast<std::uint8_t>(v >> 16));
-      out.push_back(static_cast<std::uint8_t>(v >> 8));
-      out.push_back(static_cast<std::uint8_t>(v));
-    }
-  }
-  void get(ByteReader& r) const {
-    const std::uint64_t count = r.u64();
-    check_count(count, r, 4);
-    value.clear();
-    value.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const BytesView b = r.raw(4);
-      value.push_back(static_cast<std::uint32_t>(b[0]) << 24 |
-                      static_cast<std::uint32_t>(b[1]) << 16 |
-                      static_cast<std::uint32_t>(b[2]) << 8 |
-                      static_cast<std::uint32_t>(b[3]));
-    }
   }
 };
 
@@ -324,78 +313,71 @@ struct Raw {
   }
 };
 
-template <typename T>
+/// Another fields() struct: inline, or (kLength > 0) after a
+/// kLength-byte length that its decoding must consume exactly.
+template <std::size_t kLength, typename T>
 struct Nested {
-  static constexpr std::size_t kMinSize = min_size<Value<T>>();
+  static constexpr std::size_t kMinSize = kLength + min_size<Value<T>>();
   static constexpr bool kFixed = Layout<Value<T>, IsFixed>::value;
   const char* name;
   T& value;
-  std::size_t size() const { return encoded_size(value); }
-  void put(Bytes& out) const { encode_into(out, value); }
-  void get(ByteReader& r) const { decode_into(r, value); }
-};
-
-template <typename T>
-struct List {
-  using E = typename Value<T>::value_type;
-  static_assert(element_min_size<E>() > 0);
-  static constexpr std::size_t kMinSize = 8;
-  static constexpr bool kFixed = false;
-  const char* name;
-  T& value;
-  std::size_t size() const {
-    std::size_t n = 8;
-    for (const E& e : value) n += element_size(e);
-    return n;
-  }
+  std::size_t size() const { return kLength + encoded_size(value); }
   void put(Bytes& out) const {
-    put_u64(out, value.size());
-    for (const E& e : value) put_element(out, e);
+    if constexpr (kLength > 0) put_count<kLength>(out, encoded_size(value));
+    encode_into(out, value);
   }
   void get(ByteReader& r) const {
-    const std::uint64_t count = r.u64();
-    check_count(count, r, element_min_size<E>());
-    value.clear();
-    value.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i)
-      get_element(r, value.emplace_back());
-  }
-};
-
-template <typename T>
-struct Framed {
-  using E = typename Value<T>::value_type;
-  static constexpr std::size_t kMinSize = 8;
-  static constexpr bool kFixed = false;
-  const char* name;
-  T& value;
-  std::size_t size() const {
-    std::size_t n = 8;
-    for (const E& e : value) n += 8 + encoded_size(e);
-    return n;
-  }
-  void put(Bytes& out) const {
-    put_u64(out, value.size());
-    for (const E& e : value) {
-      put_u64(out, encoded_size(e));
-      encode_into(out, e);
-    }
-  }
-  void get(ByteReader& r) const {
-    const std::uint64_t count = r.u64();
-    check_count(count, r, 8 + min_size<E>());
-    value.clear();
-    value.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ByteReader element(r.raw(static_cast<std::size_t>(r.u64())));
-      decode_into(element, value.emplace_back());
-      if (!element.done())
-        throw WireError("element " + std::to_string(i) + " has " +
-                        std::to_string(element.remaining()) +
+    if constexpr (kLength == 0) {
+      decode_into(r, value);
+    } else {
+      ByteReader inner(r.raw(static_cast<std::size_t>(get_uint<kLength>(r))));
+      decode_into(inner, value);
+      if (!inner.done())
+        throw WireError(std::to_string(inner.remaining()) +
                         " trailing bytes");
     }
   }
 };
+
+/// A list element with no encoding of its own: an integer travels as a
+/// word, a struct through its fields().
+template <typename E>
+using Element = std::conditional_t<std::is_integral_v<Value<E>>, Word<8, E>,
+                                   Nested<0, E>>;
+
+/// A kCount-byte count, then each element as the encoding F.
+template <std::size_t kCount, typename T, typename F>
+struct List {
+  static_assert(F::kMinSize > 0);
+  static constexpr std::size_t kMinSize = kCount;
+  static constexpr bool kFixed = false;
+  const char* name;
+  T& value;
+  std::size_t size() const {
+    if constexpr (F::kFixed) {
+      return kCount + F::kMinSize * value.size();
+    } else {
+      std::size_t n = kCount;
+      for (auto& e : value) n += F{name, e}.size();
+      return n;
+    }
+  }
+  void put(Bytes& out) const {
+    put_count<kCount>(out, value.size());
+    for (auto& e : value) F{name, e}.put(out);
+  }
+  void get(ByteReader& r) const {
+    const std::uint64_t count = get_uint<kCount>(r);
+    check_count(count, r, F::kMinSize);
+    value.clear();
+    value.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i)
+      F{name, value.emplace_back()}.get(r);
+  }
+};
+
+template <typename T>
+using WordList = List<8, T, Element<ElementOf<T>>>;
 
 template <typename T>
 struct Trailing {
@@ -405,13 +387,34 @@ struct Trailing {
   const char* name;
   T& value;
   std::size_t size() const {
-    return value.empty() ? 0 : List<T>{name, value}.size();
+    return value.empty() ? 0 : WordList<T>{name, value}.size();
   }
   void put(Bytes& out) const {
-    if (!value.empty()) List<T>{name, value}.put(out);
+    if (!value.empty()) WordList<T>{name, value}.put(out);
   }
   void get(ByteReader& r) const {
-    if (!r.done()) List<T>{name, value}.get(r);
+    if (!r.done()) WordList<T>{name, value}.get(r);
+  }
+};
+
+/// A one-byte presence flag (any non-zero byte means present), then the
+/// fields() struct inline when present.
+template <typename T>
+struct Optional {
+  static constexpr std::size_t kMinSize = 1;
+  static constexpr bool kFixed = false;
+  const char* name;
+  T& value;
+  std::size_t size() const { return 1 + (value ? encoded_size(*value) : 0); }
+  void put(Bytes& out) const {
+    out.push_back(value ? 1 : 0);
+    if (value) encode_into(out, *value);
+  }
+  void get(ByteReader& r) const {
+    if (get_uint<1>(r) != 0)
+      decode_into(r, value.emplace());
+    else
+      value.reset();
   }
 };
 
@@ -420,23 +423,33 @@ struct Trailing {
 // --- field-line factories ----------------------------------------------
 
 template <typename T>
-detail::Word<T> u64(const char* name, T& value) {
-  static_assert(std::is_unsigned_v<std::remove_const_t<T>> &&
+detail::Word<8, T> u64(const char* name, T& value) {
+  static_assert(std::is_integral_v<std::remove_const_t<T>> &&
                 !std::is_same_v<std::remove_const_t<T>, bool>);
   return {name, value};
 }
 template <typename T>
-detail::Word<T> boolean(const char* name, T& value) {
+detail::Word<2, T> u16(const char* name, T& value) {
+  static_assert(std::is_same_v<std::remove_const_t<T>, std::uint16_t>);
+  return {name, value};
+}
+template <typename T>
+detail::Word<1, T> u8(const char* name, T& value) {
+  static_assert(std::is_same_v<std::remove_const_t<T>, std::uint8_t>);
+  return {name, value};
+}
+template <std::size_t kWidth = 8, typename T>
+detail::Word<kWidth, T> boolean(const char* name, T& value) {
   static_assert(std::is_same_v<std::remove_const_t<T>, bool>);
   return {name, value};
 }
 template <typename T>
-detail::Word<T> f64(const char* name, T& value) {
+detail::Word<8, T> f64(const char* name, T& value) {
   static_assert(std::is_same_v<std::remove_const_t<T>, double>);
   return {name, value};
 }
-template <typename T>
-detail::Str<T> str(const char* name, T& value) {
+template <std::size_t kLength = 8, typename T>
+detail::Str<kLength, T> str(const char* name, T& value) {
   return {name, value};
 }
 template <auto kLast, typename T>
@@ -448,27 +461,39 @@ detail::Enum<1, kLast, T> enum_u8(const char* name, T& value) {
   return {name, value};
 }
 template <typename T>
-detail::U32s<T> u32s(const char* name, T& value) {
+detail::List<8, T, detail::Word<4, detail::ElementOf<T>>> u32s(
+    const char* name, T& value) {
+  return {name, value};
+}
+template <auto kLast, std::size_t kCount = 8, typename T>
+detail::List<kCount, T, detail::Enum<1, kLast, detail::ElementOf<T>>>
+enum_u8s(const char* name, T& value) {
   return {name, value};
 }
 template <typename T>
 detail::Raw<T> raw(const char* name, T& value) {
   return {name, value};
 }
-template <typename T>
-detail::Nested<T> nested(const char* name, T& value) {
+template <std::size_t kLength = 0, typename T>
+detail::Nested<kLength, T> nested(const char* name, T& value) {
+  return {name, value};
+}
+template <std::size_t kCount = 8, typename T>
+detail::List<kCount, T, detail::Element<detail::ElementOf<T>>> list(
+    const char* name, T& value) {
   return {name, value};
 }
 template <typename T>
-detail::List<T> list(const char* name, T& value) {
-  return {name, value};
-}
-template <typename T>
-detail::Framed<T> framed(const char* name, T& value) {
+detail::List<8, T, detail::Nested<8, detail::ElementOf<T>>> framed(
+    const char* name, T& value) {
   return {name, value};
 }
 template <typename T>
 detail::Trailing<T> trailing(const char* name, T& value) {
+  return {name, value};
+}
+template <typename T>
+detail::Optional<T> optional(const char* name, T& value) {
   return {name, value};
 }
 

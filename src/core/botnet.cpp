@@ -185,20 +185,18 @@ Bytes Bot::on_broadcast(BytesView message) {
 }
 
 Bytes Bot::on_direct_command(BytesView message) {
-  Writer ack;
+  // The one-byte acknowledgement: 1 executed, 0 refused.
   try {
     const SignedCommand cmd = parse_direct_command(message);
     if (cmd.verify(net_.master().public_key(), net_.simulator().now(),
                    config_.command_max_age) &&
         fresh_nonce(cmd.command.nonce)) {
       execute(cmd);
-      ack.u8(1);
-      return ack.take();
+      return Bytes{1};
     }
   } catch (const WireError&) {
   }
-  ack.u8(0);
-  return ack.take();
+  return Bytes{0};
 }
 
 Bytes Bot::on_probe_challenge(BytesView message) {

@@ -5,67 +5,46 @@
 namespace onion::core {
 
 namespace {
-void expect_kind(Reader& r, MessageKind kind) {
-  const std::uint8_t raw = r.u8();
-  if (raw != static_cast<std::uint8_t>(kind))
+
+/// The body of Ping: nothing past the kind byte.
+struct PingMsg {
+  static auto fields(auto&, auto&& v) { return v("PingMsg"); }
+};
+
+/// The body of Broadcast and ProbeChallenge: one uniform envelope.
+struct EnvelopeMsg {
+  Bytes envelope;
+  static auto fields(auto& s, auto&& v) {
+    return v("EnvelopeMsg", codec::str<2>("envelope", s.envelope));
+  }
+};
+
+struct DirectCommandMsg {
+  SignedCommand command;
+  static auto fields(auto& s, auto&& v) {
+    return v("DirectCommandMsg", codec::nested<2>("command", s.command));
+  }
+};
+
+/// The kind byte, then the body.
+template <typename M>
+Bytes encode_kind(MessageKind kind, const M& body) {
+  Bytes out;
+  out.reserve(1 + codec::encoded_size(body));
+  out.push_back(static_cast<std::uint8_t>(kind));
+  codec::encode_into(out, body);
+  return out;
+}
+
+/// Checks the kind byte, then decodes a body that must span the rest.
+template <typename M>
+M parse_kind(MessageKind kind, BytesView bytes) {
+  if (bytes.empty() || bytes[0] != static_cast<std::uint8_t>(kind))
     throw WireError("unexpected message kind");
+  return codec::decode<M>(bytes.subspan(1));
 }
 
-void write_address_list(Writer& w,
-                        const std::vector<tor::OnionAddress>& list) {
-  ONION_EXPECTS(list.size() < (1u << 16));
-  w.u16(static_cast<std::uint16_t>(list.size()));
-  for (const auto& a : list) w.address(a);
-}
-
-std::vector<tor::OnionAddress> read_address_list(Reader& r) {
-  const std::uint16_t count = r.u16();
-  std::vector<tor::OnionAddress> out;
-  out.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) out.push_back(r.address());
-  return out;
-}
 }  // namespace
-
-Bytes Command::serialize() const {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.str(argument);
-  w.u64(issued_at);
-  w.u64(nonce);
-  return w.take();
-}
-
-Command Command::parse(Reader& r) {
-  Command cmd;
-  const std::uint8_t raw = r.u8();
-  if (raw > kMaxCommandType) throw WireError("command: unknown type");
-  cmd.type = static_cast<CommandType>(raw);
-  cmd.argument = r.str();
-  cmd.issued_at = r.u64();
-  cmd.nonce = r.u64();
-  return cmd;
-}
-
-Bytes SignedCommand::serialize() const {
-  Writer w;
-  w.var_bytes(command.serialize());
-  w.u64(signature);
-  w.u8(token.has_value() ? 1 : 0);
-  if (token) token->serialize(w);
-  return w.take();
-}
-
-SignedCommand SignedCommand::parse(BytesView bytes) {
-  Reader r(bytes);
-  SignedCommand out;
-  const Bytes cmd_bytes = r.var_bytes();
-  Reader cmd_reader(cmd_bytes);
-  out.command = Command::parse(cmd_reader);
-  out.signature = r.u64();
-  if (r.u8() != 0) out.token = RentalToken::parse(r);
-  return out;
-}
 
 bool SignedCommand::verify(const crypto::RsaPublicKey& master, SimTime now,
                            SimDuration max_age) const {
@@ -100,71 +79,41 @@ SignedCommand sign_rented_command(const crypto::RsaKeyPair& renter,
 }
 
 Bytes encode_peer_request(const PeerRequestMsg& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::PeerRequest));
-  w.address(m.from);
-  w.u16(m.declared_degree);
-  return w.take();
+  return encode_kind(MessageKind::PeerRequest, m);
 }
 
-Bytes encode_peer_reply(const PeerReplyMsg& m) {
-  Writer w;
-  w.u8(m.accepted ? 1 : 0);
-  w.u16(m.declared_degree);
-  write_address_list(w, m.neighbors);
-  return w.take();
-}
+Bytes encode_peer_reply(const PeerReplyMsg& m) { return codec::encode(m); }
 
 Bytes encode_peer_drop(const PeerDropMsg& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::PeerDrop));
-  w.address(m.from);
-  return w.take();
+  return encode_kind(MessageKind::PeerDrop, m);
 }
 
 Bytes encode_non_share(const NoNShareMsg& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::NoNShare));
-  w.address(m.from);
-  write_address_list(w, m.neighbors);
-  w.u16(m.declared_degree);
-  return w.take();
+  return encode_kind(MessageKind::NoNShare, m);
 }
 
 Bytes encode_address_change(const AddressChangeMsg& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::AddressChange));
-  w.address(m.old_address);
-  w.address(m.new_address);
-  return w.take();
+  return encode_kind(MessageKind::AddressChange, m);
 }
 
-Bytes encode_ping() {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::Ping));
-  return w.take();
-}
+Bytes encode_ping() { return encode_kind(MessageKind::Ping, PingMsg{}); }
 
 Bytes encode_broadcast(BytesView envelope) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::Broadcast));
-  w.var_bytes(envelope);
-  return w.take();
+  return encode_kind(MessageKind::Broadcast,
+                     EnvelopeMsg{Bytes(envelope.begin(), envelope.end())});
 }
 
 Bytes encode_direct_command(const SignedCommand& cmd) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::DirectCommand));
-  w.var_bytes(cmd.serialize());
-  return w.take();
+  return encode_kind(MessageKind::DirectCommand, DirectCommandMsg{cmd});
 }
 
 Bytes encode_probe(const ProbeMsg& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::Probe));
-  w.u64(m.probe_id);
-  w.u8(m.ttl);
-  return w.take();
+  return encode_kind(MessageKind::Probe, m);
+}
+
+Bytes encode_probe_challenge(BytesView envelope) {
+  return encode_kind(MessageKind::ProbeChallenge,
+                     EnvelopeMsg{Bytes(envelope.begin(), envelope.end())});
 }
 
 MessageKind peek_kind(BytesView bytes) {
@@ -177,87 +126,45 @@ MessageKind peek_kind(BytesView bytes) {
 }
 
 PeerRequestMsg parse_peer_request(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::PeerRequest);
-  PeerRequestMsg m;
-  m.from = r.address();
-  m.declared_degree = r.u16();
-  return m;
+  return parse_kind<PeerRequestMsg>(MessageKind::PeerRequest, bytes);
 }
 
 PeerReplyMsg parse_peer_reply(BytesView bytes) {
-  Reader r(bytes);
-  PeerReplyMsg m;
-  m.accepted = r.u8() != 0;
-  m.declared_degree = r.u16();
-  m.neighbors = read_address_list(r);
-  return m;
+  return codec::decode<PeerReplyMsg>(bytes);
 }
 
 PeerDropMsg parse_peer_drop(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::PeerDrop);
-  PeerDropMsg m;
-  m.from = r.address();
-  return m;
+  return parse_kind<PeerDropMsg>(MessageKind::PeerDrop, bytes);
 }
 
 NoNShareMsg parse_non_share(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::NoNShare);
-  NoNShareMsg m;
-  m.from = r.address();
-  m.neighbors = read_address_list(r);
-  m.declared_degree = r.u16();
-  return m;
+  return parse_kind<NoNShareMsg>(MessageKind::NoNShare, bytes);
 }
 
 AddressChangeMsg parse_address_change(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::AddressChange);
-  AddressChangeMsg m;
-  m.old_address = r.address();
-  m.new_address = r.address();
-  return m;
+  return parse_kind<AddressChangeMsg>(MessageKind::AddressChange, bytes);
 }
 
 Bytes parse_broadcast(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::Broadcast);
-  return r.var_bytes();
+  return parse_kind<EnvelopeMsg>(MessageKind::Broadcast, bytes).envelope;
 }
 
 SignedCommand parse_direct_command(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::DirectCommand);
-  return SignedCommand::parse(r.var_bytes());
+  return parse_kind<DirectCommandMsg>(MessageKind::DirectCommand, bytes)
+      .command;
 }
 
-Bytes encode_probe_challenge(BytesView envelope) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageKind::ProbeChallenge));
-  w.var_bytes(envelope);
-  return w.take();
+ProbeMsg parse_probe(BytesView bytes) {
+  return parse_kind<ProbeMsg>(MessageKind::Probe, bytes);
 }
 
 Bytes parse_probe_challenge(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::ProbeChallenge);
-  return r.var_bytes();
+  return parse_kind<EnvelopeMsg>(MessageKind::ProbeChallenge, bytes).envelope;
 }
 
 Bytes probe_challenge_answer(BytesView group_key, BytesView nonce) {
   const crypto::Sha256Digest mac = crypto::hmac_sha256(group_key, nonce);
   return Bytes(mac.begin(), mac.begin() + 8);
-}
-
-ProbeMsg parse_probe(BytesView bytes) {
-  Reader r(bytes);
-  expect_kind(r, MessageKind::Probe);
-  ProbeMsg m;
-  m.probe_id = r.u64();
-  m.ttl = r.u8();
-  return m;
 }
 
 }  // namespace onion::core

@@ -10,6 +10,13 @@
 //   uniform-looking envelopes (crypto::uniform_encode under the group
 //   key), so relaying bots cannot tell source, destination, or nature —
 //   and neither can an authority running captured bots.
+//
+// Every message body declares its layout once, as a codec fields() list
+// (common/codec.hpp) in the protocol's narrow widths: 1- and 2-byte
+// integers, 16-bit lengths and counts. A 1-byte MessageKind leads every
+// message except PeerReply, which answers a PeerRequest on the same
+// channel. Decoders reject truncation, trailing bytes and unknown
+// enumerators with a WireError naming the field.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +25,15 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 #include "core/rental.hpp"
-#include "core/wire.hpp"
 #include "crypto/simrsa.hpp"
 #include "tor/onion_address.hpp"
 
 namespace onion::core {
+
+/// Malformed wire data (distinct from logic errors: peers may be hostile).
+using codec::WireError;
 
 /// Wire discriminator for bot-layer messages.
 enum class MessageKind : std::uint8_t {
@@ -53,8 +63,15 @@ struct Command {
   /// Random nonce; bots remember recent nonces (replay defense).
   std::uint64_t nonce = 0;
 
-  Bytes serialize() const;
-  static Command parse(Reader& r);
+  /// The bytes every signature covers.
+  Bytes serialize() const { return codec::encode(*this); }
+  static auto fields(auto& s, auto&& v) {
+    return v("Command",
+             codec::enum_u8<CommandType::InstallGroupKey>("type", s.type),
+             codec::str<2>("argument", s.argument),
+             codec::u64("issued_at", s.issued_at),
+             codec::u64("nonce", s.nonce));
+  }
 };
 
 /// A command plus its authentication: master-signed, or renter-signed
@@ -64,8 +81,15 @@ struct SignedCommand {
   crypto::RsaSignature signature = 0;
   std::optional<RentalToken> token;
 
-  Bytes serialize() const;
-  static SignedCommand parse(BytesView bytes);
+  Bytes serialize() const { return codec::encode(*this); }
+  static SignedCommand parse(BytesView bytes) {
+    return codec::decode<SignedCommand>(bytes);
+  }
+  static auto fields(auto& s, auto&& v) {
+    return v("SignedCommand", codec::nested<2>("command", s.command),
+             codec::u64("signature", s.signature),
+             codec::optional("token", s.token));
+  }
 
   /// Verifies the chain of trust at time `now`: direct master signature,
   /// or valid unexpired token whose whitelist admits the command type and
@@ -86,6 +110,10 @@ SignedCommand sign_rented_command(const crypto::RsaKeyPair& renter,
 struct PeerRequestMsg {
   tor::OnionAddress from;
   std::uint16_t declared_degree = 0;
+  static auto fields(auto& s, auto&& v) {
+    return v("PeerRequestMsg", codec::nested("from", s.from),
+             codec::u16("declared_degree", s.declared_degree));
+  }
 };
 
 struct PeerReplyMsg {
@@ -94,29 +122,52 @@ struct PeerReplyMsg {
   /// On accept, the responder shares its neighbor list — the NoN
   /// knowledge that powers DDSR repair (and that SOAP harvests).
   std::vector<tor::OnionAddress> neighbors;
+  static auto fields(auto& s, auto&& v) {
+    return v("PeerReplyMsg", codec::boolean<1>("accepted", s.accepted),
+             codec::u16("declared_degree", s.declared_degree),
+             codec::list<2>("neighbors", s.neighbors));
+  }
 };
 
 struct PeerDropMsg {
   tor::OnionAddress from;
+  static auto fields(auto& s, auto&& v) {
+    return v("PeerDropMsg", codec::nested("from", s.from));
+  }
 };
 
 struct NoNShareMsg {
   tor::OnionAddress from;
   std::vector<tor::OnionAddress> neighbors;
   std::uint16_t declared_degree = 0;
+  static auto fields(auto& s, auto&& v) {
+    return v("NoNShareMsg", codec::nested("from", s.from),
+             codec::list<2>("neighbors", s.neighbors),
+             codec::u16("declared_degree", s.declared_degree));
+  }
 };
 
 struct AddressChangeMsg {
   tor::OnionAddress old_address;
   tor::OnionAddress new_address;
+  static auto fields(auto& s, auto&& v) {
+    return v("AddressChangeMsg", codec::nested("old_address", s.old_address),
+             codec::nested("new_address", s.new_address));
+  }
 };
 
 struct ProbeMsg {
   std::uint64_t probe_id = 0;
   std::uint8_t ttl = 0;
+  static auto fields(auto& s, auto&& v) {
+    return v("ProbeMsg", codec::u64("probe_id", s.probe_id),
+             codec::u8("ttl", s.ttl));
+  }
 };
 
-/// Top-level encode/decode: 1-byte kind + body.
+/// Top-level encode/decode: 1-byte kind + body (PeerReply: body only).
+/// Broadcast and ProbeChallenge bodies are one 16-bit-length envelope;
+/// a DirectCommand body is the SignedCommand after a 16-bit length.
 Bytes encode_peer_request(const PeerRequestMsg& m);
 Bytes encode_peer_reply(const PeerReplyMsg& m);
 Bytes encode_peer_drop(const PeerDropMsg& m);

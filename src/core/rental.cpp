@@ -23,42 +23,9 @@ const char* to_string(CommandType type) {
 }
 
 Bytes RentalToken::signed_body() const {
-  Writer w;
-  w.raw(renter_key.serialize());
-  w.u64(expires_at);
-  w.u8(static_cast<std::uint8_t>(whitelist.size()));
-  for (const CommandType t : whitelist)
-    w.u8(static_cast<std::uint8_t>(t));
-  return w.take();
-}
-
-void RentalToken::serialize(Writer& w) const {
-  w.u64(renter_key.n);
-  w.u64(renter_key.e);
-  w.u64(static_cast<std::uint64_t>(renter_key.nominal_bits));
-  w.u64(expires_at);
-  w.u8(static_cast<std::uint8_t>(whitelist.size()));
-  for (const CommandType t : whitelist)
-    w.u8(static_cast<std::uint8_t>(t));
-  w.u64(master_signature);
-}
-
-RentalToken RentalToken::parse(Reader& r) {
-  RentalToken token;
-  token.renter_key.n = r.u64();
-  token.renter_key.e = r.u64();
-  token.renter_key.nominal_bits = static_cast<int>(r.u64());
-  token.expires_at = r.u64();
-  const std::uint8_t count = r.u8();
-  token.whitelist.reserve(count);
-  for (std::uint8_t i = 0; i < count; ++i) {
-    const std::uint8_t raw = r.u8();
-    if (raw > kMaxCommandType)
-      throw WireError("rental token: unknown command type");
-    token.whitelist.push_back(static_cast<CommandType>(raw));
-  }
-  token.master_signature = r.u64();
-  return token;
+  Bytes body = codec::encode(*this);
+  body.resize(body.size() - sizeof(master_signature));
+  return body;
 }
 
 bool RentalToken::verify(const crypto::RsaPublicKey& master,

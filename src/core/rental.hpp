@@ -13,7 +13,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
-#include "core/wire.hpp"
+#include "common/codec.hpp"
 #include "crypto/simrsa.hpp"
 
 namespace onion::core {
@@ -32,10 +32,6 @@ enum class CommandType : std::uint8_t {
   InstallGroupKey = 5,
 };
 
-/// Highest valid CommandType value (wire-format bound check).
-constexpr std::uint8_t kMaxCommandType =
-    static_cast<std::uint8_t>(CommandType::InstallGroupKey);
-
 /// Human-readable command name.
 const char* to_string(CommandType type);
 
@@ -49,12 +45,19 @@ struct RentalToken {
   /// Master's signature over the fields above.
   crypto::RsaSignature master_signature = 0;
 
-  /// Canonical bytes covered by the master signature.
-  Bytes signed_body() const;
+  /// The wire form: the renter key's three words, the expiry, a
+  /// one-byte-counted whitelist of one-byte types, the signature.
+  static auto fields(auto& s, auto&& v) {
+    return v("RentalToken", codec::nested("renter_key", s.renter_key),
+             codec::u64("expires_at", s.expires_at),
+             codec::enum_u8s<CommandType::InstallGroupKey, 1>("whitelist",
+                                                              s.whitelist),
+             codec::u64("master_signature", s.master_signature));
+  }
 
-  /// Full wire form (body + signature).
-  void serialize(Writer& w) const;
-  static RentalToken parse(Reader& r);
+  /// Canonical bytes covered by the master signature: the wire form
+  /// without its last field, the signature itself.
+  Bytes signed_body() const;
 
   /// Master signature valid and not expired at `now`.
   bool verify(const crypto::RsaPublicKey& master, SimTime now) const;

@@ -98,13 +98,6 @@ bool is_prime_u64(std::uint64_t n) {
   return true;
 }
 
-Bytes RsaPublicKey::serialize() const {
-  Bytes out = be64(n);
-  append(out, be64(e));
-  append(out, be64(static_cast<std::uint64_t>(nominal_bits)));
-  return out;
-}
-
 RsaKeyPair rsa_generate(Rng& rng, int nominal_bits) {
   ONION_EXPECTS(nominal_bits > 0);
   constexpr std::uint64_t kPublicExponent = 65537;

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 
 namespace onion::crypto {
@@ -26,8 +27,13 @@ struct RsaPublicKey {
   std::uint64_t e = 0;
   int nominal_bits = 0;
 
-  /// Deterministic serialization (hashed to derive .onion identifiers).
-  Bytes serialize() const;
+  /// Deterministic serialization (hashed to derive .onion identifiers):
+  /// three words.
+  Bytes serialize() const { return codec::encode(*this); }
+  static auto fields(auto& s, auto&& v) {
+    return v("RsaPublicKey", codec::u64("n", s.n), codec::u64("e", s.e),
+             codec::u64("nominal_bits", s.nominal_bits));
+  }
 
   bool operator==(const RsaPublicKey&) const = default;
 };

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "crypto/simrsa.hpp"
 
 namespace onion::tor {
@@ -43,6 +44,11 @@ class OnionAddress {
   std::string hostname() const;
 
   auto operator<=>(const OnionAddress&) const = default;
+
+  /// On the wire: the 10 identifier bytes, no prefix.
+  static auto fields(auto& s, auto&& v) {
+    return v("OnionAddress", codec::raw("identifier", s.id_));
+  }
 
  private:
   Identifier id_{};

@@ -523,11 +523,7 @@ SignedCommand full_signed(bool with_token) {
 }
 
 /// A token's wire form on its own (body, then master signature).
-Bytes token_wire(const RentalToken& token) {
-  Writer w;
-  token.serialize(w);
-  return w.take();
-}
+Bytes token_wire(const RentalToken& token) { return codec::encode(token); }
 
 TEST(CodecLayout, BotPeerRequest) {
   EXPECT_EQ(sha(encode_peer_request({address(1), 7})),

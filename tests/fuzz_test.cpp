@@ -2,7 +2,8 @@
 // the network. A bot must survive arbitrary hostile input: the only
 // acceptable outcomes are a parsed value or WireError — never a crash,
 // never an out-of-range read (ASan-observable), and never acceptance of
-// a tampered signed command.
+// a tampered signed command. Each decoder gets random bytes and
+// mutations of one valid message (fuzz_payload).
 //
 // The scenario payload decoders (grid results, snapshots, replay points,
 // trace header and footer) get the same treatment at the end: their
@@ -17,13 +18,12 @@
 #include "core/botnet.hpp"
 #include "core/messages.hpp"
 #include "core/rental.hpp"
-#include "core/wire.hpp"
 #include "crypto/elligator_sim.hpp"
 #include "detection/replay_grid.hpp"
 #include "scenario/trace_io.hpp"
 #include "scenario/wire.hpp"
 
-namespace onion::core {
+namespace onion {
 namespace {
 
 Bytes random_bytes(Rng& rng, std::size_t max_len) {
@@ -32,62 +32,135 @@ Bytes random_bytes(Rng& rng, std::size_t max_len) {
   return out;
 }
 
-template <typename Parser>
-void fuzz_parser(Parser parse, std::uint64_t seed, int iterations = 4000) {
+/// One random mutation of a valid payload: a byte flip, a forged word
+/// (often a count or length) at a random offset, a truncation, or
+/// appended garbage.
+Bytes mutate(Bytes bytes, Rng& rng) {
+  switch (rng.uniform(4)) {
+    case 0:
+      if (!bytes.empty())
+        bytes[rng.uniform(bytes.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.uniform(255));
+      break;
+    case 1:
+      if (bytes.size() >= 8) {
+        static constexpr std::uint64_t kWords[] = {
+            std::uint64_t{1} << 62, std::uint64_t{1} << 32, ~std::uint64_t{0},
+            (std::uint64_t{1} << 32) - 1, 1000, 200};
+        const std::uint64_t word = rng.uniform(2) == 0
+                                       ? kWords[rng.uniform(std::size(kWords))]
+                                       : rng.next_u64();
+        const Bytes be = be64(word);
+        std::copy(be.begin(), be.end(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(
+                                      rng.uniform(bytes.size() - 7)));
+      }
+      break;
+    case 2:
+      bytes.resize(rng.uniform(bytes.size() + 1));
+      break;
+    default:
+      for (std::uint64_t i = rng.uniform(16); i > 0; --i)
+        bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+      break;
+  }
+  return bytes;
+}
+
+/// Feeds `decode` random bytes and mutations of `valid`; anything it
+/// throws other than WireError escapes and fails the test.
+template <typename Decode>
+void fuzz_payload(Decode decode, const Bytes& valid, std::uint64_t seed) {
+  ASSERT_NO_THROW((void)decode(valid));
   Rng rng(seed);
-  for (int i = 0; i < iterations; ++i) {
-    const Bytes input = random_bytes(rng, 300);
+  for (int i = 0; i < 3000; ++i) {
+    Bytes input = i % 4 == 0 ? random_bytes(rng, 400) : valid;
+    for (std::uint64_t m = 1 + rng.uniform(3); m > 0; --m)
+      input = mutate(std::move(input), rng);
     try {
-      (void)parse(input);
-    } catch (const WireError&) {
+      (void)decode(input);
+    } catch (const codec::WireError&) {
       // The documented failure mode.
     }
   }
 }
 
+}  // namespace
+}  // namespace onion
+
+namespace onion::core {
+namespace {
+
+tor::OnionAddress fuzz_address(std::uint8_t salt) {
+  tor::OnionAddress::Identifier id;
+  id.fill(salt);
+  return tor::OnionAddress(id);
+}
+
+RentalToken fuzz_token() {
+  RentalToken token;
+  token.renter_key = {0xabcdef12345ull, 65537, 2048};
+  token.expires_at = kHour;
+  token.whitelist = {CommandType::Spam, CommandType::Compute};
+  token.master_signature = 77;
+  return token;
+}
+
+SignedCommand fuzz_signed_command() {
+  SignedCommand sc;
+  sc.command.type = CommandType::Ddos;
+  sc.command.argument = "victim.example";
+  sc.command.issued_at = 5000;
+  sc.command.nonce = 42;
+  sc.signature = 0x1234;
+  sc.token = fuzz_token();
+  return sc;
+}
+
 TEST(WireFuzz, PeekKindNeverCrashes) {
-  fuzz_parser([](BytesView b) { return peek_kind(b); }, 1);
+  fuzz_payload(peek_kind, encode_ping(), 1);
 }
 
 TEST(WireFuzz, PeerRequestNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_peer_request(b); }, 2);
+  fuzz_payload(parse_peer_request, encode_peer_request({fuzz_address(1), 5}),
+               2);
 }
 
 TEST(WireFuzz, PeerReplyNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_peer_reply(b); }, 3);
+  fuzz_payload(parse_peer_reply,
+               encode_peer_reply({true, 3, {fuzz_address(2), fuzz_address(3)}}),
+               3);
 }
 
 TEST(WireFuzz, PeerDropNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_peer_drop(b); }, 4);
+  fuzz_payload(parse_peer_drop, encode_peer_drop({fuzz_address(4)}), 4);
 }
 
 TEST(WireFuzz, NoNShareNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_non_share(b); }, 5);
+  fuzz_payload(parse_non_share,
+               encode_non_share({fuzz_address(5), {fuzz_address(6)}, 1}), 5);
 }
 
 TEST(WireFuzz, AddressChangeNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_address_change(b); }, 6);
+  fuzz_payload(parse_address_change,
+               encode_address_change({fuzz_address(7), fuzz_address(8)}), 6);
 }
 
 TEST(WireFuzz, BroadcastNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_broadcast(b); }, 7);
+  fuzz_payload(parse_broadcast, encode_broadcast(Bytes(64, 0x42)), 7);
 }
 
 TEST(WireFuzz, DirectCommandNeverCrashes) {
-  fuzz_parser([](BytesView b) { return parse_direct_command(b); }, 8);
+  fuzz_payload(parse_direct_command,
+               encode_direct_command(fuzz_signed_command()), 8);
 }
 
 TEST(WireFuzz, SignedCommandNeverCrashes) {
-  fuzz_parser([](BytesView b) { return SignedCommand::parse(b); }, 9);
+  fuzz_payload(SignedCommand::parse, fuzz_signed_command().serialize(), 9);
 }
 
 TEST(WireFuzz, RentalTokenNeverCrashes) {
-  fuzz_parser(
-      [](BytesView b) {
-        Reader r(b);
-        return RentalToken::parse(r);
-      },
-      10);
+  fuzz_payload(codec::decode<RentalToken>, codec::encode(fuzz_token()), 10);
 }
 
 TEST(WireFuzz, UniformDecodeNeverCrashes) {
@@ -252,59 +325,6 @@ CellResult fuzz_cell(std::uint64_t seed) {
   cell.counters.joins = seed;
   cell.events_executed = 99;
   return cell;
-}
-
-/// One random mutation of a valid payload: a byte flip, a forged word
-/// (often a count or length) at a random offset, a truncation, or
-/// appended garbage.
-Bytes mutate(Bytes bytes, Rng& rng) {
-  switch (rng.uniform(4)) {
-    case 0:
-      if (!bytes.empty())
-        bytes[rng.uniform(bytes.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.uniform(255));
-      break;
-    case 1:
-      if (bytes.size() >= 8) {
-        static constexpr std::uint64_t kWords[] = {
-            std::uint64_t{1} << 62, std::uint64_t{1} << 32, ~std::uint64_t{0},
-            (std::uint64_t{1} << 32) - 1, 1000, 200};
-        const std::uint64_t word = rng.uniform(2) == 0
-                                       ? kWords[rng.uniform(std::size(kWords))]
-                                       : rng.next_u64();
-        const Bytes be = be64(word);
-        std::copy(be.begin(), be.end(),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(
-                                      rng.uniform(bytes.size() - 7)));
-      }
-      break;
-    case 2:
-      bytes.resize(rng.uniform(bytes.size() + 1));
-      break;
-    default:
-      for (std::uint64_t i = rng.uniform(16); i > 0; --i)
-        bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
-      break;
-  }
-  return bytes;
-}
-
-/// Feeds `decode` random bytes and mutations of `valid`; anything it
-/// throws other than WireError escapes and fails the test.
-template <typename Decode>
-void fuzz_payload(Decode decode, const Bytes& valid, std::uint64_t seed) {
-  ASSERT_NO_THROW((void)decode(valid));
-  Rng rng(seed);
-  for (int i = 0; i < 3000; ++i) {
-    Bytes input = i % 4 == 0 ? core::random_bytes(rng, 400) : valid;
-    for (std::uint64_t m = 1 + rng.uniform(3); m > 0; --m)
-      input = mutate(std::move(input), rng);
-    try {
-      (void)decode(input);
-    } catch (const wire::WireError&) {
-      // The documented failure mode.
-    }
-  }
 }
 
 TEST(PayloadFuzz, SnapshotDecoderOnlyThrowsWireError) {

@@ -2,6 +2,8 @@
 // signature chain, expiry, whitelists, serialization, tampering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/rental.hpp"
 
 namespace onion::core {
@@ -77,11 +79,7 @@ TEST_F(RentalFixture, SerializationRoundTrip) {
   const RentalToken token = issue_rental_token(
       mallory, trudy.pub, 3 * kHour,
       {CommandType::Spam, CommandType::Recon});
-  Writer w;
-  token.serialize(w);
-  const Bytes bytes = w.take();
-  Reader r(bytes);
-  const RentalToken out = RentalToken::parse(r);
+  const RentalToken out = codec::decode<RentalToken>(codec::encode(token));
   EXPECT_EQ(out.renter_key, token.renter_key);
   EXPECT_EQ(out.expires_at, token.expires_at);
   EXPECT_EQ(out.whitelist, token.whitelist);
@@ -92,13 +90,20 @@ TEST_F(RentalFixture, SerializationRoundTrip) {
 TEST_F(RentalFixture, ParseRejectsUnknownCommandType) {
   RentalToken token = issue_rental_token(mallory, trudy.pub, kHour,
                                          {CommandType::Spam});
-  Writer w;
-  token.serialize(w);
-  Bytes bytes = w.take();
+  Bytes bytes = codec::encode(token);
   // Whitelist entry byte sits after 3 u64 key fields + u64 expiry + count.
   bytes[8 * 4 + 1] = 99;
-  Reader r(bytes);
-  EXPECT_THROW(RentalToken::parse(r), WireError);
+  EXPECT_THROW((void)codec::decode<RentalToken>(bytes), codec::WireError);
+}
+
+TEST_F(RentalFixture, SignedBodyIsTheWireFormWithoutTheSignature) {
+  const RentalToken token = issue_rental_token(
+      mallory, trudy.pub, 3 * kHour, {CommandType::Spam, CommandType::Ddos});
+  const Bytes wire = codec::encode(token);
+  const Bytes body = token.signed_body();
+  ASSERT_EQ(body.size() + 8, wire.size());
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), wire.begin()));
+  EXPECT_EQ(Bytes(body.begin(), body.begin() + 24), trudy.pub.serialize());
 }
 
 TEST(CommandTypeNames, AllNamed) {
