@@ -1,7 +1,5 @@
 #include "core/ddsr.hpp"
 
-#include <algorithm>
-
 namespace onion::core {
 
 using graph::NodeId;
@@ -133,6 +131,8 @@ void DdsrEngine::refill_node(NodeId v) {
   // so they are re-enqueued here. A step guard bounds pathological
   // add/evict cycles (possible when dmin == dmax and ties break badly).
   std::vector<NodeId> pending{v};
+  std::vector<NodeId> candidates;
+  std::vector<NodeId> with_capacity;
   int guard = 0;
   while (!pending.empty() && guard < 512) {
     const NodeId u = pending.back();
@@ -142,19 +142,11 @@ void DdsrEngine::refill_node(NodeId v) {
       // Candidates: alive neighbors-of-neighbors not already adjacent.
       // Nodes with spare capacity are preferred (a full node only
       // accepts by evicting — the bot-level acceptance rule).
-      std::vector<NodeId> candidates;
-      std::vector<NodeId> with_capacity;
-      for (const NodeId n : graph_.neighbors(u)) {
-        for (const NodeId nn : graph_.neighbors(n)) {
-          if (nn == u || graph_.has_edge(u, nn)) continue;
-          if (std::find(candidates.begin(), candidates.end(), nn) !=
-              candidates.end())
-            continue;
-          candidates.push_back(nn);
-          if (graph_.degree(nn) < policy_.dmax) with_capacity.push_back(nn);
-        }
-      }
+      graph::non_candidates(graph_, u, adjacent_, candidates);
       if (candidates.empty()) break;  // NoN exhausted; dmin is best-effort
+      with_capacity.clear();
+      for (const NodeId c : candidates)
+        if (graph_.degree(c) < policy_.dmax) with_capacity.push_back(c);
       const auto& pool = with_capacity.empty() ? candidates : with_capacity;
       const NodeId pick =
           pool[static_cast<std::size_t>(rng_.uniform(pool.size()))];

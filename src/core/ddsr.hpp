@@ -117,9 +117,11 @@ class DdsrEngine {
   Rng& rng_;
   DdsrStats stats_;
   Connector connect_;  // empty = direct graph mutation
-  /// Scratch adjacency bitmap for repair_clique, kept across calls so
-  /// the unpruned Figure-4 runs (degrees in the thousands) pay O(1) per
-  /// membership test instead of an O(deg) adjacency scan.
+  /// Scratch bitmap, all-zero between uses, kept across calls: the
+  /// adjacency marks of repair_clique (the unpruned Figure-4 runs, with
+  /// degrees in the thousands, pay O(1) per membership test instead of
+  /// an O(deg) scan) and the NoN marks of refill_node's candidate pass
+  /// (graph::non_candidates).
   std::vector<std::uint8_t> adjacent_;
 };
 

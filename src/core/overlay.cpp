@@ -107,16 +107,9 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
 
 void OverlayNetwork::refill(NodeId v) {
   if (!graph_.alive(v) || !honest(v)) return;
+  std::vector<NodeId> candidates;
   while (graph_.degree(v) < config_.dmin) {
-    std::vector<NodeId> candidates;
-    for (const NodeId n : graph_.neighbors(v)) {
-      for (const NodeId nn : graph_.neighbors(n)) {
-        if (nn == v || graph_.has_edge(v, nn)) continue;
-        if (std::find(candidates.begin(), candidates.end(), nn) ==
-            candidates.end())
-          candidates.push_back(nn);
-      }
-    }
+    graph::non_candidates(graph_, v, non_mark_, candidates);
     if (candidates.empty()) return;
     const NodeId pick =
         candidates[static_cast<std::size_t>(rng_.uniform(candidates.size()))];

@@ -157,6 +157,9 @@ class OverlayNetwork {
   std::vector<std::uint32_t> accepted_this_round_;
   double sybil_work_ = 0.0;
   double honest_work_ = 0.0;
+  /// Scratch for refill's NoN candidate pass (graph::non_candidates),
+  /// all-zero between calls; sized on the first refill.
+  std::vector<std::uint8_t> non_mark_;
 };
 
 }  // namespace onion::core

@@ -102,7 +102,8 @@ bool Graph::remove_edge(NodeId u, NodeId v) {
   auto& lu = adjacency_[u];
   const auto it = std::find(lu.begin(), lu.end(), v);
   if (it == lu.end()) return false;
-  // Swap-erase: adjacency order is unspecified, so O(1) removal is free.
+  // Swap-erase: O(1), and the order neighbors() documents (the last
+  // entry takes the removed one's place).
   *it = lu.back();
   lu.pop_back();
   auto& lv = adjacency_[v];
@@ -175,6 +176,25 @@ double Graph::average_degree() const {
   if (num_alive_ == 0) return 0.0;
   return 2.0 * static_cast<double>(num_edges_) /
          static_cast<double>(num_alive_);
+}
+
+void non_candidates(const Graph& g, NodeId v, std::vector<std::uint8_t>& mark,
+                    std::vector<NodeId>& out) {
+  if (mark.size() < g.capacity()) mark.resize(g.capacity(), 0);
+  out.clear();
+  const auto& peers = g.neighbors(v);
+  mark[v] = 1;
+  for (const NodeId n : peers) mark[n] = 1;
+  for (const NodeId n : peers) {
+    for (const NodeId nn : g.neighbors(n)) {
+      if (mark[nn]) continue;
+      mark[nn] = 1;
+      out.push_back(nn);
+    }
+  }
+  mark[v] = 0;
+  for (const NodeId n : peers) mark[n] = 0;
+  for (const NodeId nn : out) mark[nn] = 0;
 }
 
 }  // namespace onion::graph

@@ -89,7 +89,11 @@ class Graph {
     return adjacency_[u].size();
   }
 
-  /// Adjacency list of an alive node (unspecified order).
+  /// Adjacency list of an alive node. The order is deterministic and
+  /// every seeded run depends on it: add_edge appends, and remove_edge
+  /// and remove_node swap-erase (the list's last entry takes the removed
+  /// one's place). Refill, eviction tie-breaks and DDSR repair walk
+  /// these lists in this order.
   const std::vector<NodeId>& neighbors(NodeId u) const {
     ONION_EXPECTS(alive(u));
     return adjacency_[u];
@@ -145,5 +149,13 @@ class Graph {
   std::uint64_t epoch_ = 0;
   MutationObserver* observer_ = nullptr;
 };
+
+/// Replaces `out` with v's neighbours-of-neighbours that are neither v
+/// nor adjacent to v — the NoN candidates a node refills from — each
+/// once, in first-seen order (v's list in order, each neighbour's list
+/// in order). `mark` is caller-owned scratch: all-zero on entry (grown
+/// to capacity() here if short) and all-zero again on return.
+void non_candidates(const Graph& g, NodeId v, std::vector<std::uint8_t>& mark,
+                    std::vector<NodeId>& out);
 
 }  // namespace onion::graph

@@ -1,12 +1,14 @@
 // Bot-level overlay tests: the declared-degree peering policy (the SOAP
-// attack surface), rate limiting, proof-of-work accounting, refill, and
-// containment metrics.
+// attack surface), rate limiting, proof-of-work accounting, refill and
+// the NoN candidate pass it draws from, and containment metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "core/overlay.hpp"
 #include "graph/generators.hpp"
+#include "mitigation/soap.hpp"
 
 namespace onion::core {
 namespace {
@@ -268,6 +270,93 @@ TEST(Overlay, RandomRegularKeepsTheEdgeByEdgeCopyOrder) {
       ASSERT_TRUE(net.honest(u));
       ASSERT_EQ(net.declared_degree(u), k);
     }
+  }
+}
+
+// ====================================================================
+// NoN candidates: graph::non_candidates against the scan it replaced
+// ====================================================================
+
+/// The two-loop scan OverlayNetwork::refill and DdsrEngine::refill_node
+/// each ran before graph::non_candidates: linear dedupe, has_edge tests.
+/// Kept as the oracle the mark-bitmap pass must match element for element.
+std::vector<NodeId> non_candidates_by_scan(const graph::Graph& g, NodeId v) {
+  std::vector<NodeId> candidates;
+  for (const NodeId n : g.neighbors(v)) {
+    for (const NodeId nn : g.neighbors(n)) {
+      if (nn == v || g.has_edge(v, nn)) continue;
+      if (std::find(candidates.begin(), candidates.end(), nn) ==
+          candidates.end())
+        candidates.push_back(nn);
+    }
+  }
+  return candidates;
+}
+
+/// Every alive slot's candidates, in order, and the scratch left clean.
+void expect_non_candidates_match_scan(const graph::Graph& g,
+                                      std::vector<std::uint8_t>& mark) {
+  std::vector<NodeId> out{7, 7, 7};  // stale contents are replaced
+  for (NodeId v = 0; v < g.capacity(); ++v) {
+    if (!g.alive(v)) continue;
+    graph::non_candidates(g, v, mark, out);
+    ASSERT_EQ(out, non_candidates_by_scan(g, v)) << "node " << v;
+    ASSERT_EQ(std::count(mark.begin(), mark.end(), 0),
+              static_cast<std::ptrdiff_t>(mark.size()))
+        << "marks left after node " << v;
+  }
+}
+
+TEST(NonCandidates, MatchTheScanOnRandomGraphsWithChurn) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 20 + rng.uniform(120);
+    graph::Graph g =
+        graph::erdos_renyi(n, 2.0 + rng.uniform_real() * 8.0 / n, rng);
+    std::vector<std::uint8_t> mark;  // grown by the first call
+    expect_non_candidates_match_scan(g, mark);
+    // Churn reorders adjacency lists (swap-erase) and leaves dead slots,
+    // which the marks must skip and the scratch must still cover.
+    for (int step = 0; step < 200; ++step) {
+      const auto u = static_cast<NodeId>(rng.uniform(g.capacity()));
+      const auto v = static_cast<NodeId>(rng.uniform(g.capacity()));
+      if (!g.alive(u) || !g.alive(v)) continue;
+      switch (rng.uniform(5)) {
+        case 0:
+          g.remove_node(u);
+          break;
+        case 1:
+          g.remove_edge(u, v);
+          break;
+        case 2:
+          g.add_edge(g.add_node(), u);
+          break;
+        default:
+          g.add_edge(u, v);
+          break;
+      }
+    }
+    expect_non_candidates_match_scan(g, mark);
+  }
+}
+
+TEST(NonCandidates, MatchTheScanOnSoapedOverlaysWithSybils) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    OverlayNetwork net =
+        OverlayNetwork::random_regular(60, 4, band(4, 6), rng);
+    mitigation::SoapConfig cfg;
+    cfg.max_rounds = 15;
+    cfg.requests_per_target_per_round = 2;
+    mitigation::SoapCampaign campaign(net, cfg, rng);
+    campaign.capture(static_cast<NodeId>(seed));
+    std::vector<std::uint8_t> mark;
+    for (int round = 0; round < 15 && campaign.step(); ++round) {
+      if (round % 5 == 4) net.retire(static_cast<NodeId>(round + seed));
+      expect_non_candidates_match_scan(net.graph(), mark);
+    }
+    ASSERT_GT(campaign.clones_created(), 0u) << "seed " << seed;
+    ASSERT_GT(net.graph().capacity(), 60u);
   }
 }
 
