@@ -376,8 +376,9 @@ struct List {
   }
 };
 
+/// list() at its default width: what a trailing block holds.
 template <typename T>
-using WordList = List<8, T, Element<ElementOf<T>>>;
+using DefaultList = List<8, T, Element<ElementOf<T>>>;
 
 template <typename T>
 struct Trailing {
@@ -387,13 +388,13 @@ struct Trailing {
   const char* name;
   T& value;
   std::size_t size() const {
-    return value.empty() ? 0 : WordList<T>{name, value}.size();
+    return value.empty() ? 0 : DefaultList<T>{name, value}.size();
   }
   void put(Bytes& out) const {
-    if (!value.empty()) WordList<T>{name, value}.put(out);
+    if (!value.empty()) DefaultList<T>{name, value}.put(out);
   }
   void get(ByteReader& r) const {
-    if (!r.done()) WordList<T>{name, value}.get(r);
+    if (!r.done()) DefaultList<T>{name, value}.get(r);
   }
 };
 
