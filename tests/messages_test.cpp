@@ -239,6 +239,8 @@ struct ParserCase {
   const char* name;
   Bytes valid;
   std::function<void(BytesView)> parse;
+  /// False for the two encodings without a MessageKind byte.
+  bool kinded = true;
 };
 
 std::vector<ParserCase> every_parser() {
@@ -254,9 +256,9 @@ std::vector<ParserCase> every_parser() {
       {"peer_request", encode_peer_request({addr_from_seed(2), 7}),
        [](BytesView b) { (void)parse_peer_request(b); }},
       {"peer_reply", encode_peer_reply({true, 4, {addr_from_seed(3)}}),
-       [](BytesView b) { (void)parse_peer_reply(b); }},
+       [](BytesView b) { (void)parse_peer_reply(b); }, false},
       {"peer_reply_empty", encode_peer_reply({false, 4, {}}),
-       [](BytesView b) { (void)parse_peer_reply(b); }},
+       [](BytesView b) { (void)parse_peer_reply(b); }, false},
       {"peer_drop", encode_peer_drop({addr_from_seed(4)}),
        [](BytesView b) { (void)parse_peer_drop(b); }},
       {"non_share",
@@ -276,9 +278,9 @@ std::vector<ParserCase> every_parser() {
       {"probe_challenge", encode_probe_challenge(Bytes(24, 0x17)),
        [](BytesView b) { (void)parse_probe_challenge(b); }},
       {"signed_command", plain.serialize(),
-       [](BytesView b) { (void)SignedCommand::parse(b); }},
+       [](BytesView b) { (void)SignedCommand::parse(b); }, false},
       {"signed_command_rented", rented.serialize(),
-       [](BytesView b) { (void)SignedCommand::parse(b); }},
+       [](BytesView b) { (void)SignedCommand::parse(b); }, false},
   };
 }
 
@@ -302,6 +304,18 @@ TEST(StrictDecoding, EveryParserRejectsEveryStrictPrefix) {
     for (std::size_t len = 0; len < c.valid.size(); ++len)
       EXPECT_THROW(c.parse(BytesView(c.valid).first(len)), WireError)
           << c.name << " cut to " << len;
+  }
+}
+
+TEST(StrictDecoding, EveryKindedParserRejectsEveryOtherKindByte) {
+  for (const ParserCase& c : every_parser()) {
+    if (!c.kinded) continue;
+    for (int kind = 0; kind < 256; ++kind) {
+      if (kind == c.valid[0]) continue;
+      Bytes other = c.valid;
+      other[0] = static_cast<std::uint8_t>(kind);
+      EXPECT_THROW(c.parse(other), WireError) << c.name << " as kind " << kind;
+    }
   }
 }
 
