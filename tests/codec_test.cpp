@@ -22,6 +22,7 @@
 #include "crypto/sha256.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/roc.hpp"
+#include "detection/telemetry.hpp"
 #include "scenario/trace_io.hpp"
 #include "scenario/wire.hpp"
 
@@ -283,6 +284,57 @@ TEST(CodecLayout, ReplayGridReportWithFailedCells) {
   report.resumed_cells = 6;
   EXPECT_EQ(sha(wire::serialize(report)),
             "d17426d1f18585a8930fea773b08d4052cdd5786e6493a9bacc3ff220a26b96d");
+}
+
+detection::DnsRecord full_dns_record() {
+  detection::DnsRecord r;
+  r.client = 0xfffffffeu;
+  r.qname = "xk3f9q0a.example";
+  r.nxdomain = true;
+  r.ttl = 0x89abcdefu;
+  r.resolved = 0x0a000007u;
+  r.at = 2 * kHour + 13;
+  return r;
+}
+
+detection::FlowRecord full_flow_record() {
+  detection::FlowRecord f;
+  f.src = 41;
+  f.dst = 0xfffffff0u;
+  f.dst_port = 9001;
+  f.bytes = 0x123456789ull;
+  f.encrypted = true;
+  f.at = 5 * kHour + 2;
+  return f;
+}
+
+// The records travel only inside a TrafficTrace, so each is pinned as
+// the only record of an otherwise empty trace.
+TEST(CodecLayout, DnsRecord) {
+  detection::TrafficTrace trace;
+  trace.dns = {full_dns_record()};
+  EXPECT_EQ(sha(detection::serialize(trace)),
+            "cb7b59ffbbbdc65fed5ce173c8b90b511f59896d95cfe6ee025c29c17a5ff67b");
+}
+
+TEST(CodecLayout, FlowRecord) {
+  detection::TrafficTrace trace;
+  trace.flows = {full_flow_record()};
+  EXPECT_EQ(sha(detection::serialize(trace)),
+            "26c3978478ab568a98486661176fca269c53f90843774e3e6a734ef15a0d71ff");
+}
+
+TEST(CodecLayout, TrafficTrace) {
+  detection::TrafficTrace trace;
+  trace.dns = {full_dns_record(), detection::DnsRecord{}};
+  trace.flows = {detection::FlowRecord{}, full_flow_record()};
+  trace.infected = {3, 0xffffffffu};
+  trace.hosts = {3, 4, 5, 0xffffffffu};
+  trace.known_tor_relays = {900};
+  EXPECT_EQ(sha(detection::serialize(trace)),
+            "c01941040e45581fd9a6119ca27efe3576ecc53ac8a14b1872ca65f17df9dc98");
+  EXPECT_EQ(detection::fingerprint(trace),
+            sha(detection::serialize(trace)));
 }
 
 // ====================================================================

@@ -393,6 +393,86 @@ TEST(AdaptiveAttacker, RefreshCadenceIsARealKnob) {
 }
 
 // ====================================================================
+// Stream pins: ranked takedowns and SOAP
+// ====================================================================
+
+// Snapshot digest and event-log fingerprint of small campaigns for every
+// victim-ranking kind and for SOAP under a rate limit. No golden reaches
+// these paths, so these constants are what proves a refactor of the
+// engine's victim selection or event scheduling left the draws, the
+// event order and the bytes alone.
+void expect_pinned(const ScenarioSpec& spec, const char* snapshots,
+                   const char* events) {
+  const RecordedRun run = record_run(spec);
+  EXPECT_EQ(run.snapshot_digest, snapshots);
+  EXPECT_EQ(run.trace.fingerprint(), events);
+}
+
+TEST(StreamPins, CentralityTakedownHealed) {
+  expect_pinned(ranked_takedown_spec(101, AttackKind::CentralityTakedown,
+                                     RankMetric::SampledBetweenness),
+                "551c0edaaf76ceece35702cf97d7833267f23feb85d35b57fb53a1229b769dfc",
+                "4f51a10da96f9a61fca4cddb0f068f1ceefa4ff2fb2e8e16b01508fb0dffa8ca");
+}
+
+TEST(StreamPins, CentralityTakedownUnhealed) {
+  ScenarioSpec spec = ranked_takedown_spec(
+      103, AttackKind::CentralityTakedown, RankMetric::SampledBetweenness);
+  spec.attacks[0].heal = false;
+  expect_pinned(spec,
+                "d321f57e4b3a78027ec6d28fc895b3884968ff7ba2065b5c601be471932faef5",
+                "e14a56c664c830266cfd734dced012f54e8b8f7ea849295fb6290b9722b5103a");
+}
+
+TEST(StreamPins, TargetedTakedownUnhealed) {
+  ScenarioSpec spec = ranked_takedown_spec(
+      107, AttackKind::TargetedTakedown, RankMetric::Degree);
+  spec.attacks[0].heal = false;
+  expect_pinned(spec,
+                "413a5f8ae354bc5b47398615cce9d07dcc4a36ae8d59f5106793c41c59a8b12e",
+                "76d33caf244461ad602f8264b7afc97c5a1a5a35ad841772a4c6b6946bab8c91");
+}
+
+TEST(StreamPins, AdaptiveDegreeOnACadence) {
+  ScenarioSpec spec = ranked_takedown_spec(
+      109, AttackKind::AdaptiveTakedown, RankMetric::Degree);
+  spec.attacks[0].refresh_period = 3 * kMinute;
+  expect_pinned(spec,
+                "f6b9b83d70427b67ee4845f7e8f7639e6776454b0f86a36523c6d3c6aa758b95",
+                "7169fe8edd53395ce2c9f69279922c2288e0f0d05a8507fd240b34c4c545672d");
+}
+
+TEST(StreamPins, AdaptiveBetweennessRankedOnce) {
+  ScenarioSpec spec = ranked_takedown_spec(
+      113, AttackKind::AdaptiveTakedown, RankMetric::SampledBetweenness);
+  spec.attacks[0].refresh_period = kNeverRefresh;
+  expect_pinned(spec,
+                "f8f1a088240f7ca1e79386c8eda9432426eb5fc4c57f5bb15db970fe62eee276",
+                "2a39cfc9a977dbfa94f14ad3299f27ac1271560fe36351a2b451c556b8f4f1df");
+}
+
+TEST(StreamPins, SoapUnderARateLimit) {
+  // Churn, a random-takedown window and a SOAP phase under a per-round
+  // rate limit with charged healing: the join, leave, takedown, SOAP and
+  // defense-round chains all run, and both peering paths mend evictions.
+  ScenarioSpec spec = ranked_takedown_spec(
+      127, AttackKind::RandomTakedown, RankMetric::Degree);
+  AttackPhase soap;
+  soap.kind = AttackKind::SoapInjection;
+  soap.start = 10 * kMinute;
+  soap.stop = 28 * kMinute;
+  soap.soap_tick = kMinute;
+  soap.soap_rounds_per_tick = 2;
+  spec.attacks.push_back(soap);
+  spec.defense.rate_limit_per_round = 2;
+  spec.defense.round = kMinute;
+  spec.defense.charge_healing = true;
+  expect_pinned(spec,
+                "780c608da238ab71b03be6ed78ccf9a98b8ea4bf526eb3ef8aa81d030e7f0835",
+                "bf1cc0acec05ffc570e75c5efe2fab270afd61c9ecee17206977a2fb1158fbc1");
+}
+
+// ====================================================================
 // Multi-wave plans
 // ====================================================================
 
