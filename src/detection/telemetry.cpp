@@ -19,35 +19,11 @@ void append_unique(std::vector<HostId>& dst, const std::vector<HostId>& src) {
     if (seen.insert(h).second) dst.push_back(h);
 }
 
-Bytes serialize(const DnsRecord& r) {
+/// A host list as codec::list lays it out: a word count, then one word
+/// per host.
+Bytes encode_hosts(const char* name, const std::vector<HostId>& hosts) {
   Bytes out;
-  out.reserve(8 * 5 + 1 + r.qname.size());
-  put_u64(out, r.client);
-  put_string(out, r.qname);
-  out.push_back(r.nxdomain ? 1 : 0);
-  put_u64(out, r.ttl);
-  put_u64(out, r.resolved);
-  put_u64(out, r.at);
-  return out;
-}
-
-Bytes serialize(const FlowRecord& f) {
-  Bytes out;
-  out.reserve(8 * 5 + 1);
-  put_u64(out, f.src);
-  put_u64(out, f.dst);
-  put_u64(out, f.dst_port);
-  put_u64(out, f.bytes);
-  out.push_back(f.encrypted ? 1 : 0);
-  put_u64(out, f.at);
-  return out;
-}
-
-Bytes serialize(const std::vector<HostId>& hosts) {
-  Bytes out;
-  out.reserve(8 * (hosts.size() + 1));
-  put_u64(out, hosts.size());
-  for (const HostId h : hosts) put_u64(out, h);
+  codec::list(name, hosts).put(out);
   return out;
 }
 
@@ -59,11 +35,11 @@ void walk_canonical(const TrafficTrace& trace, Consume&& consume) {
   put_u64(header, trace.dns.size());
   put_u64(header, trace.flows.size());
   consume(header);
-  for (const DnsRecord& r : trace.dns) consume(serialize(r));
-  for (const FlowRecord& f : trace.flows) consume(serialize(f));
-  consume(serialize(trace.infected));
-  consume(serialize(trace.hosts));
-  consume(serialize(trace.known_tor_relays));
+  for (const DnsRecord& r : trace.dns) consume(codec::encode(r));
+  for (const FlowRecord& f : trace.flows) consume(codec::encode(f));
+  consume(encode_hosts("infected", trace.infected));
+  consume(encode_hosts("hosts", trace.hosts));
+  consume(encode_hosts("known_tor_relays", trace.known_tor_relays));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "common/codec.hpp"
 
 namespace onion::detection {
 
@@ -32,6 +33,15 @@ struct DnsRecord {
   /// per name.
   std::uint32_t resolved = 0;
   SimTime at = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("DnsRecord", codec::u64("client", s.client),
+             codec::str("qname", s.qname),
+             codec::boolean<1>("nxdomain", s.nxdomain),
+             codec::u64("ttl", s.ttl), codec::u64("resolved", s.resolved),
+             codec::u64("at", s.at));
+  }
 };
 
 /// One flow record (NetFlow-style 5-tuple digest).
@@ -44,6 +54,15 @@ struct FlowRecord {
   /// is always true; legacy families vary.
   bool encrypted = false;
   SimTime at = 0;
+
+  /// Wire layout (common/codec.hpp), in encoding order.
+  static auto fields(auto& s, auto&& v) {
+    return v("FlowRecord", codec::u64("src", s.src), codec::u64("dst", s.dst),
+             codec::u64("dst_port", s.dst_port),
+             codec::u64("bytes", s.bytes),
+             codec::boolean<1>("encrypted", s.encrypted),
+             codec::u64("at", s.at));
+  }
 };
 
 /// A labelled capture: what the defender's sensors collected over the
@@ -71,9 +90,10 @@ struct TrafficTrace {
   void append(const TrafficTrace& other);
 };
 
-/// Canonical serialization: fixed field and record order, big-endian
-/// words, length-prefixed strings and lists. Equal bytes iff the traces
-/// are field-identical — the unit the replay-determinism tests compare.
+/// Canonical serialization: the DNS and flow record counts, every record
+/// through its fields(), then the infected, hosts and known_tor_relays
+/// lists as codec::list. Equal bytes iff the traces are field-identical
+/// — the unit the replay-determinism tests compare.
 Bytes serialize(const TrafficTrace& trace);
 
 /// SHA-256 (hex) over the canonical serialization, streamed record by

@@ -55,7 +55,24 @@ CampaignEngine::CampaignEngine(const ScenarioSpec& spec, SnapshotSink& sink,
   }
   wave_takedowns_.resize(spec_.waves.waves.size(), 0);
   soap_.resize(phases_.size());
-  adaptive_.resize(phases_.size());
+
+  // Every takedown kind but the random one picks the best-scored bot:
+  // targeted and centrality strikes are rankings re-surveyed before
+  // every strike.
+  rankings_.resize(phases_.size());
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    const AttackPhase& phase = phases_[i];
+    const std::size_t pivots = phase.betweenness_pivots;
+    if (phase.kind == AttackKind::TargetedTakedown)
+      rankings_[i] = Ranking{.metric = RankMetric::Degree, .pivots = pivots};
+    if (phase.kind == AttackKind::CentralityTakedown)
+      rankings_[i] = Ranking{.metric = RankMetric::SampledBetweenness,
+                             .pivots = pivots};
+    if (phase.kind == AttackKind::AdaptiveTakedown)
+      rankings_[i] = Ranking{.metric = phase.rank,
+                             .refresh_period = phase.refresh_period,
+                             .pivots = pivots};
+  }
 
   if (spec_.defense.charge_healing) {
     // Defense-consistent healing: every DDSR repair/refill edge becomes
@@ -63,14 +80,21 @@ CampaignEngine::CampaignEngine(const ScenarioSpec& spec, SnapshotSink& sink,
     // it causes is mended the same way a bootstrap eviction is.
     ddsr_.set_connector([this](NodeId a, NodeId b) {
       emit(TraceEventKind::HealPeering, a, b);
-      NodeId evicted = graph::kInvalidNode;
-      const core::PeerDecision decision =
-          net_.request_peering(a, b, &evicted);
-      if (evicted != graph::kInvalidNode) net_.refill(evicted);
+      const core::PeerDecision decision = peer(a, b);
       return decision == core::PeerDecision::AcceptedWithCapacity ||
              decision == core::PeerDecision::AcceptedEvicted;
     });
   }
+}
+
+template <typename Step>
+void CampaignEngine::every(SimTime first, SimTime stop, Step step) {
+  if (first >= std::min(stop, spec_.horizon)) return;
+  sim_.schedule_at(first, [this, stop, step = std::move(step)]() mutable {
+    // The step runs (and draws) before the next event is scheduled.
+    const SimTime next = step();
+    every(next, stop, std::move(step));
+  });
 }
 
 MetricsSnapshot CampaignEngine::run() {
@@ -89,9 +113,15 @@ MetricsSnapshot CampaignEngine::run() {
       arm_session_leave(u, sample_session(spec_.churn.session, rng_));
   }
   if (spec_.churn.joins_per_hour > 0.0)
-    arm_join(exp_gap(spec_.churn.joins_per_hour));
+    every(exp_gap(spec_.churn.joins_per_hour), horizon, [this] {
+      do_join();
+      return sim_.now() + exp_gap(spec_.churn.joins_per_hour);
+    });
   if (!spec_.churn.session_leaves && spec_.churn.leaves_per_hour > 0.0)
-    arm_leave(exp_gap(spec_.churn.leaves_per_hour));
+    every(exp_gap(spec_.churn.leaves_per_hour), horizon, [this] {
+      do_leave();
+      return sim_.now() + exp_gap(spec_.churn.leaves_per_hour);
+    });
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     const AttackPhase& phase = phases_[i];
     if (phase.stop <= phase.start || phase.start >= horizon) continue;
@@ -105,18 +135,31 @@ MetricsSnapshot CampaignEngine::run() {
       });
     }
     if (phase.kind == AttackKind::SoapInjection) {
-      arm_soap(i, phase.start);
+      every(phase.start, phase.stop, [this, i] {
+        return do_soap_tick(i) ? sim_.now() + phases_[i].soap_tick
+                               : kEndChain;
+      });
     } else if (phase.takedowns_per_hour > 0.0) {
-      if (phase.kind == AttackKind::AdaptiveTakedown &&
-          phase.refresh_period > 0 &&
-          phase.refresh_period != kNeverRefresh)
-        arm_refresh(i, phase.start);
-      arm_takedown(i, phase.start + exp_gap(phase.takedowns_per_hour));
+      const SimDuration period =
+          rankings_[i] ? rankings_[i]->refresh_period : 0;
+      if (period > 0 && period != kNeverRefresh)
+        every(phase.start, phase.stop, [this, i, period] {
+          do_refresh(i);
+          return sim_.now() + period;
+        });
+      every(phase.start + exp_gap(phase.takedowns_per_hour), phase.stop,
+            [this, i] {
+              do_takedown(i);
+              return sim_.now() + exp_gap(phases_[i].takedowns_per_hour);
+            });
     }
   }
   if (spec_.defense.rate_limit_per_round !=
       std::numeric_limits<std::size_t>::max())
-    arm_round(spec_.defense.round);
+    every(spec_.defense.round, horizon, [this] {
+      do_round();
+      return sim_.now() + spec_.defense.round;
+    });
   arm_snapshot(std::min<SimTime>(spec_.metrics.period, horizon));
 
   events_executed_ = sim_.run_until(horizon);
@@ -124,22 +167,6 @@ MetricsSnapshot CampaignEngine::run() {
 }
 
 // --- churn -----------------------------------------------------------
-
-void CampaignEngine::arm_join(SimTime t) {
-  if (t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this] {
-    do_join();
-    arm_join(sim_.now() + exp_gap(spec_.churn.joins_per_hour));
-  });
-}
-
-void CampaignEngine::arm_leave(SimTime t) {
-  if (t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this] {
-    do_leave();
-    arm_leave(sim_.now() + exp_gap(spec_.churn.leaves_per_hour));
-  });
-}
 
 void CampaignEngine::arm_session_leave(NodeId bot, SimTime t) {
   if (t >= spec_.horizon) return;  // the session outlives the campaign
@@ -159,9 +186,7 @@ void CampaignEngine::do_join() {
   const std::size_t want = std::min(spec_.degree, candidates.size());
   for (const NodeId target : rng_.sample(candidates, want)) {
     emit(TraceEventKind::Peering, id, target);
-    NodeId evicted = graph::kInvalidNode;
-    net_.request_peering(id, target, &evicted);
-    if (evicted != graph::kInvalidNode) net_.refill(evicted);
+    peer(id, target);
   }
   net_.refill(id);  // top up if some requests were rejected/limited
   if (spec_.churn.session_leaves)
@@ -169,13 +194,24 @@ void CampaignEngine::do_join() {
         id, sim_.now() + sample_session(spec_.churn.session, rng_));
 }
 
-void CampaignEngine::do_leave() {
+core::PeerDecision CampaignEngine::peer(NodeId requester, NodeId target) {
+  NodeId evicted = graph::kInvalidNode;
+  const core::PeerDecision decision =
+      net_.request_peering(requester, target, &evicted);
+  if (evicted != graph::kInvalidNode) net_.refill(evicted);
+  return decision;
+}
+
+CampaignEngine::NodeId CampaignEngine::draw_honest() {
   // Tracker order statistics instead of materializing honest_nodes():
   // honest_at(uniform(count)) draws the same bits and lands on the same
   // bot as rng_.pick over the ascending id vector, in O(log n) not O(n).
-  const std::uint64_t honest_count = tracker_.honest_alive();
-  if (honest_count <= 1) return;
-  const NodeId victim = tracker_.honest_at(rng_.uniform(honest_count));
+  return tracker_.honest_at(rng_.uniform(tracker_.honest_alive()));
+}
+
+void CampaignEngine::do_leave() {
+  if (tracker_.honest_alive() <= 1) return;
+  const NodeId victim = draw_honest();
   ++counters_.leaves;
   emit(TraceEventKind::Leave, victim);
   remove_bot(victim, spec_.churn.heal_on_leave);
@@ -201,29 +237,10 @@ void CampaignEngine::remove_bot(NodeId bot, bool heal) {
 
 // --- attacks ---------------------------------------------------------
 
-void CampaignEngine::arm_takedown(std::size_t phase_index, SimTime t) {
-  const AttackPhase& phase = phases_[phase_index];
-  if (t >= phase.stop || t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this, phase_index] {
-    do_takedown(phase_index);
-    arm_takedown(phase_index,
-                 sim_.now() + exp_gap(phases_[phase_index].takedowns_per_hour));
-  });
-}
-
 void CampaignEngine::do_takedown(std::size_t phase_index) {
-  const std::uint64_t honest_count = tracker_.honest_alive();
-  if (honest_count <= 1) return;
-  NodeId victim;
-  if (phases_[phase_index].kind == AttackKind::RandomTakedown) {
-    // Same draw, same victim as rng_.pick over honest_nodes() — see
-    // do_leave() — without the O(n) vector per strike. The ranked
-    // attack kinds scan scores over all honest bots anyway, so they
-    // keep the explicit vector.
-    victim = tracker_.honest_at(rng_.uniform(honest_count));
-  } else {
-    victim = pick_victim(phase_index, net_.honest_nodes());
-  }
+  if (tracker_.honest_alive() <= 1) return;
+  std::optional<Ranking>& ranking = rankings_[phase_index];
+  const NodeId victim = ranking ? pick_victim(*ranking) : draw_honest();
   ++counters_.takedowns;
   if (phase_index >= wave_base_)
     ++wave_takedowns_[phase_index - wave_base_];
@@ -238,6 +255,7 @@ double score_of(const std::vector<double>& score, graph::NodeId u) {
   return u < score.size() ? score[u] : 0.0;
 }
 
+/// The first (lowest-id) honest bot of the highest score.
 graph::NodeId best_by_score(const std::vector<double>& score,
                             const std::vector<graph::NodeId>& honest) {
   graph::NodeId best = honest.front();
@@ -252,122 +270,71 @@ graph::NodeId best_by_score(const std::vector<double>& score,
 }
 }  // namespace
 
-CampaignEngine::NodeId CampaignEngine::pick_victim(
-    std::size_t phase_index, const std::vector<NodeId>& honest) {
-  const AttackPhase& phase = phases_[phase_index];
-  switch (phase.kind) {
-    case AttackKind::RandomTakedown:
-      break;  // handled in do_takedown via the tracker's order statistics
-    case AttackKind::TargetedTakedown: {
-      const graph::Graph& g = net_.graph();
-      NodeId best = honest.front();
-      std::size_t best_degree = g.degree(best);
-      for (const NodeId u : honest) {
-        if (g.degree(u) > best_degree) {
-          best_degree = g.degree(u);
-          best = u;
-        }
-      }
-      return best;
-    }
-    case AttackKind::CentralityTakedown: {
-      const std::vector<double> bc = graph::betweenness_sampled(
-          net_.graph(), phase.betweenness_pivots, rng_);
-      return best_by_score(bc, honest);
-    }
-    case AttackKind::AdaptiveTakedown: {
-      AdaptiveState& state = adaptive_[phase_index];
-      // refresh_period 0 re-surveys before every strike — the
-      // refresh-cadence → ∞ limit, byte-identical to Centrality/
-      // TargetedTakedown for the matching metric. Otherwise the first
-      // strike ranks lazily if no scheduled refresh ran yet, and the
-      // cached (stale) table serves until the next cadence refresh.
-      if (!state.ranked || phase.refresh_period == 0)
-        refresh_ranking(phase_index);
-      return best_by_score(state.score, honest);
-    }
-    case AttackKind::SoapInjection:
-      break;  // SOAP phases never pick takedown victims
-  }
-  ONION_ENSURES(false);  // unreachable attack kind
-  return graph::kInvalidNode;
+CampaignEngine::NodeId CampaignEngine::pick_victim(Ranking& ranking) {
+  // Refresh period 0 re-surveys before every strike: the refresh-cadence
+  // → ∞ limit, which is what targeted and centrality takedowns are.
+  // Otherwise the first strike ranks lazily if no scheduled refresh ran
+  // yet, and the cached (stale) table serves until the next refresh.
+  if (!ranking.ranked || ranking.refresh_period == 0) refresh(ranking);
+  return best_by_score(ranking.score, net_.honest_nodes());
 }
 
-void CampaignEngine::refresh_ranking(std::size_t phase_index) {
-  const AttackPhase& phase = phases_[phase_index];
-  AdaptiveState& state = adaptive_[phase_index];
-  switch (phase.rank) {
+void CampaignEngine::refresh(Ranking& ranking) {
+  const graph::Graph& g = net_.graph();
+  switch (ranking.metric) {
     case RankMetric::SampledBetweenness:
-      state.score = graph::betweenness_sampled(
-          net_.graph(), phase.betweenness_pivots, rng_);
+      ranking.score = graph::betweenness_sampled(g, ranking.pivots, rng_);
       break;
-    case RankMetric::Degree: {
-      const graph::Graph& g = net_.graph();
-      state.score.assign(g.capacity(), 0.0);
+    case RankMetric::Degree:
+      ranking.score.assign(g.capacity(), 0.0);
       for (NodeId u = 0; u < g.capacity(); ++u)
-        if (g.alive(u))
-          state.score[u] = static_cast<double>(g.degree(u));
+        if (g.alive(u)) ranking.score[u] = static_cast<double>(g.degree(u));
       break;
-    }
   }
-  state.ranked = true;
+  ranking.ranked = true;
 }
 
-void CampaignEngine::arm_refresh(std::size_t phase_index, SimTime t) {
-  const AttackPhase& phase = phases_[phase_index];
-  if (t >= phase.stop || t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this, phase_index, t] {
-    refresh_ranking(phase_index);
-    if (trace_ != nullptr) {  // the top-target scan is trace-only work
-      const std::vector<NodeId> honest = net_.honest_nodes();
-      if (!honest.empty())
-        emit(TraceEventKind::AdaptiveRefresh, phase_index,
-             best_by_score(adaptive_[phase_index].score, honest));
-    }
-    arm_refresh(phase_index, t + phases_[phase_index].refresh_period);
-  });
+void CampaignEngine::do_refresh(std::size_t phase_index) {
+  Ranking& ranking = *rankings_[phase_index];
+  refresh(ranking);
+  if (trace_ != nullptr) {  // the top-target scan is trace-only work
+    const std::vector<NodeId> honest = net_.honest_nodes();
+    if (!honest.empty())
+      emit(TraceEventKind::AdaptiveRefresh, phase_index,
+           best_by_score(ranking.score, honest));
+  }
 }
 
-void CampaignEngine::arm_soap(std::size_t phase_index, SimTime t) {
-  const AttackPhase& phase = phases_[phase_index];
-  if (t >= phase.stop || t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this, phase_index, t] {
-    const AttackPhase& ph = phases_[phase_index];
-    SoapPhaseState& state = soap_[phase_index];
-    if (!state.campaign) {
-      const std::vector<NodeId> honest = net_.honest_nodes();
-      if (honest.empty()) return;
-      state.campaign = std::make_unique<mitigation::SoapCampaign>(
-          net_, mitigation::SoapConfig{}, rng_);
-      const NodeId captured = rng_.pick(honest);
-      emit(TraceEventKind::SoapCapture, captured);
-      state.campaign->capture(captured);
-    }
-    bool progressing = true;
-    for (std::size_t r = 0;
-         r < ph.soap_rounds_per_tick && progressing; ++r)
-      progressing = state.campaign->step();
-    if (trace_ != nullptr)  // contained_count() is O(discovered)
-      emit(TraceEventKind::SoapRound, state.campaign->clones_created(),
-           state.campaign->contained_count());
-    if (progressing) arm_soap(phase_index, t + ph.soap_tick);
-  });
+bool CampaignEngine::do_soap_tick(std::size_t phase_index) {
+  std::unique_ptr<mitigation::SoapCampaign>& campaign = soap_[phase_index];
+  if (!campaign) {
+    if (tracker_.honest_alive() == 0) return false;
+    campaign = std::make_unique<mitigation::SoapCampaign>(
+        net_, mitigation::SoapConfig{}, rng_);
+    const NodeId captured = draw_honest();
+    emit(TraceEventKind::SoapCapture, captured);
+    campaign->capture(captured);
+  }
+  bool progressing = true;
+  for (std::size_t r = 0;
+       r < phases_[phase_index].soap_rounds_per_tick && progressing; ++r)
+    progressing = campaign->step();
+  if (trace_ != nullptr)  // contained_count() is O(discovered)
+    emit(TraceEventKind::SoapRound, campaign->clones_created(),
+         campaign->contained_count());
+  return progressing;
 }
 
 // --- defense rounds --------------------------------------------------
 
-void CampaignEngine::arm_round(SimTime t) {
-  if (t >= spec_.horizon) return;
-  sim_.schedule_at(t, [this, t] {
-    net_.begin_round();
-    // Rate-limited bots give up until the next round (the overlay
-    // refill contract), so each fresh round retries every bot still
-    // below dmin — without this, a newcomer whose whole bootstrap round
-    // was throttled would stay isolated forever.
-    for (const NodeId v : net_.honest_nodes())
-      if (net_.graph().degree(v) < net_.config().dmin) net_.refill(v);
-    arm_round(t + spec_.defense.round);
-  });
+void CampaignEngine::do_round() {
+  net_.begin_round();
+  // Rate-limited bots give up until the next round (the overlay refill
+  // contract), so each fresh round retries every bot still below dmin —
+  // without this, a newcomer whose whole bootstrap round was throttled
+  // would stay isolated forever.
+  for (const NodeId v : net_.honest_nodes())
+    if (net_.graph().degree(v) < net_.config().dmin) net_.refill(v);
 }
 
 // --- metrics ---------------------------------------------------------
@@ -409,10 +376,10 @@ MetricsSnapshot CampaignEngine::compute_snapshot() {
   s.prune_edges = stats.prune_edges_removed;
   s.refill_edges = stats.refill_edges_added;
   s.repair_messages = stats.maintenance_messages();
-  for (const SoapPhaseState& state : soap_) {
-    if (!state.campaign) continue;
-    s.soap_clones += state.campaign->clones_created();
-    s.soap_contained += state.campaign->contained_count();
+  for (const auto& campaign : soap_) {
+    if (!campaign) continue;
+    s.soap_clones += campaign->clones_created();
+    s.soap_contained += campaign->contained_count();
   }
   s.wave_takedowns = wave_takedowns_;
   return s;

@@ -6,6 +6,8 @@
 // multi-wave plans — fire inside their [start, stop) windows, adaptive
 // attackers re-rank their hit lists on their refresh cadence, and a
 // MetricsSnapshot is emitted through the sink once per metrics period.
+// Targeted and centrality takedowns are the refresh-0 case of that
+// ranking: every ranked phase picks its victims through one path.
 //
 // Everything is driven by two independent deterministic streams split
 // from the spec seed: one for campaign dynamics (churn, victims, SOAP,
@@ -16,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -73,24 +77,23 @@ class CampaignEngine {
   const StructuralTracker& tracker() const { return tracker_; }
   /// Simulator events executed by run() (0 before it).
   std::size_t events_executed() const { return events_executed_; }
-  /// The compiled attack schedule: spec.attacks followed by the wave
-  /// plan's waves as absolute windows (phase index i >= spec.attacks
-  /// .size() is wave i - spec.attacks.size()).
-  const std::vector<AttackPhase>& phases() const { return phases_; }
   /// Cumulative takedowns attributed to each wave of the plan.
   const std::vector<std::uint64_t>& wave_takedowns() const {
     return wave_takedowns_;
   }
 
  private:
-  struct SoapPhaseState {
-    std::unique_ptr<mitigation::SoapCampaign> campaign;
-  };
-  /// Cached victim ranking of an AdaptiveTakedown phase. Scores are
-  /// indexed by node id at ranking time; nodes that joined since score
-  /// 0 until the next refresh — the attacker has not surveyed them yet.
-  struct AdaptiveState {
-    std::vector<double> score;
+  /// Victim ranking of a takedown phase that picks by score. Targeted
+  /// and centrality takedowns compile to the refresh-0 ranking on degree
+  /// and on sampled betweenness; adaptive phases keep their own metric
+  /// and cadence. Scores are indexed by node id at ranking time; nodes
+  /// that joined since score 0 until the next refresh — the attacker has
+  /// not surveyed them yet.
+  struct Ranking {
+    RankMetric metric = RankMetric::SampledBetweenness;
+    SimDuration refresh_period = 0;
+    std::size_t pivots = 0;  // sampled-betweenness pivots
+    std::vector<double> score = {};
     bool ranked = false;
   };
 
@@ -99,21 +102,34 @@ class CampaignEngine {
   void do_leave();
   void do_session_leave(NodeId bot);
   void do_takedown(std::size_t phase_index);
+  /// One scheduled re-survey of a ranking with a finite cadence.
+  void do_refresh(std::size_t phase_index);
+  /// One SOAP tick; false once the campaign stops progressing (or
+  /// found no bot to capture), which ends the phase's chain.
+  bool do_soap_tick(std::size_t phase_index);
+  void do_round();
   /// Deletes a bot through DDSR, with clique repair iff `heal`.
   void remove_bot(NodeId bot, bool heal);
-  NodeId pick_victim(std::size_t phase_index,
-                     const std::vector<NodeId>& honest);
-  /// Recomputes an adaptive phase's score table from the live graph.
-  void refresh_ranking(std::size_t phase_index);
+  /// Re-ranks first when the table is unranked or the phase re-surveys
+  /// before every strike (refresh period 0).
+  NodeId pick_victim(Ranking& ranking);
+  /// Recomputes a score table from the live graph.
+  void refresh(Ranking& ranking);
+  /// An honest alive bot drawn uniformly. Precondition: one exists.
+  NodeId draw_honest();
+  /// Sends a peering request and refills the bot a full target evicted
+  /// to accept it, so no request leaves a hole.
+  core::PeerDecision peer(NodeId requester, NodeId target);
 
-  // Self-rescheduling event chains (each guards against the horizon).
-  void arm_join(SimTime t);
-  void arm_leave(SimTime t);
+  /// A repeating event: runs `step` at `first`, then at each time it
+  /// returns, until that time reaches min(stop, horizon). A step ends
+  /// its chain early by returning kEndChain.
+  template <typename Step>
+  void every(SimTime first, SimTime stop, Step step);
+  static constexpr SimTime kEndChain = std::numeric_limits<SimTime>::max();
+  /// Fires once, unless `t` lies past the horizon.
   void arm_session_leave(NodeId bot, SimTime t);
-  void arm_takedown(std::size_t phase_index, SimTime t);
-  void arm_refresh(std::size_t phase_index, SimTime t);
-  void arm_soap(std::size_t phase_index, SimTime t);
-  void arm_round(SimTime t);
+  /// Snapshots on the metrics period and once at the horizon itself.
   void arm_snapshot(SimTime t);
 
   void take_snapshot();
@@ -140,8 +156,10 @@ class CampaignEngine {
   std::vector<AttackPhase> phases_;
   std::size_t wave_base_ = 0;
   std::vector<std::uint64_t> wave_takedowns_;  // one slot per wave
-  std::vector<SoapPhaseState> soap_;       // one slot per phases_ entry
-  std::vector<AdaptiveState> adaptive_;    // one slot per phases_ entry
+  // One slot per phases_ entry each: a ranking for the takedown kinds
+  // that pick by score, a campaign once a SOAP phase has captured a bot.
+  std::vector<std::optional<Ranking>> rankings_;
+  std::vector<std::unique_ptr<mitigation::SoapCampaign>> soap_;
   CampaignCounters counters_;
   MetricsSnapshot last_;
   std::size_t events_executed_ = 0;

@@ -86,13 +86,13 @@ struct AttackPhase {
 
   /// AdaptiveTakedown: the victim-ranking metric, and how often the
   /// attacker re-surveys the healing overlay. 0 re-ranks before every
-  /// strike — with rank == SampledBetweenness that is event-stream-
-  /// identical to CentralityTakedown (the refresh-cadence → ∞ limit;
-  /// tests/scenario_test.cpp enforces the identity byte-for-byte), and
-  /// with rank == Degree identical to TargetedTakedown. kNeverRefresh
-  /// ranks once at the first strike. Any value in between schedules
-  /// refreshes at start, start + refresh_period, ... inside the window,
-  /// each recorded as a TraceEventKind::AdaptiveRefresh.
+  /// strike (the refresh-cadence → ∞ limit). CentralityTakedown and
+  /// TargetedTakedown are that ranking on SampledBetweenness and on
+  /// Degree: the engine compiles them to it, and tests/scenario_test.cpp
+  /// pins the identity byte-for-byte. kNeverRefresh ranks once at the
+  /// first strike. Any value in between schedules refreshes at start,
+  /// start + refresh_period, ... inside the window, each recorded as a
+  /// TraceEventKind::AdaptiveRefresh.
   RankMetric rank = RankMetric::SampledBetweenness;
   SimDuration refresh_period = 0;
 

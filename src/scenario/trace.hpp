@@ -122,9 +122,6 @@ class CampaignTrace final : public TraceSink,
                            public SnapshotSink,
                            public TraceSource {
  public:
-  /// Pre-TraceSource spelling of the lifetime record.
-  using Lifetime = BotLifetime;
-
   // TraceSink.
   void on_begin(const ScenarioSpec& spec,
                 const std::vector<graph::NodeId>& initial) override;

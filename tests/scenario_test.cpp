@@ -392,6 +392,90 @@ TEST(AdaptiveAttacker, RefreshCadenceIsARealKnob) {
   }
 }
 
+// The engine emits Takedown before it removes the victim, so a sink that
+// holds the engine's overlay sees the graph the victim was picked from.
+// It checks every takedown against a plain scan: the victim is the
+// lowest-id honest alive bot of maximum degree.
+class TargetedVictimOracle final : public TraceSink {
+ public:
+  void watch(const core::OverlayNetwork& net) { net_ = &net; }
+  void on_begin(const ScenarioSpec&,
+                const std::vector<graph::NodeId>&) override {}
+  void on_event(const CampaignEvent& e) override {
+    if (e.kind != TraceEventKind::Takedown) return;
+    ++checked_;
+    const graph::Graph& g = net_->graph();
+    graph::NodeId expected = graph::kInvalidNode;
+    for (const graph::NodeId u : net_->honest_nodes())
+      if (expected == graph::kInvalidNode || g.degree(u) > g.degree(expected))
+        expected = u;
+    EXPECT_EQ(e.a, expected) << "takedown at t=" << e.at;
+  }
+  std::size_t checked() const { return checked_; }
+
+ private:
+  const core::OverlayNetwork* net_ = nullptr;
+  std::size_t checked_ = 0;
+};
+
+// Random campaigns whose only takedowns are targeted: two standalone
+// phases, healed or not, and a one-wave plan, next to churn and a SOAP
+// phase whose clones hold honest bots' peering slots.
+ScenarioSpec random_targeted_spec(Rng& rng) {
+  ScenarioSpec spec;
+  spec.seed = rng.next_u64();
+  spec.initial_size = 2 * rng.uniform_in(30, 120);  // n * k must be even
+  spec.degree = rng.uniform_in(3, 8);
+  spec.horizon = 40 * kMinute;
+  spec.churn.joins_per_hour = static_cast<double>(rng.uniform_in(0, 300));
+  spec.churn.leaves_per_hour = static_cast<double>(rng.uniform_in(0, 300));
+  spec.churn.heal_on_leave = rng.bernoulli(0.7);
+  for (int p = 0; p < 2; ++p) {
+    AttackPhase targeted;
+    targeted.kind = AttackKind::TargetedTakedown;
+    targeted.start = rng.uniform_in(0, 20) * kMinute;
+    targeted.stop = targeted.start + rng.uniform_in(5, 20) * kMinute;
+    targeted.takedowns_per_hour =
+        static_cast<double>(rng.uniform_in(60, 360));
+    targeted.heal = rng.bernoulli(0.5);
+    spec.attacks.push_back(targeted);
+  }
+  AttackPhase soap;
+  soap.kind = AttackKind::SoapInjection;
+  soap.start = rng.uniform_in(0, 10) * kMinute;
+  soap.stop = spec.horizon;
+  soap.soap_rounds_per_tick = rng.uniform_in(1, 3);
+  spec.attacks.push_back(soap);
+  AttackWave wave;
+  wave.attack.kind = AttackKind::TargetedTakedown;
+  wave.attack.takedowns_per_hour = 240.0;
+  wave.duration = 5 * kMinute;
+  spec.waves.start = 30 * kMinute;
+  spec.waves.waves.push_back(wave);
+  if (rng.bernoulli(0.5)) spec.defense.rate_limit_per_round = 2;
+  spec.metrics.period = 10 * kMinute;
+  return spec;
+}
+
+TEST(AdaptiveAttacker, TargetedVictimsMatchAPlainDegreeScan) {
+  Rng rng(0x0ac1e);
+  std::size_t checked = 0;
+  std::uint64_t clones = 0;
+  for (int round = 0; round < 12; ++round) {
+    const ScenarioSpec spec = random_targeted_spec(rng);
+    TargetedVictimOracle oracle;
+    HashSink snapshots;
+    CampaignEngine engine(spec, snapshots, &oracle);
+    oracle.watch(engine.overlay());
+    const MetricsSnapshot end = engine.run();
+    EXPECT_EQ(oracle.checked(), end.takedowns) << "spec seed " << spec.seed;
+    checked += oracle.checked();
+    clones += end.soap_clones;
+  }
+  EXPECT_GT(checked, 100u);
+  EXPECT_GT(clones, 0u);
+}
+
 // ====================================================================
 // Stream pins: ranked takedowns and SOAP
 // ====================================================================
