@@ -87,13 +87,17 @@ CampaignEngine::CampaignEngine(const ScenarioSpec& spec, SnapshotSink& sink,
   }
 }
 
-template <typename Step>
-void CampaignEngine::every(SimTime first, SimTime stop, Step step) {
-  if (first >= std::min(stop, spec_.horizon)) return;
-  sim_.schedule_at(first, [this, stop, step = std::move(step)]() mutable {
-    // The step runs (and draws) before the next event is scheduled.
-    const SimTime next = step();
-    every(next, stop, std::move(step));
+void CampaignEngine::every(SimTime first, SimTime stop,
+                           std::function<SimTime()> step) {
+  chains_.push_back(Chain{stop, std::move(step)});
+  arm_chain(chains_.size() - 1, first);
+}
+
+void CampaignEngine::arm_chain(std::size_t chain, SimTime t) {
+  if (t >= std::min(chains_[chain].stop, spec_.horizon)) return;
+  // The step runs (and draws) before its successor is scheduled.
+  sim_.schedule_at(t, [this, chain] {
+    arm_chain(chain, chains_[chain].step());
   });
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -124,9 +125,12 @@ class CampaignEngine {
   /// A repeating event: runs `step` at `first`, then at each time it
   /// returns, until that time reaches min(stop, horizon). A step ends
   /// its chain early by returning kEndChain.
-  template <typename Step>
-  void every(SimTime first, SimTime stop, Step step);
+  void every(SimTime first, SimTime stop, std::function<SimTime()> step);
   static constexpr SimTime kEndChain = std::numeric_limits<SimTime>::max();
+  /// Schedules chain `chain`'s next step at `t`, unless `t` is past its
+  /// end. The event holds only an index, so it fits std::function's
+  /// inline buffer and a step costs no allocation.
+  void arm_chain(std::size_t chain, SimTime t);
   /// Fires once, unless `t` lies past the horizon.
   void arm_session_leave(NodeId bot, SimTime t);
   /// Snapshots on the metrics period and once at the horizon itself.
@@ -160,6 +164,11 @@ class CampaignEngine {
   // that pick by score, a campaign once a SOAP phase has captured a bot.
   std::vector<std::optional<Ranking>> rankings_;
   std::vector<std::unique_ptr<mitigation::SoapCampaign>> soap_;
+  struct Chain {
+    SimTime stop = 0;
+    std::function<SimTime()> step;
+  };
+  std::vector<Chain> chains_;  // the every() chains, armed by run()
   CampaignCounters counters_;
   MetricsSnapshot last_;
   std::size_t events_executed_ = 0;
