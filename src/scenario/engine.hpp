@@ -97,6 +97,11 @@ class CampaignEngine {
     std::vector<double> score = {};
     bool ranked = false;
   };
+  /// One every() chain: its step and the end of its window.
+  struct Chain {
+    SimTime stop = 0;
+    std::function<SimTime()> step;
+  };
 
   // Event bodies.
   void do_join();
@@ -164,10 +169,6 @@ class CampaignEngine {
   // that pick by score, a campaign once a SOAP phase has captured a bot.
   std::vector<std::optional<Ranking>> rankings_;
   std::vector<std::unique_ptr<mitigation::SoapCampaign>> soap_;
-  struct Chain {
-    SimTime stop = 0;
-    std::function<SimTime()> step;
-  };
   std::vector<Chain> chains_;  // the every() chains, armed by run()
   CampaignCounters counters_;
   MetricsSnapshot last_;
