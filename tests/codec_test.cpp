@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/codec.hpp"
+#include "common/fileio.hpp"
 #include "core/messages.hpp"
 #include "crypto/sha256.hpp"
 #include "detection/replay_grid.hpp"
@@ -284,6 +285,84 @@ TEST(CodecLayout, ReplayGridReportWithFailedCells) {
   report.resumed_cells = 6;
   EXPECT_EQ(sha(wire::serialize(report)),
             "d17426d1f18585a8930fea773b08d4052cdd5786e6493a9bacc3ff220a26b96d");
+}
+
+// ====================================================================
+// Frames: the complete bytes each frame kind puts on disk — magic,
+// version, length, payload and digest — so a magic moved onto the
+// wrong struct moves a pin even where every payload pin holds.
+// ====================================================================
+
+GridReport full_grid_report() {
+  GridReport report;
+  report.cells = {full_cell(), CellResult{}, full_cell()};
+  report.cells[1].label = "seed=43";
+  report.cells[1].seed = 43;
+  report.failed_cells = {full_failed_cell(1), full_failed_cell(4)};
+  report.combined_fingerprint = std::string(64, 'f');
+  report.threads_used = 4;
+  report.wall_seconds = 12.5;
+  report.retries = 2;
+  report.resumed_cells = 1;
+  return report;
+}
+
+detection::ReplayGridReport full_replay_report() {
+  detection::ReplayGridReport report;
+  report.points = full_replay_cell().points;
+  report.fingerprint = std::string(64, 'e');
+  report.failed_cells = {full_failed_cell(3)};
+  report.threads_used = 2;
+  report.wall_seconds = 3.25;
+  report.retries = 1;
+  report.resumed_cells = 6;
+  return report;
+}
+
+TEST(CodecLayout, FrameCellResult) {
+  EXPECT_EQ(sha(wire::encode_cell_result(full_cell())),
+            "ddd51d84c724fa87c0c775a9bb60ae6d7fdde0f28f469ff1bd760c33effd3b18");
+}
+
+TEST(CodecLayout, FrameGridReport) {
+  EXPECT_EQ(sha(wire::encode_grid_report(full_grid_report())),
+            "2716a6c858cb1e7ae9221f3690bdc7a4b74f646e8198e3e53c95869e15245b8e");
+}
+
+TEST(CodecLayout, FrameReplayGridCell) {
+  EXPECT_EQ(sha(wire::encode_replay_cell(full_replay_cell())),
+            "d2475af3269fa2d0e29b61684f165f88ede8e50ed6a1f412a2d3f720d7ad26de");
+}
+
+TEST(CodecLayout, FrameReplayGridReport) {
+  EXPECT_EQ(sha(wire::encode_replay_report(full_replay_report())),
+            "b2123892b2229ca400d12c1652626382d638c1dc2fbb88565433ccd32ff74e15");
+}
+
+// A hand-fed trace (no engine, so only the file format can move it):
+// a header, three chunk frames of at most two records, and the footer.
+TEST(CodecLayout, FrameTraceFile) {
+  const std::string path = ::testing::TempDir() + "codec_frame_pin.trace";
+  {
+    trace_io::TraceWriter writer(path, {.chunk_records = 2});
+    writer.on_begin(full_spec(), {0, 1, 2, 7});
+    writer.on_event({.at = 5, .kind = TraceEventKind::Join, .a = 8, .b = 0});
+    writer.on_snapshot(full_snapshot(true));
+    writer.on_event(
+        {.at = 9, .kind = TraceEventKind::Peering, .a = 8, .b = 2});
+    writer.on_event(
+        {.at = 11, .kind = TraceEventKind::Takedown, .a = 1, .b = 0});
+    writer.on_snapshot(full_snapshot(false));
+    writer.finish();
+  }
+  const Bytes file = read_file_bytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(to_hex(BytesView(file).first(8)), "4f42544844520001");
+  EXPECT_EQ(to_hex(BytesView(file).last(trace_io::kFooterFrameBytes)
+                       .first(8)),
+            "4f42544654520001");
+  EXPECT_EQ(sha(file),
+            "f4633b05c44d771361743d6df056f4cc6bb4b97c2c0508a7890e78dd83634893");
 }
 
 detection::DnsRecord full_dns_record() {
