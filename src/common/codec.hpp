@@ -15,10 +15,11 @@
 //
 // encode(), decode() and encoded_size() below are the only walkers of
 // those lists, so writer and reader cannot disagree on order or
-// encoding. Integers, lengths and counts are big-endian; where a width
-// can vary it is a template argument (default 8 bytes), so the campaign
-// formats use words throughout and the bot protocol (core/messages.hpp)
-// its narrow widths. The encodings:
+// encoding; fingerprint() hashes a sequence of encodings, and
+// scenario/wire.hpp frames one. Integers, lengths and counts are
+// big-endian; where a width can vary it is a template argument (default
+// 8 bytes), so the campaign formats use words throughout and the bot
+// protocol (core/messages.hpp) its narrow widths. The encodings:
 //
 //   u64, u16, u8  an integer of 8, 2 or 1 bytes (u64 takes any integer;
 //                 a signed one travels as two's complement)
@@ -62,9 +63,11 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
+#include "crypto/sha256.hpp"
 
 namespace onion::codec {
 
@@ -553,6 +556,23 @@ S decode(BytesView bytes) {
         }) +
         ": " + std::to_string(r.remaining()) + " trailing bytes");
   return s;
+}
+
+/// Chained SHA-256 (hex) over the encoding of each item, in order: the
+/// fingerprint of a stream of fields() structs. Encodings are hashed back
+/// to back, so a stream digested item by item as it is produced (a trace
+/// file's event digest) reaches the same value.
+template <typename S>
+std::string fingerprint(const std::vector<S>& items) {
+  crypto::Sha256 hasher;
+  Bytes encoded;
+  for (const S& s : items) {
+    encoded.clear();
+    encode_into(encoded, s);
+    hasher.update(encoded);
+  }
+  const crypto::Sha256Digest digest = hasher.finalize();
+  return to_hex(BytesView(digest.data(), digest.size()));
 }
 
 }  // namespace onion::codec

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "crypto/sha256.hpp"
 #include "detection/traffic.hpp"
 #include "scenario/wire.hpp"
 
@@ -171,8 +170,6 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   return out;
 }
 
-Bytes serialize(const ReplayGridPoint& p) { return codec::encode(p); }
-
 void ReplayGridReport::write_csv(std::FILE* out) const {
   std::fprintf(out,
                "campaign,replay_seed,detector,params,flows,flagged,"
@@ -193,10 +190,7 @@ void ReplayGridReport::write_csv(std::FILE* out) const {
 
 std::string combine_replay_points(
     const std::vector<ReplayGridPoint>& points) {
-  crypto::Sha256 hasher;
-  for (const ReplayGridPoint& p : points) hasher.update(serialize(p));
-  const crypto::Sha256Digest digest = hasher.finalize();
-  return to_hex(BytesView(digest.data(), digest.size()));
+  return codec::fingerprint(points);
 }
 
 ReplayGrid::ReplayGrid(ReplayGridConfig config)
@@ -311,13 +305,13 @@ Bytes ReplayGridJob::run_cell(std::uint64_t cell_index) const {
   ONION_EXPECTS_MSG(campaign != nullptr,
                     "merge-only replay campaign asked to run cell "
                         << cell_index);
-  return scenario::wire::encode_replay_cell(
-      grid_.run_cell(*campaign, cell_index));
+  return scenario::wire::encode_frame(grid_.run_cell(*campaign, cell_index));
 }
 
 bool ReplayGridJob::accept_frame(std::uint64_t cell_index, BytesView framed,
                                  std::string& error) {
-  ReplayGridCell loaded = scenario::wire::decode_replay_cell(framed);
+  ReplayGridCell loaded =
+      scenario::wire::decode_frame<ReplayGridCell>(framed);
   const std::uint64_t campaign =
       cell_index / grid_.config().replay_seeds.size();
   const std::uint64_t replay_seed = cell_seed(cell_index);

@@ -110,13 +110,10 @@ struct ReplayGridPoint {
   }
 };
 
-/// Canonical serialization of one point (codec::encode over fields()) —
-/// the unit the grid fingerprint hashes.
-Bytes serialize(const ReplayGridPoint& p);
-
-/// The grid fingerprint over `points` (chained SHA-256, hex, in the
-/// given order). Exposed so tests can recompute the invariant from any
-/// partition of completed cells.
+/// The grid fingerprint over `points` (codec::fingerprint: chained
+/// SHA-256 over each point's encoding, hex, in the given order). Exposed
+/// so tests can recompute the invariant from any partition of completed
+/// cells.
 std::string combine_replay_points(const std::vector<ReplayGridPoint>& points);
 
 /// One (campaign, seed) cell's outcome — the unit the multi-process
@@ -130,6 +127,9 @@ struct ReplayGridCell {
   std::vector<ReplayGridPoint> points;
   double wall_seconds = 0.0;
 
+  /// Frame tag "OBRCEL\x00\x01" (scenario/wire.hpp): distinct from
+  /// every campaign frame's.
+  static constexpr std::uint64_t kFrameMagic = 0x4f425243454c0001ull;
   /// Wire layout (common/codec.hpp), in encoding order.
   static auto fields(auto& s, auto&& v) {
     return v("ReplayGridCell", codec::u64("cell_index", s.cell_index),
@@ -163,6 +163,9 @@ struct ReplayGridReport {
   /// One CSV row per point (plus a header).
   void write_csv(std::FILE* out) const;
 
+  /// Frame tag "OBRGRD\x00\x01" (scenario/wire.hpp); gridworker
+  /// persists the merged report under it.
+  static constexpr std::uint64_t kFrameMagic = 0x4f42524752440001ull;
   /// Wire layout (common/codec.hpp), in encoding order.
   static auto fields(auto& s, auto&& v) {
     return v("ReplayGridReport", codec::framed("points", s.points),

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/parallel.hpp"
-#include "crypto/sha256.hpp"
 #include "detection/dga_detector.hpp"
 #include "detection/fastflux_detector.hpp"
 #include "detection/p2p_detector.hpp"
@@ -85,8 +84,6 @@ std::string flow_beacon_params(double size_cv, double gap_cv) {
 std::string tor_flagger_params(std::size_t min_flows) {
   return "min_flows=" + fmt(min_flows);
 }
-
-Bytes serialize(const RocPoint& p) { return codec::encode(p); }
 
 void RocReport::write_csv(std::FILE* out) const {
   std::fprintf(out,
@@ -197,10 +194,7 @@ RocReport RocSweep::run(const TrafficTrace& trace,
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  crypto::Sha256 hasher;
-  for (const RocPoint& p : report.points) hasher.update(serialize(p));
-  const crypto::Sha256Digest digest = hasher.finalize();
-  report.fingerprint = to_hex(BytesView(digest.data(), digest.size()));
+  report.fingerprint = codec::fingerprint(report.points);
   return report;
 }
 

@@ -132,16 +132,13 @@ RocPoint score_verdict(std::string detector, std::string params,
 std::string flow_beacon_params(double size_cv, double gap_cv);
 std::string tor_flagger_params(std::size_t min_flows);
 
-/// Canonical serialization of one point (codec::encode over fields()) —
-/// the unit the sweep fingerprint hashes.
-Bytes serialize(const RocPoint& p);
-
 /// The sweep's outcome, points in grid order (family by family, axes in
 /// row-major declaration order — never completion order).
 struct RocReport {
   std::vector<RocPoint> points;
-  /// Chained SHA-256 (hex) over the serialized points. Equal trace +
-  /// equal config reproduce it byte-for-byte at any thread count.
+  /// codec::fingerprint of the points: chained SHA-256 (hex) over their
+  /// encodings. Equal trace + equal config reproduce it byte-for-byte at
+  /// any thread count.
   std::string fingerprint;
   std::size_t threads_used = 0;
   double wall_seconds = 0.0;  // informational; never fingerprinted

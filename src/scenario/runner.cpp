@@ -129,12 +129,12 @@ std::uint64_t CampaignCellJob::cell_seed(std::uint64_t cell_index) const {
 Bytes CampaignCellJob::run_cell(std::uint64_t cell_index) const {
   CellResult result;
   execute_cell(grid_.cells()[cell_index], result);
-  return wire::encode_cell_result(result);
+  return wire::encode_frame(result);
 }
 
 bool CampaignCellJob::accept_frame(std::uint64_t cell_index, BytesView framed,
                                    std::string& error) {
-  CellResult loaded = wire::decode_cell_result(framed);
+  CellResult loaded = wire::decode_frame<CellResult>(framed);
   const GridCell& expected = grid_.cells()[cell_index];
   if (loaded.label != expected.label || loaded.seed != expected.spec.seed) {
     error = "frame identity mismatch: holds (" + loaded.label + ", seed " +

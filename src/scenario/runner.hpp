@@ -61,6 +61,8 @@ struct CellResult {
   std::uint64_t events_executed = 0;
   double wall_seconds = 0.0;
 
+  /// Frame tag "OBCELL\x00\x01" (scenario/wire.hpp).
+  static constexpr std::uint64_t kFrameMagic = 0x4f4243454c4c0001ull;
   /// Wire layout (common/codec.hpp), in encoding order. Snapshots are
   /// framed: their encoding is not self-delimiting (the wave block is
   /// trailing).
@@ -114,6 +116,8 @@ struct GridReport {
   std::uint64_t retries = 0;        // cell re-executions scheduled
   std::uint64_t resumed_cells = 0;  // valid frames skipped on resume
 
+  /// Frame tag "OBGRID\x00\x01" (scenario/wire.hpp).
+  static constexpr std::uint64_t kFrameMagic = 0x4f42475249440001ull;
   /// Wire layout (common/codec.hpp), in encoding order.
   static auto fields(auto& s, auto&& v) {
     return v("GridReport", codec::framed("cells", s.cells),

@@ -2,11 +2,8 @@
 
 namespace onion::scenario {
 
-Bytes serialize(const MetricsSnapshot& s) { return codec::encode(s); }
-
 void HashSink::on_snapshot(const MetricsSnapshot& s) {
-  const Bytes encoded = serialize(s);
-  hasher_.update(encoded);
+  hasher_.update(codec::encode(s));
   ++count_;
 }
 

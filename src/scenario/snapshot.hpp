@@ -82,11 +82,6 @@ struct MetricsSnapshot {
   }
 };
 
-/// Canonical serialization (codec::encode over fields()): byte-identical
-/// across platforms for identical snapshots — the unit the determinism
-/// tests hash.
-Bytes serialize(const MetricsSnapshot& s);
-
 /// Where snapshots go. Implementations must not mutate the campaign.
 class SnapshotSink {
  public:

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <map>
 
-#include "common/bytes.hpp"
 #include "common/check.hpp"
-#include "crypto/sha256.hpp"
 
 namespace onion::scenario {
-
-Bytes serialize(const CampaignEvent& e) { return codec::encode(e); }
 
 void CampaignTrace::on_begin(const ScenarioSpec& spec,
                              const std::vector<graph::NodeId>& initial) {
@@ -67,10 +63,7 @@ std::vector<BotLifetime> TraceSource::lifetimes() const {
 }
 
 std::string CampaignTrace::fingerprint() const {
-  crypto::Sha256 hasher;
-  for (const CampaignEvent& e : events_) hasher.update(serialize(e));
-  const crypto::Sha256Digest digest = hasher.finalize();
-  return to_hex(BytesView(digest.data(), digest.size()));
+  return codec::fingerprint(events_);
 }
 
 }  // namespace onion::scenario

@@ -61,10 +61,6 @@ struct CampaignEvent {
   }
 };
 
-/// Canonical serialization of one event (codec::encode over fields()) —
-/// the unit the trace fingerprint hashes.
-Bytes serialize(const CampaignEvent& e);
-
 /// Receives the campaign's event stream. Implementations must not
 /// mutate the campaign; on_begin arrives once, before any event.
 class TraceSink {
@@ -151,8 +147,9 @@ class CampaignTrace final : public TraceSink,
     return events_before_.at(i);
   }
 
-  /// Chained SHA-256 over the serialized event stream (hex) — the
-  /// event-log analogue of HashSink's snapshot fingerprint.
+  /// codec::fingerprint of the event stream: chained SHA-256 (hex) over
+  /// each event's encoding — the event-log analogue of HashSink's
+  /// snapshot fingerprint.
   std::string fingerprint() const;
 
  private:

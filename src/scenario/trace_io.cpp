@@ -48,55 +48,33 @@ class File {
   std::FILE* f_;
 };
 
-/// Reads the frame starting at `pos` (which must end by `limit`) and
-/// returns its validated payload. The length word is sanity-checked
-/// against the region *before* allocating, so a corrupted length cannot
-/// provoke a giant allocation — it reports as a malformed frame.
-Bytes read_frame_payload(File& f, std::uint64_t magic, std::size_t pos,
-                         std::size_t limit, std::size_t* frame_bytes) {
-  const std::size_t overhead =
-      wire::kFrameHeaderBytes + wire::kFrameDigestBytes;
-  if (limit < pos || limit - pos < overhead)
+constexpr std::size_t kFrameOverhead =
+    wire::kFrameHeaderBytes + wire::kFrameDigestBytes;
+
+/// Reads the whole frame starting at `pos` (which must end by `limit`),
+/// unvalidated: magic, version and digest are wire::unframe's job. The
+/// length word is sanity-checked against the region *before*
+/// allocating, so a corrupted length cannot provoke a giant allocation
+/// — it reports as a malformed frame.
+Bytes read_frame(File& f, std::size_t pos, std::size_t limit) {
+  if (limit < pos || limit - pos < kFrameOverhead)
     bad("frame header overruns the file region");
   Bytes frame(wire::kFrameHeaderBytes);
   f.seek(pos);
   f.read_exact(frame.data(), frame.size());
-  // Only the length word is consumed here; magic/version/digest are
-  // wire::unframe's job once the whole frame is in memory.
   const std::uint64_t payload_len =
       read_be64(BytesView(frame.data() + 16, 8));
-  if (payload_len > limit - pos - overhead)
+  if (payload_len > limit - pos - kFrameOverhead)
     bad("frame length " + std::to_string(payload_len) +
         " overruns the file region");
   const std::size_t body =
       static_cast<std::size_t>(payload_len) + wire::kFrameDigestBytes;
   frame.resize(wire::kFrameHeaderBytes + body);
   f.read_exact(frame.data() + wire::kFrameHeaderBytes, body);
-  *frame_bytes = frame.size();
-  return wire::unframe(magic, frame);
+  return frame;
 }
 
 }  // namespace
-
-Bytes serialize(const ScenarioSpec& spec) { return codec::encode(spec); }
-
-ScenarioSpec deserialize_spec(ByteReader& r) {
-  ScenarioSpec spec;
-  codec::decode_into(r, spec);
-  return spec;
-}
-
-Bytes serialize(const TraceHeader& header) { return codec::encode(header); }
-
-TraceHeader deserialize_header(BytesView payload) {
-  return codec::decode<TraceHeader>(payload);
-}
-
-Bytes serialize(const TraceFooter& footer) { return codec::encode(footer); }
-
-TraceFooter deserialize_footer(BytesView payload) {
-  return codec::decode<TraceFooter>(payload);
-}
 
 TraceWriter::TraceWriter(std::string path, TraceWriterConfig config)
     : config_(config), writer_(std::move(path)) {
@@ -107,9 +85,7 @@ void TraceWriter::on_begin(const ScenarioSpec& spec,
                            const std::vector<graph::NodeId>& initial) {
   ONION_EXPECTS(!began_);  // one campaign per trace file
   began_ = true;
-  const Bytes framed =
-      wire::frame(kHeaderMagic, serialize(TraceHeader{spec, initial}));
-  writer_.append(framed);
+  writer_.append(wire::encode_frame(TraceHeader{spec, initial}));
 }
 
 void TraceWriter::on_event(const CampaignEvent& e) {
@@ -147,7 +123,7 @@ void TraceWriter::finish() {
   footer.snapshot_count = snapshots_;
   footer.chunk_count = chunks_;
   footer.event_digest = event_hasher_.finalize();
-  const Bytes framed = wire::frame(kFooterMagic, serialize(footer));
+  const Bytes framed = wire::encode_frame(footer);
   ONION_ENSURES(framed.size() == kFooterFrameBytes);
   writer_.append(framed);
   writer_.commit();
@@ -169,13 +145,11 @@ TraceReader::TraceReader(std::string path) : path_(std::move(path)) {
         std::to_string(file_bytes_) + " bytes)");
   // Footer first: it is fixed-size, so truncation anywhere in the file
   // shifts real bytes out of the footer window and fails right here.
-  std::size_t frame_bytes = 0;
-  footer_ = deserialize_footer(
-      read_frame_payload(f, kFooterMagic, file_bytes_ - kFooterFrameBytes,
-                         file_bytes_, &frame_bytes));
-  header_ = deserialize_header(read_frame_payload(
-      f, kHeaderMagic, 0, file_bytes_ - kFooterFrameBytes, &frame_bytes));
-  chunks_begin_ = frame_bytes;
+  footer_ = wire::decode_frame<TraceFooter>(
+      read_frame(f, file_bytes_ - kFooterFrameBytes, file_bytes_));
+  const Bytes header = read_frame(f, 0, file_bytes_ - kFooterFrameBytes);
+  header_ = wire::decode_frame<TraceHeader>(header);
+  chunks_begin_ = header.size();
 }
 
 std::uint64_t TraceReader::for_each_record(
@@ -190,10 +164,8 @@ std::uint64_t TraceReader::for_each_record(
   std::uint64_t events = 0;
   std::uint64_t snapshots = 0;
   while (pos < limit) {
-    std::size_t frame_bytes = 0;
-    const Bytes payload =
-        read_frame_payload(f, kChunkMagic, pos, limit, &frame_bytes);
-    pos += frame_bytes;
+    const Bytes payload = wire::unframe(kChunkMagic, read_frame(f, pos, limit));
+    pos += kFrameOverhead + payload.size();
     ++chunks;
     ByteReader r(payload);
     try {
@@ -234,16 +206,15 @@ void TraceReader::for_each_event(
 void TraceReader::for_each_snapshot(
     const std::function<void(const MetricsSnapshot&)>& fn) const {
   for_each_record([&](std::uint8_t tag, BytesView body) {
-    if (tag != kSnapshotTag) return;
-    fn(wire::deserialize_snapshot(body));
+    if (tag == kSnapshotTag) fn(codec::decode<MetricsSnapshot>(body));
   });
 }
 
 std::string TraceReader::fingerprint() const {
   crypto::Sha256 hasher;
   for_each_record([&](std::uint8_t tag, BytesView body) {
-    // An event's record body IS serialize(CampaignEvent), so hashing it
-    // directly reproduces CampaignTrace::fingerprint() byte-for-byte;
+    // An event's record body IS codec::encode(CampaignEvent), so hashing
+    // it directly reproduces CampaignTrace::fingerprint() byte-for-byte;
     // decoding it first rejects what for_each_event would reject.
     if (tag != kEventTag) return;
     (void)codec::decode<CampaignEvent>(body);

@@ -6,11 +6,11 @@
 // wire discipline scenario/wire.hpp established for the grid transport
 // (magic u64 | version u64 | payload_len u64 | payload | SHA-256):
 //
-//   header frame   the full ScenarioSpec echo (canonical field order,
-//                  see serialize(ScenarioSpec)) + the initial node list
+//   header frame   TraceHeader: the full ScenarioSpec echo (its
+//                  fields() order) + the initial node list
 //   chunk frames   a bounded run of tagged records in simulator order:
-//                  tag 0 = one serialized CampaignEvent, tag 1 = one
-//                  length-prefixed canonical MetricsSnapshot (the
+//                  tag 0 = one encoded CampaignEvent, tag 1 = one
+//                  length-prefixed encoded MetricsSnapshot (the
 //                  event/snapshot interleaving is preserved exactly)
 //   footer frame   fixed-size bookkeeping (TraceFooter): record counts,
 //                  chunk count, and the chained event digest — the same
@@ -45,12 +45,11 @@
 
 namespace onion::scenario::trace_io {
 
-/// Frame type tags ("OBTHDR\x00\x01" / "OBTCHK\x00\x01" /
-/// "OBTFTR\x00\x01" big-endian): a chunk can never parse as a header or
-/// footer, and a trace frame can never decode as a grid frame.
-inline constexpr std::uint64_t kHeaderMagic = 0x4f42544844520001ull;
+/// Chunk frame tag ("OBTCHK\x00\x01" big-endian). A chunk is a run of
+/// tagged records with no struct of its own, so it is framed by
+/// wire::frame directly; the header and footer carry their tags as
+/// kFrameMagic. No trace frame parses as another, or as a grid frame.
 inline constexpr std::uint64_t kChunkMagic = 0x4f425443484b0001ull;
-inline constexpr std::uint64_t kFooterMagic = 0x4f42544654520001ull;
 
 /// Record tags inside a chunk payload.
 inline constexpr std::uint8_t kEventTag = 0;
@@ -63,6 +62,8 @@ struct TraceHeader {
   ScenarioSpec spec;
   std::vector<graph::NodeId> initial_nodes;
 
+  /// Frame tag "OBTHDR\x00\x01" (scenario/wire.hpp).
+  static constexpr std::uint64_t kFrameMagic = 0x4f42544844520001ull;
   /// Wire layout (common/codec.hpp), in encoding order.
   static auto fields(auto& s, auto&& v) {
     return v("TraceHeader", codec::nested("spec", s.spec),
@@ -81,6 +82,8 @@ struct TraceFooter {
   /// CampaignTrace::fingerprint() renders as hex.
   crypto::Sha256Digest event_digest{};
 
+  /// Frame tag "OBTFTR\x00\x01" (scenario/wire.hpp).
+  static constexpr std::uint64_t kFrameMagic = 0x4f42544654520001ull;
   /// Wire layout (common/codec.hpp), in encoding order.
   static auto fields(auto& s, auto&& v) {
     return v("TraceFooter", codec::u64("event_count", s.event_count),
@@ -96,20 +99,6 @@ inline constexpr std::size_t kFooterPayloadBytes =
 /// A complete footer frame on disk: frame header + payload + digest.
 inline constexpr std::size_t kFooterFrameBytes =
     wire::kFrameHeaderBytes + kFooterPayloadBytes + wire::kFrameDigestBytes;
-
-// --- payload codecs (version-1 field order, no framing) --------------
-// All derived from the structs' fields() lists (common/codec.hpp): the
-// spec codec round-trips every ScenarioSpec bit-for-bit (doubles
-// bit-cast), and a spec member missing from its list does not compile.
-
-Bytes serialize(const ScenarioSpec& spec);
-ScenarioSpec deserialize_spec(ByteReader& r);
-
-Bytes serialize(const TraceHeader& header);
-TraceHeader deserialize_header(BytesView payload);
-
-Bytes serialize(const TraceFooter& footer);
-TraceFooter deserialize_footer(BytesView payload);
 
 /// How the writer bounds its in-memory window.
 struct TraceWriterConfig {
@@ -188,8 +177,8 @@ class TraceReader final : public TraceSource {
   void for_each_event(
       const std::function<void(const CampaignEvent&)>& fn) const override;
 
-  /// Streams every recorded snapshot in order (decoded via
-  /// wire::deserialize_snapshot, bit-for-bit round-trip).
+  /// Streams every recorded snapshot in order (codec::decode, a
+  /// bit-for-bit round-trip).
   void for_each_snapshot(
       const std::function<void(const MetricsSnapshot&)>& fn) const;
 

@@ -1,6 +1,7 @@
 #include "scenario/wire.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "crypto/sha256.hpp"
 
@@ -13,42 +14,6 @@ namespace {
 }
 
 }  // namespace
-
-Bytes serialize(const CellResult& cell) { return codec::encode(cell); }
-
-CellResult deserialize_cell_result(BytesView payload) {
-  return codec::decode<CellResult>(payload);
-}
-
-Bytes serialize(const GridReport& report) { return codec::encode(report); }
-
-GridReport deserialize_grid_report(BytesView payload) {
-  return codec::decode<GridReport>(payload);
-}
-
-Bytes serialize(const detection::ReplayGridCell& cell) {
-  return codec::encode(cell);
-}
-
-detection::ReplayGridCell deserialize_replay_cell(BytesView payload) {
-  return codec::decode<detection::ReplayGridCell>(payload);
-}
-
-Bytes serialize(const detection::ReplayGridReport& report) {
-  return codec::encode(report);
-}
-
-detection::ReplayGridReport deserialize_replay_report(BytesView payload) {
-  return codec::decode<detection::ReplayGridReport>(payload);
-}
-
-detection::ReplayGridPoint deserialize_replay_point(BytesView encoded) {
-  return codec::decode<detection::ReplayGridPoint>(encoded);
-}
-
-MetricsSnapshot deserialize_snapshot(BytesView encoded) {
-  return codec::decode<MetricsSnapshot>(encoded);
-}
 
 Bytes frame(std::uint64_t magic, BytesView payload) {
   Bytes out;
@@ -88,38 +53,6 @@ Bytes unframe(std::uint64_t magic, BytesView framed) {
   if (!std::equal(claimed.begin(), claimed.end(), actual.begin()))
     bad("integrity digest mismatch: frame truncated or corrupted");
   return Bytes(payload.begin(), payload.end());
-}
-
-Bytes encode_cell_result(const CellResult& cell) {
-  return frame(kCellResultMagic, serialize(cell));
-}
-
-CellResult decode_cell_result(BytesView framed) {
-  return deserialize_cell_result(unframe(kCellResultMagic, framed));
-}
-
-Bytes encode_grid_report(const GridReport& report) {
-  return frame(kGridReportMagic, serialize(report));
-}
-
-GridReport decode_grid_report(BytesView framed) {
-  return deserialize_grid_report(unframe(kGridReportMagic, framed));
-}
-
-Bytes encode_replay_cell(const detection::ReplayGridCell& cell) {
-  return frame(kReplayCellMagic, serialize(cell));
-}
-
-detection::ReplayGridCell decode_replay_cell(BytesView framed) {
-  return deserialize_replay_cell(unframe(kReplayCellMagic, framed));
-}
-
-Bytes encode_replay_report(const detection::ReplayGridReport& report) {
-  return frame(kReplayReportMagic, serialize(report));
-}
-
-detection::ReplayGridReport decode_replay_report(BytesView framed) {
-  return deserialize_replay_report(unframe(kReplayReportMagic, framed));
 }
 
 }  // namespace onion::scenario::wire

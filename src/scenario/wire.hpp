@@ -1,16 +1,31 @@
-// Canonical byte serialization of grid results for the multi-process
-// transport: a CellResult (or merged GridReport) travels between worker
-// and coordinator as one self-validating frame
+// Self-checking frames: the canonical byte form in which grid results
+// travel between worker and coordinator (a CellResult, a merged
+// GridReport, and their replay-grid twins) and in which trace files
+// (scenario/trace_io.hpp) store their header, chunks and footer:
 //
 //   magic u64 | version u64 | payload_len u64 | payload | SHA-256(payload)
 //
-// with the payload encoded from the struct's fields() list
+// A framed struct declares its layout in fields() and its type tag as
+// `static constexpr std::uint64_t kFrameMagic`, side by side;
+// encode_frame / decode_frame<T> read both, so a struct's wire face is
+// written down in one place and a frame of one kind never decodes as
+// another. The payload is codec::encode of the struct
 // (common/codec.hpp: big-endian words, doubles bit-cast, strings
 // length-prefixed). Decoding verifies magic, version, exact length, and
 // the trailing integrity digest, so a truncated, torn, or bit-flipped
 // result file is *detected* — decode throws WireError — never merged.
 // tests/wire_test.cpp proves every byte-boundary truncation and every
-// single-byte flip of a frame is rejected.
+// single-byte flip of a frame is rejected, and that no frame kind
+// decodes as another. The kinds, each magic an ASCII tag then 0x0001:
+//
+//   "OBCELL"  CellResult                   (scenario/runner.hpp)
+//   "OBGRID"  GridReport                   (scenario/runner.hpp)
+//   "OBRCEL"  detection::ReplayGridCell    (detection/replay_grid.hpp)
+//   "OBRGRD"  detection::ReplayGridReport  (detection/replay_grid.hpp)
+//   "OBTHDR"  trace_io::TraceHeader        (scenario/trace_io.hpp)
+//   "OBTFTR"  trace_io::TraceFooter        (scenario/trace_io.hpp)
+//   "OBTCHK"  a trace chunk: tagged records with no struct of their
+//             own, so it keeps trace_io::kChunkMagic and frame()
 //
 // ## Informational fields — the one-place contract
 //
@@ -40,13 +55,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
-#include "detection/replay_grid.hpp"
-#include "scenario/runner.hpp"
-#include "scenario/snapshot.hpp"
 
 namespace onion::scenario::wire {
 
@@ -54,18 +65,6 @@ namespace onion::scenario::wire {
 /// static_assert on this so the exclusion is checked where it is relied
 /// upon, not just documented here.
 inline constexpr bool kInformationalFieldsEnterFingerprints = false;
-
-/// Frame type tags ("OBCELL\x00\x01" / "OBGRID\x00\x01" big-endian):
-/// a grid-report frame can never decode as a cell result or vice versa.
-inline constexpr std::uint64_t kCellResultMagic = 0x4f4243454c4c0001ull;
-inline constexpr std::uint64_t kGridReportMagic = 0x4f42475249440001ull;
-/// Replay-grid frames ("OBRCEL\x00\x01" / "OBRGRD\x00\x01"):
-/// detection::ReplayGridJob ships one ReplayGridCell frame per
-/// (campaign, seed) cell and gridworker persists the merged
-/// ReplayGridReport — distinct magics keep a replay frame from ever
-/// decoding as a campaign frame.
-inline constexpr std::uint64_t kReplayCellMagic = 0x4f425243454c0001ull;
-inline constexpr std::uint64_t kReplayReportMagic = 0x4f42524752440001ull;
 
 /// The wire schema version; decoders reject anything else so a frame
 /// from a future layout fails loudly instead of misparsing.
@@ -81,55 +80,24 @@ inline constexpr std::size_t kFrameDigestBytes = 32;
 /// the failing check.
 using codec::WireError;
 
-// --- payload codecs (version-1 field order, no framing) --------------
-// Each is codec::encode / codec::decode over the struct's fields() list,
-// so the layouts are declared once, next to the structs.
-
-Bytes serialize(const CellResult& cell);
-CellResult deserialize_cell_result(BytesView payload);
-
-Bytes serialize(const GridReport& report);
-GridReport deserialize_grid_report(BytesView payload);
-
-Bytes serialize(const detection::ReplayGridCell& cell);
-detection::ReplayGridCell deserialize_replay_cell(BytesView payload);
-
-Bytes serialize(const detection::ReplayGridReport& report);
-detection::ReplayGridReport deserialize_replay_report(BytesView payload);
-
-/// Inverse of scenario::serialize(MetricsSnapshot): consumes the exact
-/// canonical encoding, including the conditional trailing
-/// wave_takedowns block (present iff bytes remain). Round-trips every
-/// snapshot bit-for-bit.
-MetricsSnapshot deserialize_snapshot(BytesView encoded);
-
-/// Inverse of detection::serialize(ReplayGridPoint): round-trips every
-/// point bit-for-bit (doubles bit-cast), so a fingerprint recomputed
-/// from decoded frames equals one computed from the original points.
-detection::ReplayGridPoint deserialize_replay_point(BytesView encoded);
-
-// --- framing ---------------------------------------------------------
-
 /// Wraps `payload` in the length-prefixed, digest-trailed frame.
 Bytes frame(std::uint64_t magic, BytesView payload);
 
 /// Validates and strips the frame; throws WireError on any defect.
 Bytes unframe(std::uint64_t magic, BytesView framed);
 
-/// frame(kCellResultMagic, serialize(cell)) and its inverse.
-Bytes encode_cell_result(const CellResult& cell);
-CellResult decode_cell_result(BytesView framed);
+/// frame(T::kFrameMagic, codec::encode(value)): the one encoder of every
+/// struct that declares a frame magic next to its fields().
+template <typename T>
+Bytes encode_frame(const T& value) {
+  return frame(T::kFrameMagic, codec::encode(value));
+}
 
-/// frame(kGridReportMagic, serialize(report)) and its inverse.
-Bytes encode_grid_report(const GridReport& report);
-GridReport decode_grid_report(BytesView framed);
-
-/// frame(kReplayCellMagic, serialize(cell)) and its inverse.
-Bytes encode_replay_cell(const detection::ReplayGridCell& cell);
-detection::ReplayGridCell decode_replay_cell(BytesView framed);
-
-/// frame(kReplayReportMagic, serialize(report)) and its inverse.
-Bytes encode_replay_report(const detection::ReplayGridReport& report);
-detection::ReplayGridReport decode_replay_report(BytesView framed);
+/// The inverse of encode_frame<T>; throws WireError on a frame of any
+/// other kind and on any defect of the frame or its payload.
+template <typename T>
+T decode_frame(BytesView framed) {
+  return codec::decode<T>(unframe(T::kFrameMagic, framed));
+}
 
 }  // namespace onion::scenario::wire

@@ -193,106 +193,6 @@ detection::ReplayGridCell full_replay_cell() {
   return cell;
 }
 
-TEST(CodecLayout, MetricsSnapshot) {
-  EXPECT_EQ(sha(serialize(full_snapshot(true))),
-            "8b5756074639fb45c1a1e20c3234ec850ee7d14a9f075f6c97f3a1e499aca58a");
-}
-
-TEST(CodecLayout, MetricsSnapshotWithoutWaveTakedowns) {
-  EXPECT_EQ(sha(serialize(full_snapshot(false))),
-            "0ba0d0937761425446a7ceb7bfcceddabe2314d88b85f0ae65f06bcccc5f0806");
-}
-
-TEST(CodecLayout, CampaignEvent) {
-  const CampaignEvent e{.at = 3 * kHour + 11,
-                        .kind = TraceEventKind::HealPeering,
-                        .a = 0x0123456789abcdefull,
-                        .b = 77};
-  EXPECT_EQ(sha(serialize(e)),
-            "f39940ec23fff276cd9d4e8a412b93f065c43ad89d418382a93897621272f936");
-}
-
-TEST(CodecLayout, ScenarioSpec) {
-  EXPECT_EQ(sha(trace_io::serialize(full_spec())),
-            "32999b71a442488ef5c1a8e57ef8d9fc46695801baa3b772e77df7943a9ff51e");
-}
-
-TEST(CodecLayout, TraceHeader) {
-  const trace_io::TraceHeader header{full_spec(), {0, 1, 2, 7, 0xfffffffeu}};
-  EXPECT_EQ(sha(trace_io::serialize(header)),
-            "4a512817c3f905bab298d867e1cea5b958605f0208fef8cd7d318e8cb7876761");
-}
-
-TEST(CodecLayout, TraceFooter) {
-  trace_io::TraceFooter footer;
-  footer.event_count = 1234567;
-  footer.snapshot_count = 361;
-  footer.chunk_count = 151;
-  for (std::size_t i = 0; i < footer.event_digest.size(); ++i)
-    footer.event_digest[i] = static_cast<std::uint8_t>(0xa0 + i);
-  EXPECT_EQ(sha(trace_io::serialize(footer)),
-            "4fbb5f2ff1d3b27e421400afa131d83beaad049c59bc0201798370ec25565d7b");
-}
-
-TEST(CodecLayout, CellResult) {
-  EXPECT_EQ(sha(wire::serialize(full_cell())),
-            "2f6310059b0323a1e3081b753b590e75c6f229c9ed13f78ae5d9a5f47e0cd44e");
-}
-
-TEST(CodecLayout, GridReportWithFailedCells) {
-  GridReport report;
-  report.cells = {full_cell(), CellResult{}, full_cell()};
-  report.cells[1].label = "seed=43";
-  report.cells[1].seed = 43;
-  report.failed_cells = {full_failed_cell(1), full_failed_cell(4)};
-  report.combined_fingerprint = std::string(64, 'f');
-  report.threads_used = 4;
-  report.wall_seconds = 12.5;
-  report.retries = 2;
-  report.resumed_cells = 1;
-  EXPECT_EQ(sha(wire::serialize(report)),
-            "7d143db799352f673c39da6bd393a71a13535098bb89d1f92616ed6fcb937325");
-}
-
-TEST(CodecLayout, RocPoint) {
-  EXPECT_EQ(sha(detection::serialize(full_roc_point(true))),
-            "13d5f69b9cf45b7120d3f192a1341e7d5fca5593753e1c7aaf59c45aaf219925");
-}
-
-TEST(CodecLayout, RocPointWithoutFamilies) {
-  EXPECT_EQ(sha(detection::serialize(full_roc_point(false))),
-            "b1a6b55fc2571ddf17eaa49ee12158cf7dac5f4bac4394eec5f1b9b37594188f");
-}
-
-TEST(CodecLayout, ReplayGridPoint) {
-  EXPECT_EQ(sha(detection::serialize(full_replay_point(9))),
-            "56776e5edfd07a1e306b52a10bab0353f7a428d005dda6de078f1031e4ae9053");
-}
-
-TEST(CodecLayout, ReplayGridCell) {
-  EXPECT_EQ(sha(wire::serialize(full_replay_cell())),
-            "417589d419423e1c32739eff2dd55c31f287ff2b1093e0dade090ff063ebe044");
-}
-
-TEST(CodecLayout, ReplayGridReportWithFailedCells) {
-  detection::ReplayGridReport report;
-  report.points = full_replay_cell().points;
-  report.fingerprint = std::string(64, 'e');
-  report.failed_cells = {full_failed_cell(3)};
-  report.threads_used = 2;
-  report.wall_seconds = 3.25;
-  report.retries = 1;
-  report.resumed_cells = 6;
-  EXPECT_EQ(sha(wire::serialize(report)),
-            "d17426d1f18585a8930fea773b08d4052cdd5786e6493a9bacc3ff220a26b96d");
-}
-
-// ====================================================================
-// Frames: the complete bytes each frame kind puts on disk — magic,
-// version, length, payload and digest — so a magic moved onto the
-// wrong struct moves a pin even where every payload pin holds.
-// ====================================================================
-
 GridReport full_grid_report() {
   GridReport report;
   report.cells = {full_cell(), CellResult{}, full_cell()};
@@ -319,23 +219,105 @@ detection::ReplayGridReport full_replay_report() {
   return report;
 }
 
+TEST(CodecLayout, MetricsSnapshot) {
+  EXPECT_EQ(sha(codec::encode(full_snapshot(true))),
+            "8b5756074639fb45c1a1e20c3234ec850ee7d14a9f075f6c97f3a1e499aca58a");
+}
+
+TEST(CodecLayout, MetricsSnapshotWithoutWaveTakedowns) {
+  EXPECT_EQ(sha(codec::encode(full_snapshot(false))),
+            "0ba0d0937761425446a7ceb7bfcceddabe2314d88b85f0ae65f06bcccc5f0806");
+}
+
+TEST(CodecLayout, CampaignEvent) {
+  const CampaignEvent e{.at = 3 * kHour + 11,
+                        .kind = TraceEventKind::HealPeering,
+                        .a = 0x0123456789abcdefull,
+                        .b = 77};
+  EXPECT_EQ(sha(codec::encode(e)),
+            "f39940ec23fff276cd9d4e8a412b93f065c43ad89d418382a93897621272f936");
+}
+
+TEST(CodecLayout, ScenarioSpec) {
+  EXPECT_EQ(sha(codec::encode(full_spec())),
+            "32999b71a442488ef5c1a8e57ef8d9fc46695801baa3b772e77df7943a9ff51e");
+}
+
+TEST(CodecLayout, TraceHeader) {
+  const trace_io::TraceHeader header{full_spec(), {0, 1, 2, 7, 0xfffffffeu}};
+  EXPECT_EQ(sha(codec::encode(header)),
+            "4a512817c3f905bab298d867e1cea5b958605f0208fef8cd7d318e8cb7876761");
+}
+
+TEST(CodecLayout, TraceFooter) {
+  trace_io::TraceFooter footer;
+  footer.event_count = 1234567;
+  footer.snapshot_count = 361;
+  footer.chunk_count = 151;
+  for (std::size_t i = 0; i < footer.event_digest.size(); ++i)
+    footer.event_digest[i] = static_cast<std::uint8_t>(0xa0 + i);
+  EXPECT_EQ(sha(codec::encode(footer)),
+            "4fbb5f2ff1d3b27e421400afa131d83beaad049c59bc0201798370ec25565d7b");
+}
+
+TEST(CodecLayout, CellResult) {
+  EXPECT_EQ(sha(codec::encode(full_cell())),
+            "2f6310059b0323a1e3081b753b590e75c6f229c9ed13f78ae5d9a5f47e0cd44e");
+}
+
+TEST(CodecLayout, GridReportWithFailedCells) {
+  EXPECT_EQ(sha(codec::encode(full_grid_report())),
+            "7d143db799352f673c39da6bd393a71a13535098bb89d1f92616ed6fcb937325");
+}
+
+TEST(CodecLayout, RocPoint) {
+  EXPECT_EQ(sha(codec::encode(full_roc_point(true))),
+            "13d5f69b9cf45b7120d3f192a1341e7d5fca5593753e1c7aaf59c45aaf219925");
+}
+
+TEST(CodecLayout, RocPointWithoutFamilies) {
+  EXPECT_EQ(sha(codec::encode(full_roc_point(false))),
+            "b1a6b55fc2571ddf17eaa49ee12158cf7dac5f4bac4394eec5f1b9b37594188f");
+}
+
+TEST(CodecLayout, ReplayGridPoint) {
+  EXPECT_EQ(sha(codec::encode(full_replay_point(9))),
+            "56776e5edfd07a1e306b52a10bab0353f7a428d005dda6de078f1031e4ae9053");
+}
+
+TEST(CodecLayout, ReplayGridCell) {
+  EXPECT_EQ(sha(codec::encode(full_replay_cell())),
+            "417589d419423e1c32739eff2dd55c31f287ff2b1093e0dade090ff063ebe044");
+}
+
+TEST(CodecLayout, ReplayGridReportWithFailedCells) {
+  EXPECT_EQ(sha(codec::encode(full_replay_report())),
+            "d17426d1f18585a8930fea773b08d4052cdd5786e6493a9bacc3ff220a26b96d");
+}
+
+// ====================================================================
+// Frames: the complete bytes each frame kind puts on disk — magic,
+// version, length, payload and digest — so a magic moved onto the
+// wrong struct moves a pin even where every payload pin holds.
+// ====================================================================
+
 TEST(CodecLayout, FrameCellResult) {
-  EXPECT_EQ(sha(wire::encode_cell_result(full_cell())),
+  EXPECT_EQ(sha(wire::encode_frame(full_cell())),
             "ddd51d84c724fa87c0c775a9bb60ae6d7fdde0f28f469ff1bd760c33effd3b18");
 }
 
 TEST(CodecLayout, FrameGridReport) {
-  EXPECT_EQ(sha(wire::encode_grid_report(full_grid_report())),
+  EXPECT_EQ(sha(wire::encode_frame(full_grid_report())),
             "2716a6c858cb1e7ae9221f3690bdc7a4b74f646e8198e3e53c95869e15245b8e");
 }
 
 TEST(CodecLayout, FrameReplayGridCell) {
-  EXPECT_EQ(sha(wire::encode_replay_cell(full_replay_cell())),
+  EXPECT_EQ(sha(wire::encode_frame(full_replay_cell())),
             "d2475af3269fa2d0e29b61684f165f88ede8e50ed6a1f412a2d3f720d7ad26de");
 }
 
 TEST(CodecLayout, FrameReplayGridReport) {
-  EXPECT_EQ(sha(wire::encode_replay_report(full_replay_report())),
+  EXPECT_EQ(sha(wire::encode_frame(full_replay_report())),
             "b2123892b2229ca400d12c1652626382d638c1dc2fbb88565433ccd32ff74e15");
 }
 
@@ -448,11 +430,12 @@ constexpr std::uint64_t kForgedCounts[] = {std::uint64_t{1} << 62,
 TEST(CodecBounds, ForgedSnapshotHistogramCountIsAWireError) {
   MetricsSnapshot s = full_snapshot(false);
   s.degree_histogram.clear();
-  const Bytes encoded = serialize(s);
+  const Bytes encoded = codec::encode(s);
   const std::size_t count_at = 18 * 8;  // after the 18 leading words
   for (const std::uint64_t forged : kForgedCounts) {
-    const std::string what = wire_error(
-        [&] { (void)wire::deserialize_snapshot(forge(encoded, count_at, forged)); });
+    const std::string what = wire_error([&] {
+      (void)codec::decode<MetricsSnapshot>(forge(encoded, count_at, forged));
+    });
     EXPECT_NE(what.find("MetricsSnapshot.degree_histogram"),
               std::string::npos)
         << what;
@@ -462,10 +445,10 @@ TEST(CodecBounds, ForgedSnapshotHistogramCountIsAWireError) {
 TEST(CodecBounds, ForgedReplayPointFamiliesCountIsAWireError) {
   detection::ReplayGridPoint p = full_replay_point(9);
   p.families.clear();
-  const Bytes encoded = detection::serialize(p);
+  const Bytes encoded = codec::encode(p);
   for (const std::uint64_t forged : kForgedCounts) {
     const std::string what = wire_error([&] {
-      (void)wire::deserialize_replay_point(
+      (void)codec::decode<detection::ReplayGridPoint>(
           forge(encoded, encoded.size() - 8, forged));
     });
     EXPECT_NE(what.find("ReplayGridPoint.families"), std::string::npos)
@@ -474,10 +457,10 @@ TEST(CodecBounds, ForgedReplayPointFamiliesCountIsAWireError) {
 }
 
 TEST(CodecBounds, ForgedTraceHeaderNodeCountIsAWireError) {
-  const Bytes encoded = trace_io::serialize(trace_io::TraceHeader{full_spec(), {}});
+  const Bytes encoded = codec::encode(trace_io::TraceHeader{full_spec(), {}});
   for (const std::uint64_t forged : kForgedCounts) {
     const std::string what = wire_error([&] {
-      (void)trace_io::deserialize_header(
+      (void)codec::decode<trace_io::TraceHeader>(
           forge(encoded, encoded.size() - 8, forged));
     });
     EXPECT_NE(what.find("TraceHeader.initial_nodes"), std::string::npos)
@@ -488,10 +471,10 @@ TEST(CodecBounds, ForgedTraceHeaderNodeCountIsAWireError) {
 TEST(CodecBounds, ForgedGridReportCellCountIsAWireError) {
   GridReport report;
   report.combined_fingerprint = std::string(64, 'f');
-  const Bytes encoded = wire::serialize(report);
+  const Bytes encoded = codec::encode(report);
   for (const std::uint64_t forged : kForgedCounts) {
     const std::string what = wire_error([&] {
-      (void)wire::deserialize_grid_report(forge(encoded, 0, forged));
+      (void)codec::decode<GridReport>(forge(encoded, 0, forged));
     });
     EXPECT_NE(what.find("GridReport.cells"), std::string::npos) << what;
   }
@@ -501,7 +484,7 @@ TEST(CodecBounds, ErrorsNameTheFieldPathThroughNestedStructs) {
   trace_io::TraceHeader header{full_spec(), {1, 2}};
   header.spec.attacks[1].kind = static_cast<AttackKind>(9);
   const std::string what = wire_error([&] {
-    (void)trace_io::deserialize_header(trace_io::serialize(header));
+    (void)codec::decode<trace_io::TraceHeader>(codec::encode(header));
   });
   EXPECT_NE(what.find("TraceHeader.spec: ScenarioSpec.attacks: "
                       "AttackPhase.kind: unknown enumerator value 9"),
@@ -597,7 +580,7 @@ TEST(CodecArity, MemberCountSeesNestedAggregatesAndArraysAsOneMember) {
 
 TEST(CodecArity, FixedSizesComeFromTheFieldLists) {
   EXPECT_EQ(codec::fixed_size<CampaignEvent>(), 25u);
-  EXPECT_EQ(serialize(CampaignEvent{}).size(),
+  EXPECT_EQ(codec::encode(CampaignEvent{}).size(),
             codec::fixed_size<CampaignEvent>());
   EXPECT_EQ(trace_io::kFooterPayloadBytes, 56u);
   EXPECT_EQ(codec::min_size<MetricsSnapshot>(), 19u * 8);

@@ -328,16 +328,17 @@ CellResult fuzz_cell(std::uint64_t seed) {
 }
 
 TEST(PayloadFuzz, SnapshotDecoderOnlyThrowsWireError) {
-  fuzz_payload(wire::deserialize_snapshot, serialize(fuzz_snapshot(1)), 21);
+  fuzz_payload(codec::decode<MetricsSnapshot>,
+               codec::encode(fuzz_snapshot(1)), 21);
 }
 
 TEST(PayloadFuzz, ReplayPointDecoderOnlyThrowsWireError) {
-  fuzz_payload(wire::deserialize_replay_point,
-               detection::serialize(fuzz_point(1)), 22);
+  fuzz_payload(codec::decode<detection::ReplayGridPoint>,
+               codec::encode(fuzz_point(1)), 22);
 }
 
 TEST(PayloadFuzz, CellResultDecoderOnlyThrowsWireError) {
-  fuzz_payload(wire::deserialize_cell_result, wire::serialize(fuzz_cell(4)),
+  fuzz_payload(codec::decode<CellResult>, codec::encode(fuzz_cell(4)),
                23);
 }
 
@@ -346,14 +347,15 @@ TEST(PayloadFuzz, GridReportDecoderOnlyThrowsWireError) {
   report.cells = {fuzz_cell(1), fuzz_cell(2)};
   report.failed_cells = {fuzz_failed(3)};
   report.combined_fingerprint = std::string(64, 'b');
-  fuzz_payload(wire::deserialize_grid_report, wire::serialize(report), 24);
+  fuzz_payload(codec::decode<GridReport>, codec::encode(report), 24);
 }
 
 TEST(PayloadFuzz, ReplayCellDecoderOnlyThrowsWireError) {
   detection::ReplayGridCell cell;
   cell.cell_index = 3;
   cell.points = {fuzz_point(1), fuzz_point(2)};
-  fuzz_payload(wire::deserialize_replay_cell, wire::serialize(cell), 25);
+  fuzz_payload(codec::decode<detection::ReplayGridCell>, codec::encode(cell),
+               25);
 }
 
 TEST(PayloadFuzz, ReplayReportDecoderOnlyThrowsWireError) {
@@ -361,7 +363,8 @@ TEST(PayloadFuzz, ReplayReportDecoderOnlyThrowsWireError) {
   report.points = {fuzz_point(1), fuzz_point(2)};
   report.failed_cells = {fuzz_failed(0), fuzz_failed(5)};
   report.fingerprint = std::string(64, 'c');
-  fuzz_payload(wire::deserialize_replay_report, wire::serialize(report), 26);
+  fuzz_payload(codec::decode<detection::ReplayGridReport>,
+               codec::encode(report), 26);
 }
 
 TEST(PayloadFuzz, TraceHeaderDecoderOnlyThrowsWireError) {
@@ -372,14 +375,14 @@ TEST(PayloadFuzz, TraceHeaderDecoderOnlyThrowsWireError) {
   header.spec.waves.waves = {{phase, kMinute, kMinute}};
   header.spec.churn.session.model = SessionModel::Pareto;
   header.initial_nodes = {0, 1, 2, 3};
-  fuzz_payload(trace_io::deserialize_header, trace_io::serialize(header), 27);
+  fuzz_payload(codec::decode<trace_io::TraceHeader>, codec::encode(header), 27);
 }
 
 TEST(PayloadFuzz, TraceFooterDecoderOnlyThrowsWireError) {
   trace_io::TraceFooter footer;
   footer.event_count = 10;
   footer.event_digest[0] = 0xab;
-  fuzz_payload(trace_io::deserialize_footer, trace_io::serialize(footer), 28);
+  fuzz_payload(codec::decode<trace_io::TraceFooter>, codec::encode(footer), 28);
 }
 
 }  // namespace

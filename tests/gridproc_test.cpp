@@ -99,8 +99,8 @@ TEST(GridProcess, MultiprocessMatchesInProcessFingerprints) {
     ASSERT_EQ(merged.cells[i].series.size(),
               in_process.cells[i].series.size());
     for (std::size_t k = 0; k < merged.cells[i].series.size(); ++k)
-      EXPECT_EQ(serialize(merged.cells[i].series[k]),
-                serialize(in_process.cells[i].series[k]));
+      EXPECT_EQ(codec::encode(merged.cells[i].series[k]),
+                codec::encode(in_process.cells[i].series[k]));
   }
   EXPECT_EQ(merged.combined_fingerprint, in_process.combined_fingerprint);
 }
@@ -174,8 +174,8 @@ TEST(GridProcess, ResumeReRunsOnlyTheCorruptedFrame) {
       EXPECT_NE(after, corrupt);  // repaired, not left poisoned
       // The re-run differs only in the informational wall clock: every
       // deterministic field matches the original frame.
-      const CellResult rerun = wire::decode_cell_result(after);
-      const CellResult original = wire::decode_cell_result(before[1]);
+      const CellResult rerun = wire::decode_frame<CellResult>(after);
+      const CellResult original = wire::decode_frame<CellResult>(before[1]);
       EXPECT_EQ(rerun.label, original.label);
       EXPECT_EQ(rerun.seed, original.seed);
       EXPECT_EQ(rerun.fingerprint, original.fingerprint);
@@ -357,8 +357,8 @@ TEST(ReplayProcess, CrashInjectedCoordinatorMatchesInProcessFingerprint) {
   ASSERT_EQ(merged.points.size(), in_process.points.size());
   // Byte-identical points at every index, not just an equal digest.
   for (std::size_t i = 0; i < merged.points.size(); ++i)
-    EXPECT_EQ(detection::serialize(merged.points[i]),
-              detection::serialize(in_process.points[i]));
+    EXPECT_EQ(codec::encode(merged.points[i]),
+              codec::encode(in_process.points[i]));
   EXPECT_EQ(merged.fingerprint, in_process.fingerprint);
 }
 
@@ -392,16 +392,17 @@ TEST(ReplayProcess, ResumeReRunsOnlyTheCorruptedFrame) {
       EXPECT_NE(after, corrupt);
       // The re-run reproduces every deterministic field; only the
       // informational wall clock may differ.
-      const detection::ReplayGridCell rerun = wire::decode_replay_cell(after);
+      const detection::ReplayGridCell rerun =
+          wire::decode_frame<detection::ReplayGridCell>(after);
       const detection::ReplayGridCell original =
-          wire::decode_replay_cell(before[2]);
+          wire::decode_frame<detection::ReplayGridCell>(before[2]);
       EXPECT_EQ(rerun.cell_index, original.cell_index);
       EXPECT_EQ(rerun.campaign, original.campaign);
       EXPECT_EQ(rerun.replay_seed, original.replay_seed);
       ASSERT_EQ(rerun.points.size(), original.points.size());
       for (std::size_t k = 0; k < rerun.points.size(); ++k)
-        EXPECT_EQ(detection::serialize(rerun.points[k]),
-                  detection::serialize(original.points[k]));
+        EXPECT_EQ(codec::encode(rerun.points[k]),
+                  codec::encode(original.points[k]));
     } else {
       EXPECT_EQ(after, before[i]) << "frame " << i << " was rewritten";
     }

@@ -320,7 +320,7 @@ TEST(RocSweep, FamilyResolutionKeepsTheAggregateEncodingByteIdentical) {
     ASSERT_EQ(r.families.size(), truth.populations.size());
     RocPoint stripped = r;
     stripped.families.clear();
-    EXPECT_EQ(serialize(stripped), serialize(a));
+    EXPECT_EQ(codec::encode(stripped), codec::encode(a));
     // And the family columns are the verdict restricted per population:
     // the infected families' flagged counts sum to the true positives.
     std::size_t infected_flagged = 0;

@@ -455,7 +455,8 @@ TEST(RocSweep, FingerprintIsThreadCountInvariant) {
   EXPECT_EQ(serial.threads_used, 1u);
   EXPECT_GT(parallel.threads_used, 1u);
   for (std::size_t i = 0; i < serial.points.size(); ++i)
-    EXPECT_EQ(serialize(serial.points[i]), serialize(parallel.points[i]))
+    EXPECT_EQ(codec::encode(serial.points[i]),
+              codec::encode(parallel.points[i]))
         << "point " << i;
 }
 

@@ -57,8 +57,8 @@ TEST(CampaignGrid, OneThreadAndManyThreadsAgreeByteForByte) {
     ASSERT_EQ(serial.cells[i].series.size(),
               parallel.cells[i].series.size());
     for (std::size_t k = 0; k < serial.cells[i].series.size(); ++k)
-      EXPECT_EQ(serialize(serial.cells[i].series[k]),
-                serialize(parallel.cells[i].series[k]));
+      EXPECT_EQ(codec::encode(serial.cells[i].series[k]),
+                codec::encode(parallel.cells[i].series[k]));
   }
   EXPECT_EQ(serial.combined_fingerprint, parallel.combined_fingerprint);
 }

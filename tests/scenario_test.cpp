@@ -50,8 +50,8 @@ TEST(ScenarioDeterminism, EqualSeedMatchesSnapshotBySnapshot) {
   CampaignEngine(busy_spec(7), second).run();
   ASSERT_EQ(first.snapshots().size(), second.snapshots().size());
   for (std::size_t i = 0; i < first.snapshots().size(); ++i)
-    EXPECT_EQ(serialize(first.snapshots()[i]),
-              serialize(second.snapshots()[i]))
+    EXPECT_EQ(codec::encode(first.snapshots()[i]),
+              codec::encode(second.snapshots()[i]))
         << "snapshot " << i << " diverged";
 }
 
@@ -77,7 +77,7 @@ TEST(ScenarioEngine, SnapshotsFollowTheMetricsPeriod) {
   for (std::size_t i = 0; i < sink.snapshots().size(); ++i)
     EXPECT_EQ(sink.snapshots()[i].time, i * kMinute);
   EXPECT_EQ(end.time, spec.horizon);
-  EXPECT_EQ(serialize(end), serialize(sink.snapshots().back()));
+  EXPECT_EQ(codec::encode(end), codec::encode(sink.snapshots().back()));
 }
 
 TEST(ScenarioEngine, UnalignedHorizonStillSnapshotsAtTheEnd) {
@@ -264,12 +264,12 @@ TEST(ScenarioSnapshot, SerializationCoversEveryField) {
   a.honest_alive = 5;
   a.degree_histogram = {0, 2, 3};
   MetricsSnapshot b = a;
-  EXPECT_EQ(serialize(a), serialize(b));
+  EXPECT_EQ(codec::encode(a), codec::encode(b));
   b.degree_histogram[1] = 1;  // histogram-only change must show up
-  EXPECT_NE(serialize(a), serialize(b));
+  EXPECT_NE(codec::encode(a), codec::encode(b));
   MetricsSnapshot c = a;
   c.largest_fraction = 0.5;  // double fields are hashed bit-exactly
-  EXPECT_NE(serialize(a), serialize(c));
+  EXPECT_NE(codec::encode(a), codec::encode(c));
 }
 
 TEST(ScenarioSnapshot, FanoutDeliversToEverySink) {
@@ -600,7 +600,7 @@ TEST(WavePlan, OneWavePlanMatchesTheSinglePhaseRun) {
     EXPECT_EQ(final_attributed, stripped.takedowns)
         << "every victim belongs to the only wave";
     stripped.wave_takedowns.clear();
-    EXPECT_EQ(serialize(stripped), serialize(a.trace.snapshots()[i]))
+    EXPECT_EQ(codec::encode(stripped), codec::encode(a.trace.snapshots()[i]))
         << "snapshot " << i;
   }
   EXPECT_GT(final_attributed, 0u);

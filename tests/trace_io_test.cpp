@@ -104,12 +104,13 @@ TEST(TraceIo, SpecCodecRoundTripsEveryField) {
   spec.metrics.degree_histogram = true;
   spec.metrics.diameter_sweeps = 3;
 
-  const Bytes encoded = serialize(spec);
+  const Bytes encoded = codec::encode(spec);
   ByteReader r{BytesView(encoded)};
-  const ScenarioSpec decoded = deserialize_spec(r);
+  ScenarioSpec decoded;
+  codec::decode_into(r, decoded);
   EXPECT_TRUE(r.done());
   // Bit-for-bit: the canonical encoding of the decoded spec matches.
-  EXPECT_EQ(serialize(decoded), encoded);
+  EXPECT_EQ(codec::encode(decoded), encoded);
 }
 
 TEST(TraceIo, WriteReadRoundTripIsBitForBit) {
@@ -120,7 +121,7 @@ TEST(TraceIo, WriteReadRoundTripIsBitForBit) {
   record_to_file(spec, path, TraceWriterConfig{.chunk_records = 64});
 
   const TraceReader reader(path);
-  EXPECT_EQ(serialize(reader.spec()), serialize(campaign.spec()));
+  EXPECT_EQ(codec::encode(reader.spec()), codec::encode(campaign.spec()));
   EXPECT_EQ(reader.initial_nodes(), campaign.initial_nodes());
   EXPECT_TRUE(reader.began());
   EXPECT_EQ(reader.event_count(), campaign.events().size());
@@ -135,11 +136,11 @@ TEST(TraceIo, WriteReadRoundTripIsBitForBit) {
   // Snapshots round-trip canonically, in recorded order.
   std::vector<Bytes> streamed;
   reader.for_each_snapshot([&](const MetricsSnapshot& s) {
-    streamed.push_back(scenario::serialize(s));
+    streamed.push_back(codec::encode(s));
   });
   ASSERT_EQ(streamed.size(), campaign.snapshots().size());
   for (std::size_t i = 0; i < streamed.size(); ++i)
-    EXPECT_EQ(streamed[i], scenario::serialize(campaign.snapshots()[i]));
+    EXPECT_EQ(streamed[i], codec::encode(campaign.snapshots()[i]));
 
   std::remove(path.c_str());
 }

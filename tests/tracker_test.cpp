@@ -107,7 +107,7 @@ TEST(TrackerDifferential, MatchesSweepAfterEveryWindowAcrossSeeds) {
       MetricsSnapshot incremental;
       tracker.fill(incremental, /*with_histogram=*/true);
       const MetricsSnapshot sweep = sweep_structural(net, true);
-      ASSERT_EQ(serialize(incremental), serialize(sweep))
+      ASSERT_EQ(codec::encode(incremental), codec::encode(sweep))
           << "seed " << seed << " window " << window << ": tracker ("
           << incremental.honest_alive << "n/" << incremental.honest_edges
           << "e/" << incremental.components << "c) vs sweep ("
@@ -126,7 +126,8 @@ TEST(TrackerDifferential, MatchesSweepWithHistogramDisabled) {
   MetricsSnapshot incremental;
   tracker.fill(incremental, /*with_histogram=*/false);
   EXPECT_TRUE(incremental.degree_histogram.empty());
-  EXPECT_EQ(serialize(incremental), serialize(sweep_structural(net, false)));
+  EXPECT_EQ(codec::encode(incremental),
+            codec::encode(sweep_structural(net, false)));
 }
 
 // ====================================================================
@@ -163,17 +164,17 @@ TEST(TrackerDynamic, DeletionWindowsNeedNoRebuildAndStayExact) {
   ddsr.remove_node(net.honest_nodes().front());
   MetricsSnapshot s;
   tracker.fill(s, true);
-  EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
 
   for (int i = 0; i < 4; ++i)
     ddsr.remove_node_no_repair(net.honest_nodes().front());
   tracker.fill(s, true);
-  EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
 
   // A fill with no intervening mutations is unchanged too.
   MetricsSnapshot again;
   tracker.fill(again, true);
-  EXPECT_EQ(serialize(again), serialize(s));
+  EXPECT_EQ(codec::encode(again), codec::encode(s));
 }
 
 TEST(TrackerDynamic, SybilOnlyChangesNeverTouchConnectivity) {
@@ -197,7 +198,7 @@ TEST(TrackerDynamic, SybilOnlyChangesNeverTouchConnectivity) {
   // Sybil slots never enter the honest connectivity structure at all.
   EXPECT_EQ(tracker.connectivity().splits(), splits_before);
   EXPECT_EQ(tracker.connectivity().merges(), merges_before);
-  EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
 }
 
 // ====================================================================
@@ -225,7 +226,7 @@ TEST(TrackerRegression, MaxDegreeTakedownsTrimHistogramBytes) {
     const MetricsSnapshot sweep = sweep_structural(net, true);
     ASSERT_EQ(inc.degree_histogram.size(), sweep.degree_histogram.size())
         << "trailing-zero buckets leaked in round " << round;
-    ASSERT_EQ(serialize(inc), serialize(sweep)) << "round " << round;
+    ASSERT_EQ(codec::encode(inc), codec::encode(sweep)) << "round " << round;
   }
 }
 
@@ -244,7 +245,7 @@ TEST(TrackerRegression, DeadSlotsNeverInflateComponents) {
   const MetricsSnapshot sweep = sweep_structural(net, true);
   EXPECT_EQ(s.components, sweep.components);
   EXPECT_EQ(s.components, net.honest_components());
-  EXPECT_EQ(serialize(s), serialize(sweep));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep));
 }
 
 // ====================================================================
@@ -289,7 +290,7 @@ TEST(Tracker, DetachesOnDestructionSoASuccessorCanAttach) {
   MetricsSnapshot s;
   successor.fill(s, true);
   EXPECT_EQ(s.honest_alive, 20u);
-  EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
 }
 
 TEST(Tracker, AbsorbsMidCampaignState) {
@@ -302,7 +303,7 @@ TEST(Tracker, AbsorbsMidCampaignState) {
   StructuralTracker tracker(net);
   MetricsSnapshot s;
   tracker.fill(s, true);
-  EXPECT_EQ(serialize(s), serialize(sweep_structural(net, true)));
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
 }
 
 // ====================================================================
@@ -394,7 +395,7 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
       StructuralTracker tracker(net);
       MetricsSnapshot s;
       tracker.fill(s, true);
-      ASSERT_EQ(serialize(s), serialize(sweep_structural(net, true)))
+      ASSERT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)))
           << where;
       const std::vector<NodeId> honest = net.honest_nodes();
       ASSERT_EQ(tracker.honest_alive(), honest.size());

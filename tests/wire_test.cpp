@@ -8,8 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "detection/replay_grid.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/trace_io.hpp"
 #include "scenario/wire.hpp"
 
 namespace onion::scenario {
@@ -75,7 +80,7 @@ void expect_cells_equal(const CellResult& a, const CellResult& b) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   ASSERT_EQ(a.series.size(), b.series.size());
   for (std::size_t i = 0; i < a.series.size(); ++i)
-    EXPECT_EQ(serialize(a.series[i]), serialize(b.series[i]));
+    EXPECT_EQ(codec::encode(a.series[i]), codec::encode(b.series[i]));
   EXPECT_EQ(a.counters.joins, b.counters.joins);
   EXPECT_EQ(a.counters.leaves, b.counters.leaves);
   EXPECT_EQ(a.counters.takedowns, b.counters.takedowns);
@@ -86,9 +91,9 @@ void expect_cells_equal(const CellResult& a, const CellResult& b) {
 TEST(Wire, SnapshotRoundTripsBitForBit) {
   for (const bool with_waves : {false, true}) {
     const MetricsSnapshot original = sample_snapshot(3, with_waves);
-    const Bytes encoded = serialize(original);
-    const MetricsSnapshot decoded = wire::deserialize_snapshot(encoded);
-    EXPECT_EQ(serialize(decoded), encoded);
+    const Bytes encoded = codec::encode(original);
+    const MetricsSnapshot decoded = codec::decode<MetricsSnapshot>(encoded);
+    EXPECT_EQ(codec::encode(decoded), encoded);
     EXPECT_EQ(decoded.degree_histogram, original.degree_histogram);
     EXPECT_EQ(decoded.wave_takedowns, original.wave_takedowns);
   }
@@ -97,14 +102,14 @@ TEST(Wire, SnapshotRoundTripsBitForBit) {
 TEST(Wire, CellResultRoundTripsEveryField) {
   const CellResult original = sample_cell(42);
   const CellResult decoded =
-      wire::decode_cell_result(wire::encode_cell_result(original));
+      wire::decode_frame<CellResult>(wire::encode_frame(original));
   expect_cells_equal(original, decoded);
 }
 
 TEST(Wire, GridReportRoundTripsEveryField) {
   const GridReport original = sample_report();
   const GridReport decoded =
-      wire::decode_grid_report(wire::encode_grid_report(original));
+      wire::decode_frame<GridReport>(wire::encode_frame(original));
   ASSERT_EQ(decoded.cells.size(), original.cells.size());
   for (std::size_t i = 0; i < original.cells.size(); ++i)
     expect_cells_equal(original.cells[i], decoded.cells[i]);
@@ -122,9 +127,9 @@ TEST(Wire, GridReportRoundTripsEveryField) {
 }
 
 TEST(Wire, TruncationAtEveryByteBoundaryIsRejected) {
-  const Bytes framed = wire::encode_cell_result(sample_cell(1));
+  const Bytes framed = wire::encode_frame(sample_cell(1));
   for (std::size_t len = 0; len < framed.size(); ++len) {
-    EXPECT_THROW(wire::decode_cell_result(BytesView(framed.data(), len)),
+    EXPECT_THROW(wire::decode_frame<CellResult>(BytesView(framed.data(), len)),
                  wire::WireError)
         << "prefix of " << len << " bytes decoded";
   }
@@ -133,20 +138,20 @@ TEST(Wire, TruncationAtEveryByteBoundaryIsRejected) {
 TEST(Wire, EverySingleByteCorruptionIsRejected) {
   // Any flipped bit must land in one of the frame's checks: magic,
   // version, length, or the trailing integrity digest.
-  const Bytes framed = wire::encode_cell_result(sample_cell(2));
+  const Bytes framed = wire::encode_frame(sample_cell(2));
   for (std::size_t i = 0; i < framed.size(); ++i) {
     Bytes corrupt = framed;
     corrupt[i] ^= 0x01;
-    EXPECT_THROW(wire::decode_cell_result(corrupt), wire::WireError)
+    EXPECT_THROW(wire::decode_frame<CellResult>(corrupt), wire::WireError)
         << "flip at byte " << i << " decoded";
   }
 }
 
 TEST(Wire, UnknownVersionIsRejectedWithAClearError) {
-  Bytes framed = wire::encode_cell_result(sample_cell(3));
+  Bytes framed = wire::encode_frame(sample_cell(3));
   framed[15] = 2;  // the version word's low byte (bytes 8..15, big-endian)
   try {
-    wire::decode_cell_result(framed);
+    wire::decode_frame<CellResult>(framed);
     FAIL() << "version-2 frame decoded";
   } catch (const wire::WireError& e) {
     EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
@@ -154,17 +159,10 @@ TEST(Wire, UnknownVersionIsRejectedWithAClearError) {
   }
 }
 
-TEST(Wire, ForeignMagicIsRejected) {
-  const Bytes cell_frame = wire::encode_cell_result(sample_cell(4));
-  EXPECT_THROW(wire::decode_grid_report(cell_frame), wire::WireError);
-  const Bytes report_frame = wire::encode_grid_report(sample_report());
-  EXPECT_THROW(wire::decode_cell_result(report_frame), wire::WireError);
-}
-
 TEST(Wire, TrailingGarbageIsRejected) {
-  Bytes framed = wire::encode_cell_result(sample_cell(5));
+  Bytes framed = wire::encode_frame(sample_cell(5));
   framed.push_back(0x00);
-  EXPECT_THROW(wire::decode_cell_result(framed), wire::WireError);
+  EXPECT_THROW(wire::decode_frame<CellResult>(framed), wire::WireError);
 }
 
 TEST(Wire, WallSecondsIsSerializedButNeverFingerprinted) {
@@ -174,8 +172,8 @@ TEST(Wire, WallSecondsIsSerializedButNeverFingerprinted) {
   CellResult slow = sample_cell(6);
   fast.wall_seconds = 0.01;
   slow.wall_seconds = 1e6;
-  EXPECT_NE(wire::encode_cell_result(fast), wire::encode_cell_result(slow));
-  EXPECT_EQ(wire::decode_cell_result(wire::encode_cell_result(slow))
+  EXPECT_NE(wire::encode_frame(fast), wire::encode_frame(slow));
+  EXPECT_EQ(wire::decode_frame<CellResult>(wire::encode_frame(slow))
                 .wall_seconds,
             1e6);
   EXPECT_EQ(combine_cell_fingerprints({fast}),
@@ -225,12 +223,12 @@ detection::ReplayGridReport sample_replay_report() {
 
 TEST(Wire, ReplayPointRoundTripsBitForBit) {
   const detection::ReplayGridPoint original = sample_point(5);
-  const Bytes encoded = detection::serialize(original);
+  const Bytes encoded = codec::encode(original);
   const detection::ReplayGridPoint decoded =
-      wire::deserialize_replay_point(encoded);
+      codec::decode<detection::ReplayGridPoint>(encoded);
   // Re-serialization equality is the strongest check: the fingerprint
   // hashes exactly these bytes, so a decoded frame recomputes it.
-  EXPECT_EQ(detection::serialize(decoded), encoded);
+  EXPECT_EQ(codec::encode(decoded), encoded);
   ASSERT_EQ(decoded.families.size(), 2u);
   EXPECT_EQ(decoded.families[0].family, "onion");
   EXPECT_EQ(decoded.families[1].flagged, 8u);
@@ -239,25 +237,27 @@ TEST(Wire, ReplayPointRoundTripsBitForBit) {
 TEST(Wire, ReplayCellRoundTripsEveryField) {
   const detection::ReplayGridCell original = sample_replay_cell(3);
   const detection::ReplayGridCell decoded =
-      wire::decode_replay_cell(wire::encode_replay_cell(original));
+      wire::decode_frame<detection::ReplayGridCell>(
+          wire::encode_frame(original));
   EXPECT_EQ(decoded.cell_index, original.cell_index);
   EXPECT_EQ(decoded.campaign, original.campaign);
   EXPECT_EQ(decoded.replay_seed, original.replay_seed);
   ASSERT_EQ(decoded.points.size(), original.points.size());
   for (std::size_t i = 0; i < original.points.size(); ++i)
-    EXPECT_EQ(detection::serialize(decoded.points[i]),
-              detection::serialize(original.points[i]));
+    EXPECT_EQ(codec::encode(decoded.points[i]),
+              codec::encode(original.points[i]));
   EXPECT_EQ(decoded.wall_seconds, original.wall_seconds);
 }
 
 TEST(Wire, ReplayReportRoundTripsEveryField) {
   const detection::ReplayGridReport original = sample_replay_report();
   const detection::ReplayGridReport decoded =
-      wire::decode_replay_report(wire::encode_replay_report(original));
+      wire::decode_frame<detection::ReplayGridReport>(
+          wire::encode_frame(original));
   ASSERT_EQ(decoded.points.size(), original.points.size());
   for (std::size_t i = 0; i < original.points.size(); ++i)
-    EXPECT_EQ(detection::serialize(decoded.points[i]),
-              detection::serialize(original.points[i]));
+    EXPECT_EQ(codec::encode(decoded.points[i]),
+              codec::encode(original.points[i]));
   EXPECT_EQ(decoded.fingerprint, original.fingerprint);
   EXPECT_EQ(detection::combine_replay_points(decoded.points),
             decoded.fingerprint);
@@ -273,33 +273,75 @@ TEST(Wire, ReplayReportRoundTripsEveryField) {
 }
 
 TEST(Wire, ReplayFrameTruncationAtEveryByteBoundaryIsRejected) {
-  const Bytes framed = wire::encode_replay_cell(sample_replay_cell(0));
+  const Bytes framed = wire::encode_frame(sample_replay_cell(0));
   for (std::size_t len = 0; len < framed.size(); ++len) {
-    EXPECT_THROW(wire::decode_replay_cell(BytesView(framed.data(), len)),
+    EXPECT_THROW(wire::decode_frame<detection::ReplayGridCell>(
+                     BytesView(framed.data(), len)),
                  wire::WireError)
         << "prefix of " << len << " bytes decoded";
   }
 }
 
 TEST(Wire, ReplayFrameEverySingleByteCorruptionIsRejected) {
-  const Bytes framed = wire::encode_replay_cell(sample_replay_cell(1));
+  const Bytes framed = wire::encode_frame(sample_replay_cell(1));
   for (std::size_t i = 0; i < framed.size(); ++i) {
     Bytes corrupt = framed;
     corrupt[i] ^= 0x01;
-    EXPECT_THROW(wire::decode_replay_cell(corrupt), wire::WireError)
+    EXPECT_THROW(wire::decode_frame<detection::ReplayGridCell>(corrupt),
+                 wire::WireError)
         << "flip at byte " << i << " decoded";
   }
 }
 
-TEST(Wire, ReplayMagicsAreDistinctFromEveryOtherFrameKind) {
-  const Bytes cell_frame = wire::encode_replay_cell(sample_replay_cell(2));
-  EXPECT_THROW(wire::decode_replay_report(cell_frame), wire::WireError);
-  EXPECT_THROW(wire::decode_cell_result(cell_frame), wire::WireError);
-  EXPECT_THROW(wire::decode_grid_report(cell_frame), wire::WireError);
-  const Bytes report_frame =
-      wire::encode_replay_report(sample_replay_report());
-  EXPECT_THROW(wire::decode_replay_cell(report_frame), wire::WireError);
-  EXPECT_THROW(wire::decode_grid_report(report_frame), wire::WireError);
+// --- every frame kind against every other kind's decoder -------------
+
+/// One frame kind: a valid frame of it and its decoder.
+struct FrameKind {
+  const char* name;
+  Bytes frame;
+  std::function<void(BytesView)> decode;
+};
+
+template <typename T>
+FrameKind frame_kind(const char* name, const T& value) {
+  return {name, wire::encode_frame(value),
+          [](BytesView framed) { (void)wire::decode_frame<T>(framed); }};
+}
+
+std::vector<FrameKind> every_frame_kind() {
+  Bytes chunk{trace_io::kEventTag};
+  codec::encode_into(chunk, CampaignEvent{});
+  return {frame_kind("cell", sample_cell(4)),
+          frame_kind("grid report", sample_report()),
+          frame_kind("replay cell", sample_replay_cell(2)),
+          frame_kind("replay report", sample_replay_report()),
+          frame_kind("trace header",
+                     trace_io::TraceHeader{ScenarioSpec{}, {1, 2}}),
+          frame_kind("trace footer", trace_io::TraceFooter{}),
+          {"trace chunk", wire::frame(trace_io::kChunkMagic, chunk),
+           [](BytesView framed) {
+             (void)wire::unframe(trace_io::kChunkMagic, framed);
+           }}};
+}
+
+TEST(Wire, ForeignMagicIsRejected) {
+  // Each rejection must come from the magic check itself: a frame whose
+  // payload merely fails to parse as a foreign struct would hide two
+  // kinds sharing a tag.
+  const std::vector<FrameKind> kinds = every_frame_kind();
+  for (const FrameKind& own : kinds) {
+    EXPECT_NO_THROW(own.decode(own.frame)) << own.name;
+    for (const FrameKind& other : kinds) {
+      if (&other == &own) continue;
+      try {
+        other.decode(own.frame);
+        ADD_FAILURE() << own.name << " frame decoded as " << other.name;
+      } catch (const wire::WireError& e) {
+        EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+            << own.name << " as " << other.name << ": " << e.what();
+      }
+    }
+  }
 }
 
 TEST(Wire, ReplayInformationalFieldsNeverReachTheFingerprint) {
@@ -307,7 +349,7 @@ TEST(Wire, ReplayInformationalFieldsNeverReachTheFingerprint) {
   detection::ReplayGridCell slow = sample_replay_cell(4);
   fast.wall_seconds = 0.01;
   slow.wall_seconds = 1e6;
-  EXPECT_NE(wire::encode_replay_cell(fast), wire::encode_replay_cell(slow));
+  EXPECT_NE(wire::encode_frame(fast), wire::encode_frame(slow));
   EXPECT_EQ(detection::combine_replay_points(fast.points),
             detection::combine_replay_points(slow.points));
 }

@@ -222,7 +222,7 @@ int run_replay_mode(const gridcli::Options& options) {
     const detection::ReplayGridReport report =
         job.report(merge_job_frames(job, options.results_dir));
     write_file_atomic(options.results_dir + "/replay_report.frame",
-                      wire::encode_replay_report(report));
+                      wire::encode_frame(report));
     print_replay_report(report, grid.cell_count(options.traces.size()));
     return report.failed_cells.empty() ? 0 : 1;
   }
@@ -256,7 +256,7 @@ int run_replay_mode(const gridcli::Options& options) {
   const detection::ReplayGridReport report =
       job.report(coordinate_job(job, options.config));
   write_file_atomic(options.results_dir + "/replay_report.frame",
-                    wire::encode_replay_report(report));
+                    wire::encode_frame(report));
   print_replay_report(report, cell_total);
   return report.failed_cells.empty() ? 0 : 1;
 }
@@ -271,13 +271,13 @@ int run(const gridcli::Options& options) {
       return 0;
     case gridcli::Role::kShowReport: {
       if (options.replay_grid) {
-        const detection::ReplayGridReport report = wire::decode_replay_report(
+        const auto report = wire::decode_frame<detection::ReplayGridReport>(
             read_file_bytes(options.results_dir + "/replay_report.frame"));
         std::printf("report: replay_report.frame\n");
         print_replay_report(report, /*cell_total=*/0);
         return report.failed_cells.empty() ? 0 : 1;
       }
-      const GridReport report = wire::decode_grid_report(
+      const auto report = wire::decode_frame<GridReport>(
           read_file_bytes(options.results_dir + "/grid_report.frame"));
       print_report("(from grid_report.frame)", report);
       return report.failed_cells.empty() ? 0 : 1;
@@ -310,7 +310,7 @@ int run(const gridcli::Options& options) {
   // The merged report is itself a resumable artifact: decode it later
   // with --show-report (or any wire consumer) without re-running.
   write_file_atomic(options.results_dir + "/grid_report.frame",
-                    wire::encode_grid_report(report));
+                    wire::encode_frame(report));
   print_report(options.grid_name, report);
   return report.failed_cells.empty() ? 0 : 1;
 }
