@@ -1,7 +1,6 @@
 #include "detection/replay.hpp"
 
 #include <array>
-#include <unordered_set>
 #include <utility>
 
 #include "detection/replay_grid.hpp"
@@ -62,17 +61,6 @@ GroundTruth replay_ground_truth(const ReplayResult& result) {
     if (!(result.*hosts).empty())
       truth.populations.push_back(GroundTruth::Population{name, result.*hosts});
   return truth;
-}
-
-double flagged_fraction(const DetectionResult& result,
-                        const std::vector<HostId>& population) {
-  if (population.empty()) return 0.0;
-  const std::unordered_set<HostId> flagged(result.flagged.begin(),
-                                           result.flagged.end());
-  std::size_t hits = 0;
-  for (const HostId h : population)
-    if (flagged.count(h) > 0) ++hits;
-  return static_cast<double>(hits) / static_cast<double>(population.size());
 }
 
 }  // namespace onion::detection

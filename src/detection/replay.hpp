@@ -102,12 +102,6 @@ struct ReplayResult {
 ReplayResult replay_trace(const scenario::TraceSource& campaign,
                           const ReplayConfig& config);
 
-/// Fraction of `population` that `result` flagged — per-family TPR (or
-/// FPR, for a benign population) over a composed trace. 0 on an empty
-/// population.
-double flagged_fraction(const DetectionResult& result,
-                        const std::vector<HostId>& population);
-
 /// Folds a replay's per-population host lists into the ROC layer's
 /// named GroundTruth, so RocSweep::run(trace, truth) resolves every
 /// family on one sweep. Population order is fixed (onion, centralized,

@@ -1,7 +1,6 @@
 #include "detection/telemetry.hpp"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "crypto/sha256.hpp"
@@ -69,29 +68,28 @@ std::string fingerprint(const TrafficTrace& trace) {
 }
 
 double DetectionResult::true_positive_rate(const TrafficTrace& trace) const {
-  if (trace.infected.empty()) return 0.0;
-  const std::set<HostId> flagged_set(flagged.begin(), flagged.end());
-  std::size_t hits = 0;
-  for (const HostId h : trace.infected)
-    if (flagged_set.count(h) > 0) ++hits;
-  return static_cast<double>(hits) /
-         static_cast<double>(trace.infected.size());
+  return flagged_fraction(*this, trace.infected);
 }
 
 double DetectionResult::false_positive_rate(
     const TrafficTrace& trace) const {
-  const std::set<HostId> infected_set(trace.infected.begin(),
-                                      trace.infected.end());
-  std::size_t benign = 0;
-  std::size_t false_hits = 0;
-  const std::set<HostId> flagged_set(flagged.begin(), flagged.end());
-  for (const HostId h : trace.hosts) {
-    if (infected_set.count(h) > 0) continue;
-    ++benign;
-    if (flagged_set.count(h) > 0) ++false_hits;
-  }
-  if (benign == 0) return 0.0;
-  return static_cast<double>(false_hits) / static_cast<double>(benign);
+  const std::unordered_set<HostId> infected(trace.infected.begin(),
+                                            trace.infected.end());
+  std::vector<HostId> benign;
+  for (const HostId h : trace.hosts)
+    if (infected.count(h) == 0) benign.push_back(h);
+  return flagged_fraction(*this, benign);
+}
+
+double flagged_fraction(const DetectionResult& result,
+                        const std::vector<HostId>& population) {
+  if (population.empty()) return 0.0;
+  const std::unordered_set<HostId> flagged(result.flagged.begin(),
+                                           result.flagged.end());
+  std::size_t hits = 0;
+  for (const HostId h : population)
+    if (flagged.count(h) > 0) ++hits;
+  return static_cast<double>(hits) / static_cast<double>(population.size());
 }
 
 }  // namespace onion::detection

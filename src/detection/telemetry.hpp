@@ -104,9 +104,16 @@ std::string fingerprint(const TrafficTrace& trace);
 struct DetectionResult {
   std::vector<HostId> flagged;
 
-  /// Scores against ground truth.
+  /// Scores against ground truth: flagged_fraction over the infected
+  /// hosts, and over the monitored hosts that are not infected.
   double true_positive_rate(const TrafficTrace& trace) const;
   double false_positive_rate(const TrafficTrace& trace) const;
 };
+
+/// Fraction of `population` that `result` flagged — per-family TPR (or
+/// FPR, for a benign population) over a composed trace. 0 on an empty
+/// population.
+double flagged_fraction(const DetectionResult& result,
+                        const std::vector<HostId>& population);
 
 }  // namespace onion::detection
