@@ -1,4 +1,4 @@
-// Ablation bench for the DDSR design choices DESIGN.md §4 calls out:
+// Ablation bench for the DDSR design choices (core::DdsrPolicy):
 //   repair rule   — pairwise clique (paper) vs random matching
 //   prune victim  — highest-degree (paper) vs random
 //   refill        — NoN refill on vs off

@@ -26,7 +26,7 @@
 namespace onion::core {
 
 /// Repair-policy knobs; defaults follow the paper. Alternatives exist for
-/// the ablation benches called out in DESIGN.md §4.
+/// the ablation bench (bench/ablation_ddsr.cpp).
 struct DdsrPolicy {
   /// Degree band [dmin, dmax] the maintenance keeps nodes inside.
   std::size_t dmin = 5;

@@ -10,7 +10,8 @@
 // Zeus/OnionBot) purely as metadata.
 //
 // NOT CRYPTOGRAPHICALLY SECURE — 62-bit moduli are factorable instantly.
-// This is a research simulator; see DESIGN.md §3 (substitutions).
+// This is a research simulator; the README's `src/crypto` row lists the
+// simulated primitives.
 #pragma once
 
 #include <cstdint>
