@@ -10,7 +10,6 @@ void DynamicConnectivity::reset() {
   member_next_.assign(cap, kNil);
   member_prev_.assign(cap, kNil);
   visit_mark_.assign(cap, 0);
-  visit_side_.assign(cap, 0);
   comp_size_.clear();
   comp_head_.clear();
   comp_free_.clear();
@@ -22,8 +21,15 @@ void DynamicConnectivity::reset() {
   splits_ = 0;
   search_steps_ = 0;
   epoch_ = 0;
-  queue_a_.clear();
-  queue_b_.clear();
+  in_batch_ = false;
+  queued_.clear();
+  // Search scratch is sized up front, so a run's searches allocate
+  // nothing once attached. Growing it mid-run, between the graph's own
+  // reallocations, fragmented the heap: on the pinned 500k campaign the
+  // peak RSS of back-to-back runs rose by 10 MB.
+  queued_.reserve(kScratchSeeds);
+  frontiers_.reserve(kScratchSeeds);
+  reach_.reserve(std::min<std::size_t>(cap, kScratchReach));
 }
 
 void DynamicConnectivity::grow() {
@@ -33,7 +39,6 @@ void DynamicConnectivity::grow() {
   member_next_.resize(cap, kNil);
   member_prev_.resize(cap, kNil);
   visit_mark_.resize(cap, 0);
-  visit_side_.resize(cap, 0);
 }
 
 std::uint32_t DynamicConnectivity::alloc_component() {
@@ -77,18 +82,29 @@ void DynamicConnectivity::insert_vertex(NodeId u) {
 }
 
 void DynamicConnectivity::remove_vertex(NodeId u) {
-  ONION_EXPECTS_MSG(tracked(u), "u=" << u);
+  ONION_EXPECTS_MSG(tracked(u) && !g_.alive(u), "u=" << u);
   const std::uint32_t c = label_[u];
-  // Removing u's last tracked edge already split it into a singleton
-  // (the u-side frontier of the replacement search cannot expand), so
-  // the component record must be exactly {u}.
-  ONION_EXPECTS_MSG(comp_size_[c] == 1,
+  const std::uint32_t size = comp_size_[c];
+  // Outside a batch, removing u's last tracked edge already split it
+  // into a singleton (the u-side frontier of the search cannot expand),
+  // so the component record must be exactly {u}.
+  ONION_EXPECTS_MSG(size == 1 || in_batch_,
                     "u=" << u << " still shares a component of size "
-                         << comp_size_[c]);
-  drop_size(1);
-  free_component(c);
+                         << size);
+  drop_size(size);
+  if (size == 1) {
+    free_component(c);
+    --components_;
+  } else {  // in a batch: leave the stale roster; end_batch settles it
+    const std::uint32_t n = member_next_[u];
+    const std::uint32_t p = member_prev_[u];
+    member_next_[p] = n;
+    member_prev_[n] = p;
+    if (comp_head_[c] == u) comp_head_[c] = n;
+    comp_size_[c] = size - 1;
+    add_size(size - 1);
+  }
   label_[u] = kNil;
-  --components_;
   --num_vertices_;
 }
 
@@ -175,36 +191,19 @@ void DynamicConnectivity::insert_edge(NodeId u, NodeId v) {
   ++merges_;
 }
 
-bool DynamicConnectivity::expand(std::vector<NodeId>& queue,
-                                 std::size_t& head, std::uint8_t side) {
-  const NodeId x = queue[head++];
-  ++search_steps_;
-  for (const NodeId w : g_.neighbors(x)) {
-    if (!tracked(w)) continue;  // no path through untracked slots (Sybils)
-    if (visit_mark_[w] == epoch_) {
-      if (visit_side_[w] != side) return true;  // frontiers met
-      continue;
-    }
-    visit_mark_[w] = epoch_;
-    visit_side_[w] = side;
-    queue.push_back(w);
-  }
-  return false;
-}
-
-void DynamicConnectivity::split_component(const std::vector<NodeId>& members,
+void DynamicConnectivity::split_component(std::uint32_t first,
+                                          std::uint32_t moved,
                                           std::uint32_t old_comp) {
-  const std::uint32_t moved = static_cast<std::uint32_t>(members.size());
   const std::uint32_t old_total = comp_size_[old_comp];
-  // The other frontier's seed is never claimed by the exhausted side, so
-  // at least one member stays behind.
+  // The last class holds at least one seed, so someone stays behind.
   ONION_ENSURES(moved < old_total);
 
   // Unlink the moved members from the old circular roster. A member's
   // next/prev pointers are repaired by earlier unlinks, so they always
   // reference nodes still on the list; the head pointer chases forward
   // until it settles on a survivor.
-  for (const NodeId m : members) {
+  for (std::uint32_t e = first; e != kNil; e = reach_[e].next) {
+    const NodeId m = reach_[e].v;
     const std::uint32_t n = member_next_[m];
     const std::uint32_t p = member_prev_[m];
     member_next_[p] = n;
@@ -212,15 +211,20 @@ void DynamicConnectivity::split_component(const std::vector<NodeId>& members,
     if (comp_head_[old_comp] == m) comp_head_[old_comp] = n;
   }
 
+  // The new roster is the members in list order.
   const std::uint32_t c = alloc_component();
-  const std::size_t k = members.size();
-  for (std::size_t i = 0; i < k; ++i) {
-    const NodeId m = members[i];
+  const NodeId head = reach_[first].v;
+  NodeId last = head;
+  for (std::uint32_t e = first; e != kNil; e = reach_[e].next) {
+    const NodeId m = reach_[e].v;
     label_[m] = c;
-    member_next_[m] = members[i + 1 == k ? 0 : i + 1];
-    member_prev_[m] = members[i == 0 ? k - 1 : i - 1];
+    member_next_[last] = m;
+    member_prev_[m] = last;
+    last = m;
   }
-  comp_head_[c] = members[0];
+  member_next_[last] = head;
+  member_prev_[head] = last;
+  comp_head_[c] = head;
   comp_size_[c] = moved;
   comp_size_[old_comp] = old_total - moved;
 
@@ -238,36 +242,153 @@ void DynamicConnectivity::remove_edge(NodeId u, NodeId v) {
                          << ": both must be tracked, in one component, "
                             "and the edge already gone from the graph");
   --num_edges_;
-
-  // Replacement-path search: alternate one-vertex BFS expansions from
-  // both endpoints. Meeting ⇒ the edge was cycle-covered, nothing to do;
-  // one side exhausting ⇒ it was a bridge and the exhausted (smaller, to
-  // within one alternation) side becomes a new component.
-  if (++epoch_ == 0) {  // epoch wrapped: invalidate stale marks
-    std::fill(visit_mark_.begin(), visit_mark_.end(), 0u);
-    epoch_ = 1;
+  if (in_batch_) {
+    queued_.push_back(u);
+    queued_.push_back(v);
+    return;
   }
-  queue_a_.clear();
-  queue_b_.clear();
-  queue_a_.push_back(u);
-  visit_mark_[u] = epoch_;
-  visit_side_[u] = 0;
-  queue_b_.push_back(v);
-  visit_mark_[v] = epoch_;
-  visit_side_[v] = 1;
-  std::size_t head_a = 0;
-  std::size_t head_b = 0;
-  while (true) {
-    if (head_a == queue_a_.size()) {
-      split_component(queue_a_, label_[u]);
-      return;
+  // Meeting ⇒ the edge was cycle-covered, nothing to do; one side
+  // exhausting ⇒ it was a bridge, and that side becomes a new component.
+  const NodeId seeds[] = {u, v};
+  settle(seeds);
+}
+
+void DynamicConnectivity::begin_batch() {
+  ONION_EXPECTS_MSG(!in_batch_, "batches do not nest");
+  in_batch_ = true;
+}
+
+void DynamicConnectivity::end_batch() {
+  ONION_EXPECTS_MSG(in_batch_, "no batch is open");
+  in_batch_ = false;
+  // Surviving endpoints, each once, grouped by their (too coarse) label.
+  // Every true piece of a label that lost an edge holds one of them, so a
+  // label with a single survivor is still exact.
+  std::erase_if(queued_, [this](NodeId x) { return !tracked(x); });
+  std::sort(queued_.begin(), queued_.end(), [this](NodeId a, NodeId b) {
+    return label_[a] != label_[b] ? label_[a] < label_[b] : a < b;
+  });
+  queued_.erase(std::unique(queued_.begin(), queued_.end()), queued_.end());
+  // A search relabels only its own group, so later groups keep theirs.
+  for (std::size_t i = 0; i < queued_.size();) {
+    std::size_t j = i + 1;
+    while (j < queued_.size() && label_[queued_[j]] == label_[queued_[i]]) ++j;
+    if (j - i >= 2)
+      settle(std::span<const NodeId>(queued_).subspan(i, j - i));
+    i = j;
+  }
+  queued_.clear();
+}
+
+std::uint32_t DynamicConnectivity::reserve_marks(std::uint32_t k) {
+  if (epoch_ > kNil - k) {  // would wrap: invalidate every stale mark
+    std::fill(visit_mark_.begin(), visit_mark_.end(), 0u);
+    epoch_ = 0;
+  }
+  const std::uint32_t first = epoch_ + 1;
+  epoch_ += k;
+  return first;
+}
+
+void DynamicConnectivity::push_back(List& list, std::uint32_t entry) {
+  reach_[entry].next = kNil;
+  if (list.tail == kNil)
+    list.head = entry;
+  else
+    reach_[list.tail].next = entry;
+  list.tail = entry;
+}
+
+std::uint32_t DynamicConnectivity::find_frontier(std::uint32_t f) {
+  while (frontiers_[f].parent != f) {  // path halving
+    frontiers_[f].parent = frontiers_[frontiers_[f].parent].parent;
+    f = frontiers_[f].parent;
+  }
+  return f;
+}
+
+std::uint32_t DynamicConnectivity::unlink_frontier(std::uint32_t f) {
+  const std::uint32_t n = frontiers_[f].next;
+  const std::uint32_t p = frontiers_[f].prev;
+  frontiers_[p].next = n;
+  frontiers_[n].prev = p;
+  return n;
+}
+
+std::uint32_t DynamicConnectivity::unite_frontiers(std::uint32_t a,
+                                                   std::uint32_t b) {
+  if (frontiers_[a].size < frontiers_[b].size) std::swap(a, b);
+  Frontier& root = frontiers_[a];
+  Frontier& absorbed = frontiers_[b];
+  for (const auto list : {&Frontier::expanded, &Frontier::queued}) {
+    const List& from = absorbed.*list;
+    List& to = root.*list;
+    if (from.head == kNil) continue;
+    if (to.tail == kNil)
+      to.head = from.head;
+    else
+      reach_[to.tail].next = from.head;
+    to.tail = from.tail;
+  }
+  root.size += absorbed.size;
+  absorbed.parent = a;
+  unlink_frontier(b);
+  return a;
+}
+
+void DynamicConnectivity::settle(std::span<const NodeId> seeds) {
+  const auto k = static_cast<std::uint32_t>(seeds.size());
+  const std::uint32_t comp = label_[seeds[0]];
+  // Frontier f stamps base + f, so one mark says both "reached in this
+  // search" and by whom; every older mark is below base.
+  const std::uint32_t base = reserve_marks(k);
+  if (frontiers_.size() < k) frontiers_.resize(k);
+  reach_.clear();
+  for (std::uint32_t f = 0; f < k; ++f) {
+    Frontier& fr = frontiers_[f];
+    fr = Frontier{};
+    fr.parent = f;
+    fr.next = f + 1 == k ? 0 : f + 1;
+    fr.prev = f == 0 ? k - 1 : f - 1;
+    fr.size = 1;
+    reach_.push_back({seeds[f], kNil});
+    push_back(fr.queued, f);
+    visit_mark_[seeds[f]] = base + f;
+  }
+  // Live classes take turns expanding one vertex each. A class with
+  // nothing left to expand is a whole component and splits off; the last
+  // class keeps `comp`.
+  std::uint32_t live = k;
+  std::uint32_t turn = 0;
+  while (live > 1) {
+    Frontier& fr = frontiers_[turn];
+    const std::uint32_t e = fr.queued.head;
+    if (e == kNil) {
+      split_component(fr.expanded.head, fr.size, comp);
+      turn = unlink_frontier(turn);
+      --live;
+      continue;
     }
-    if (expand(queue_a_, head_a, 0)) return;
-    if (head_b == queue_b_.size()) {
-      split_component(queue_b_, label_[v]);
-      return;
+    fr.queued.head = reach_[e].next;
+    if (fr.queued.head == kNil) fr.queued.tail = kNil;
+    push_back(fr.expanded, e);
+    ++search_steps_;
+    for (const NodeId w : g_.neighbors(reach_[e].v)) {
+      if (!tracked(w)) continue;  // no path through untracked slots (Sybils)
+      if (visit_mark_[w] < base) {
+        visit_mark_[w] = base + turn;
+        reach_.push_back({w, kNil});
+        push_back(frontiers_[turn].queued,
+                  static_cast<std::uint32_t>(reach_.size() - 1));
+        ++frontiers_[turn].size;
+        continue;
+      }
+      const std::uint32_t other = find_frontier(visit_mark_[w] - base);
+      if (other == turn) continue;
+      turn = unite_frontiers(turn, other);  // the frontiers met
+      if (--live == 1) break;
     }
-    if (expand(queue_b_, head_b, 1)) return;
+    turn = frontiers_[turn].next;
   }
 }
 

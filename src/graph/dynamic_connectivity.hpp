@@ -3,43 +3,61 @@
 // maintained exactly under arbitrary interleavings of vertex/edge
 // insertions AND deletions — no global rebuild, ever.
 //
-// The algorithm is a spanning-structure-free variant of the replacement-
-// edge search at the heart of Holm–de Lichtenberg–Thorup: every vertex
-// carries a component label, merges relabel the smaller side (weighted
-// union, so each vertex is relabeled O(log n) times across a growth
-// phase), and an edge deletion runs a *bidirectional* breadth-first
-// search from both endpoints over the live adjacency. If the frontiers
-// meet, a replacement path exists and nothing changes; if one side
-// exhausts first, exactly that side — which is the smaller reachable
-// set, to within one alternation step — becomes a new component and is
-// relabeled. The deletion cost is therefore O(meeting distance) when
-// the edge is cycle-covered (the overwhelmingly common case in a
-// degree-banded DDSR overlay, where clique repair keeps alternate paths
-// two hops long) and O(smaller split side) when it is a bridge — the
-// output-sensitive optimum, since the smaller side must be relabeled
-// anyway. This is not the HDT polylog *worst case* (an adversarial
-// bridge chain costs O(n) per cut; tests/dynconn_test.cpp drives
-// exactly that sequence), but it is differential-tested against
-// from-scratch union-find sweeps over randomized add/delete
-// interleavings, which is the contract the scenario tracker needs.
+// Every vertex carries a component label. Insertions merge by weighted
+// union: the smaller side is relabeled, so each vertex is relabeled
+// O(log n) times across a growth phase. Deletions are settled by a
+// replacement-path search over the live adjacency with one breadth-first
+// frontier per seed endpoint. Frontiers take turns expanding one vertex
+// each; two that meet unite (the smaller's queue moves into the larger's),
+// and a class of united frontiers that runs out of vertices to expand is
+// a whole component and splits off with a fresh label. The search stops
+// when one class is left, and that class keeps the old label. Its cost is
+// O(meeting distance) when the deleted edges are cycle-covered (the
+// common case in a degree-banded DDSR overlay, where clique repair keeps
+// alternate paths two hops long) and O(split-off sides) when they are
+// bridges — output-sensitive, since those sides must be relabeled anyway.
+// This is not the HDT polylog worst case: an adversarial bridge chain
+// costs O(n) per cut (tests/dynconn_test.cpp drives exactly that).
+//
+// When the search runs depends on the caller:
+//   * Outside a batch, remove_edge settles at once with two frontiers,
+//     one per endpoint. This immediate path is the reference.
+//   * Between begin_batch and end_batch (graph::Graph::Batch, one per
+//     DDSR deletion), remove_edge only queues its two endpoints, and
+//     remove_vertex unlinks the vertex from its component roster whatever
+//     the component's size. Insertions merge as always. Labels can
+//     therefore only be too coarse: each true component lies inside one
+//     label. end_batch drops queued endpoints that are no longer tracked
+//     and duplicates, groups the rest by label, and runs one search per
+//     group of two or more. Every true piece of a label that lost an edge
+//     holds a queued endpoint, so one search per group is exact. Counts
+//     and sizes are stale until end_batch; the queries refuse to answer
+//     in between.
+// The two paths agree on every partition (tests/dynconn_test.cpp and
+// tests/tracker_test.cpp compare them after every batch). Their counters
+// differ: a batch never splits off the dying vertex, nor splits and then
+// re-merges a piece the repair clique reconnects.
 //
 // The structure is a view over the graph it tracks: it keeps no
-// adjacency of its own, and the replacement search walks
-// Graph::neighbors, skipping untracked slots. The caller therefore
-// reports every mutation right after the graph applies it — exactly the
-// order graph::MutationObserver guarantees. Slot tables are struct-of-
-// arrays (labels, circular member rosters, visit stamps) and grow with
-// the graph. Attaching to an existing graph goes through load(): the
-// caller's component labelling becomes the rosters directly, so no
-// merge runs at attach time. Determinism: no randomness, no unordered-
-// container iteration — the search visits neighbours in adjacency order,
-// component sizes live in an ordered std::map — so every derived
-// quantity is a pure function of the operation sequence, and component
-// counts do not depend on neighbour order at all.
+// adjacency of its own, and the search walks Graph::neighbors, skipping
+// untracked slots. The caller therefore reports every mutation right
+// after the graph applies it — exactly the order graph::MutationObserver
+// guarantees. Slot tables are struct-of-arrays (labels, circular member
+// rosters, visit marks) and grow with the graph. A search reserves one
+// visit-mark value per frontier, so the mark says both "reached in this
+// search" and by which frontier. Attaching to an existing graph goes
+// through load(): the caller's component labelling becomes the rosters
+// directly, so no merge runs at attach time. Determinism: no randomness,
+// no unordered-container iteration — searches visit neighbours in
+// adjacency order and seeds in (label, id) order, component sizes live
+// in an ordered std::map — so every derived quantity is a pure function
+// of the operation sequence, and component counts do not depend on
+// neighbour order at all.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -77,9 +95,11 @@ class DynamicConnectivity {
   /// in g and not tracked.
   void insert_vertex(NodeId u);
 
-  /// Stops tracking `u`. Precondition: tracked and a singleton component
-  /// (callers remove incident edges first — exactly the order in which
-  /// graph::Graph::remove_node notifies an observer).
+  /// Stops tracking `u`, already removed from g. Precondition: tracked
+  /// and, outside a batch, a singleton component (callers remove incident
+  /// edges first — exactly the order in which graph::Graph::remove_node
+  /// notifies an observer). Inside a batch u's component may be larger:
+  /// its lost edges are queued, and end_batch settles the rest.
   void remove_vertex(NodeId u);
 
   /// Reports edge {u,v}, already added to g, between tracked vertices;
@@ -87,41 +107,57 @@ class DynamicConnectivity {
   /// Precondition: both tracked, u != v.
   void insert_edge(NodeId u, NodeId v);
 
-  /// Reports edge {u,v}, already removed from g; splits the component if
-  /// {u,v} was a bridge (the smaller reachable side is relabeled).
+  /// Reports edge {u,v}, already removed from g. Outside a batch, splits
+  /// the component at once if {u,v} was a bridge (the exhausted side is
+  /// relabeled); inside one, queues both endpoints for end_batch.
   /// Precondition: both tracked, in the same component, and g no longer
   /// holds the edge.
   void remove_edge(NodeId u, NodeId v);
 
+  /// Opens a batch: until end_batch, deletions are queued instead of
+  /// searched. Precondition: no batch open (batches do not nest).
+  void begin_batch();
+  /// Settles every deletion queued since begin_batch with one multi-
+  /// frontier search per affected component, and closes the batch.
+  void end_batch();
+  bool in_batch() const { return in_batch_; }
+
   /// --- queries (all O(1) except same_component's two loads) ----------
+  /// Component-level answers are refused inside a batch, where labels
+  /// may be too coarse; vertex and edge counts are always exact.
   bool tracked(NodeId u) const {
     return u < label_.size() && label_[u] != kNil;
   }
   std::uint64_t num_vertices() const { return num_vertices_; }
   /// Edges of g between two tracked vertices.
   std::uint64_t num_edges() const { return num_edges_; }
-  std::uint64_t components() const { return components_; }
+  std::uint64_t components() const {
+    ONION_EXPECTS(!in_batch_);
+    return components_;
+  }
   /// Size of the largest component (0 when no vertex is tracked).
   std::uint64_t largest_component() const {
+    ONION_EXPECTS(!in_batch_);
     return size_counts_.empty() ? 0 : size_counts_.rbegin()->first;
   }
   std::uint64_t component_size(NodeId u) const {
-    ONION_EXPECTS(tracked(u));
+    ONION_EXPECTS(!in_batch_ && tracked(u));
     return comp_size_[label_[u]];
   }
   bool same_component(NodeId u, NodeId v) const {
-    ONION_EXPECTS(tracked(u) && tracked(v));
+    ONION_EXPECTS(!in_batch_ && tracked(u) && tracked(v));
     return label_[u] == label_[v];
   }
 
   /// --- introspection (tests and benches) -----------------------------
   /// Component merges performed by insert_edge.
   std::uint64_t merges() const { return merges_; }
-  /// Bridge deletions that split a component.
+  /// Components split off by searches. A vertex leaving inside a batch
+  /// is not a split; outside one, its last edge's search splits it off.
   std::uint64_t splits() const { return splits_; }
   /// Total vertices expanded by replacement-path searches — the real
-  /// cost of all remove_edge calls so far (tests bound this; the bench
-  /// reports it per deletion window).
+  /// cost of all deletions so far (tests bound this; the bench reports
+  /// it per deletion).
   std::uint64_t search_steps() const { return search_steps_; }
 
  private:
@@ -133,14 +169,46 @@ class DynamicConnectivity {
   void free_component(std::uint32_t c);
   void add_size(std::uint32_t s);
   void drop_size(std::uint32_t s);
-  /// Relabels `members` (the exhausted BFS side) into a fresh component
-  /// split off from `old_comp`.
-  void split_component(const std::vector<NodeId>& members,
+  /// Relabels the `moved` vertices on the reach_ list starting at `first`
+  /// (an exhausted search class) into a fresh component split off from
+  /// `old_comp`.
+  void split_component(std::uint32_t first, std::uint32_t moved,
                        std::uint32_t old_comp);
-  /// One BFS expansion step over the tracked neighbours of the next
-  /// queued vertex; returns true when the other side was hit.
-  bool expand(std::vector<NodeId>& queue, std::size_t& head,
-              std::uint8_t side);
+  /// Reserves `k` consecutive visit-mark values and returns the first.
+  std::uint32_t reserve_marks(std::uint32_t k);
+  /// Multi-frontier search from `seeds` (distinct, all in one component):
+  /// splits off every class of met frontiers that runs out.
+  void settle(std::span<const NodeId> seeds);
+
+  /// A list of reach_ entries, linked through Reach::next.
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// One vertex reached by a search.
+  struct Reach {
+    NodeId v;
+    std::uint32_t next;
+  };
+  /// One search frontier, or a class of united ones: union-find over the
+  /// frontier indices, live classes in a circular turn order, and the
+  /// class's reached vertices as two reach_ lists.
+  struct Frontier {
+    std::uint32_t parent = 0;
+    std::uint32_t next = 0;  // turn order
+    std::uint32_t prev = 0;
+    std::uint32_t size = 0;  // reached vertices
+    List expanded;
+    List queued;
+  };
+  void push_back(List& list, std::uint32_t entry);
+  std::uint32_t find_frontier(std::uint32_t f);
+  /// Unites two live classes in O(1) (the larger by size stays the root,
+  /// the other's lists are spliced onto its own) and drops the absorbed
+  /// one from the turn order; returns the surviving class.
+  std::uint32_t unite_frontiers(std::uint32_t a, std::uint32_t b);
+  /// Drops class f from the turn order; returns the class after it.
+  std::uint32_t unlink_frontier(std::uint32_t f);
 
   const Graph& g_;  // valid: Graph refuses to move while observed
 
@@ -148,8 +216,7 @@ class DynamicConnectivity {
   std::vector<std::uint32_t> label_;        // component id, kNil = untracked
   std::vector<std::uint32_t> member_next_;  // circular component roster
   std::vector<std::uint32_t> member_prev_;
-  std::vector<std::uint32_t> visit_mark_;   // BFS epoch stamp
-  std::vector<std::uint8_t> visit_side_;    // which frontier claimed it
+  std::vector<std::uint32_t> visit_mark_;   // epoch + frontier that reached it
 
   // Component records (index = component id, free-listed).
   std::vector<std::uint32_t> comp_size_;
@@ -166,11 +233,18 @@ class DynamicConnectivity {
   std::uint64_t merges_ = 0;
   std::uint64_t splits_ = 0;
   std::uint64_t search_steps_ = 0;
-  std::uint32_t epoch_ = 0;
+  std::uint32_t epoch_ = 0;  // last visit-mark value handed out
+  bool in_batch_ = false;
 
-  // Replacement-search scratch, reused across remove_edge calls.
-  std::vector<NodeId> queue_a_;
-  std::vector<NodeId> queue_b_;
+  // Endpoints of edges removed in the open batch, settled by end_batch.
+  std::vector<NodeId> queued_;
+  // Search scratch, reused across searches, reserved by reset() for up to
+  // kScratchSeeds seeds and kScratchReach reached vertices (the pinned
+  // 500k campaign peaks at 218 and about 11k).
+  static constexpr std::size_t kScratchSeeds = 512;
+  static constexpr std::size_t kScratchReach = 16384;
+  std::vector<Frontier> frontiers_;
+  std::vector<Reach> reach_;
 };
 
 }  // namespace onion::graph

@@ -9,11 +9,14 @@
 // Components and the largest component live in a fully-dynamic
 // connectivity structure (graph::DynamicConnectivity) that searches the
 // overlay graph itself: insertions merge by weighted relabeling,
-// deletions run a bidirectional replacement-path search over the honest
-// neighbours. Takedown-heavy campaigns (the paper's Section V resilience
-// sweeps) pay per-event costs proportional to actual structural change,
-// not to graph size. tests/tracker_test.cpp proves byte-equality with
-// the from-scratch sweep across randomized join/leave/takedown/SOAP
+// deletions run a replacement-path search over the honest neighbours.
+// The tracker forwards the graph's batch brackets, so a DDSR deletion
+// (delete, repair, prune, refill) is settled by one multi-frontier
+// search when its batch closes rather than one search per lost edge.
+// Takedown-heavy campaigns (the paper's Section V resilience sweeps) pay
+// per-event costs proportional to actual structural change, not to
+// graph size. tests/tracker_test.cpp proves byte-equality with the
+// from-scratch sweep across randomized join/leave/takedown/SOAP
 // interleavings; bench/micro_snapshot.cpp measures the deletion-window
 // gap versus the sweep.
 //
@@ -61,16 +64,19 @@ class StructuralTracker final : public graph::MutationObserver {
 
   // graph::MutationObserver — insertions are O(1) amortized (weighted-
   // union relabeling); an honest-honest edge removal pays a replacement-
-  // path search bounded by the smaller side of the (potential) split.
+  // path search bounded by the split-off sides, at once outside a batch
+  // and shared with the batch's other removals inside one.
   void on_node_added(NodeId u) override;
   void on_node_removed(NodeId u) override;
   void on_edge_added(NodeId u, NodeId v) override;
   void on_edge_removed(NodeId u, NodeId v) override;
+  void on_batch_begin() override { dc_.begin_batch(); }
+  void on_batch_end() override { dc_.end_batch(); }
 
   /// Writes the structural fields into `s`: byte-identical to
   /// sweep_structural() on the same state. Always O(1) plus the
-  /// histogram copy — deletions were already folded in when they
-  /// happened.
+  /// histogram copy — deletions were folded in when their batch closed
+  /// (or at once, outside a batch). Precondition: no batch open.
   void fill(MetricsSnapshot& s, bool with_histogram);
 
   /// --- honest-population order statistics ----------------------------

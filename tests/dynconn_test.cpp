@@ -8,15 +8,20 @@
 // worst case for replacement-edge search (cutting a long path bridge by
 // bridge); the property sweep differential-tests 12 seeds of randomized
 // operations, with untracked slots carrying graph edges, against a
-// from-scratch union-find reference over the tracked-tracked edges.
+// from-scratch union-find reference over the tracked-tracked edges. The
+// batch suite compares deletions deferred to end_batch with the
+// immediate path after every batch (random interleavings, cut vertices
+// that split several ways) and pins the batch contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "components_match.hpp"
 #include "graph/dynamic_connectivity.hpp"
 #include "graph/union_find.hpp"
 
@@ -214,13 +219,14 @@ TEST(DynConn, SlotsAddedAfterConstructionAreSearchable) {
 }
 
 TEST(DynConn, RemovingNonIsolatedVertexIsRejected) {
-  // 2 is an isolated bystander, so a size-1 component exists and only
-  // the singleton check itself can catch the bad call.
+  // Outside a batch. 2 is an isolated bystander, so a size-1 component
+  // exists and only the singleton check itself can catch the bad call
+  // once the graph has dropped the node.
   Mirror m(3);
   DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 3; ++u) dc.insert_vertex(u);
   m.add_edge(0, 1);
-  EXPECT_THROW(dc.remove_vertex(0), ContractViolation);
+  EXPECT_THROW(dc.remove_vertex(0), ContractViolation);  // still in g
   // The graph dropping the node does not help while the edge removal
   // was never reported: 0 still has a tracked neighbour.
   m.g.remove_node(0);
@@ -440,6 +446,221 @@ TEST(DynConnDifferential, CountersAreDeterministic) {
                       dc.components(), dc.largest_component()};
   };
   EXPECT_EQ(run(), run());
+}
+
+// ====================================================================
+// Batches: deletions settled at end_batch vs the immediate reference
+// ====================================================================
+
+/// Observes a graph with two structures over the same slots: `immediate`
+/// settles every deletion at once and ignores batch brackets (the
+/// reference), `batched` follows them. Slots whose id is a multiple of
+/// `sybil_stride` (none when 0) are never tracked, but their edges stay
+/// in the graph. After every batch the two must agree with each other and
+/// with a union-find rebuild over the graph. Attach to an edgeless graph.
+struct Twin final : MutationObserver {
+  Graph& g;
+  NodeId sybil_stride;
+  DynamicConnectivity immediate{g};
+  DynamicConnectivity batched{g};
+  std::uint64_t batches = 0;
+
+  Twin(Graph& graph, NodeId stride) : g(graph), sybil_stride(stride) {
+    EXPECT_EQ(g.num_edges(), 0u);
+    for (const NodeId u : g.alive_nodes()) on_node_added(u);
+    g.set_observer(this);
+  }
+  ~Twin() override { g.set_observer(nullptr); }
+  Twin(const Twin&) = delete;
+  Twin& operator=(const Twin&) = delete;
+
+  bool tracked(NodeId u) const {
+    return sybil_stride == 0 || u % sybil_stride != 0;
+  }
+  void on_node_added(NodeId u) override {
+    if (!tracked(u)) return;
+    immediate.insert_vertex(u);
+    batched.insert_vertex(u);
+  }
+  void on_node_removed(NodeId u) override {
+    if (!tracked(u)) return;
+    immediate.remove_vertex(u);
+    batched.remove_vertex(u);
+  }
+  void on_edge_added(NodeId u, NodeId v) override {
+    if (!tracked(u) || !tracked(v)) return;
+    immediate.insert_edge(u, v);
+    batched.insert_edge(u, v);
+  }
+  void on_edge_removed(NodeId u, NodeId v) override {
+    if (!tracked(u) || !tracked(v)) return;
+    immediate.remove_edge(u, v);
+    batched.remove_edge(u, v);
+  }
+  void on_batch_begin() override { batched.begin_batch(); }
+  void on_batch_end() override {
+    batched.end_batch();
+    std::string where = "batch ";
+    where += std::to_string(++batches);
+    check(where);
+  }
+
+  void check(const std::string& where) const {
+    expect_same_components(batched, immediate, g.capacity(), where);
+    std::vector<NodeId> vertices;
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (const NodeId u : g.alive_nodes()) {
+      if (!tracked(u)) continue;
+      vertices.push_back(u);
+      for (const NodeId v : g.neighbors(u))
+        if (v > u && tracked(v)) edges.emplace_back(u, v);
+    }
+    const Reference ref = reference_of(vertices, edges, g.capacity());
+    ASSERT_EQ(batched.components(), ref.components) << where;
+    ASSERT_EQ(batched.largest_component(), ref.largest) << where;
+  }
+};
+
+TEST(DynConnBatch, RandomInterleavingsMatchImmediate) {
+  // Rounds of 1-8 random mutations, three in four inside a batch: node
+  // births and deaths, edge insertions and removals, with every fifth
+  // slot an untracked Sybil whose edges are no path.
+  std::uint64_t multi_way = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    Graph g(30);
+    Twin twin(g, 5);
+    const auto random_alive = [&] { return rng.pick(g.alive_nodes()); };
+    const auto mutate = [&] {
+      const std::uint64_t ops = 1 + rng.uniform(8);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const std::uint64_t kind = rng.uniform(100);
+        if (kind < 10 && g.num_alive() < 80) {
+          g.add_node();
+        } else if (kind < 55) {
+          g.add_edge(random_alive(), random_alive());  // u == v: no-op
+        } else if (kind < 85) {
+          const NodeId u = random_alive();
+          if (g.degree(u) > 0)
+            g.remove_edge(u, g.neighbors(u)[rng.uniform(g.degree(u))]);
+        } else if (g.num_alive() > 10) {
+          g.remove_node(random_alive());
+        }
+      }
+    };
+    for (int round = 0; round < 200 && !HasFailure(); ++round) {
+      if (rng.uniform(4) == 0) {
+        mutate();
+        std::string where = "seed ";
+        where += std::to_string(seed);
+        where += " unbatched round";
+        twin.check(where);
+        continue;
+      }
+      const std::uint64_t before = twin.batched.components();
+      {
+        const Graph::Batch batch(g);
+        mutate();
+      }
+      if (twin.batched.components() >= before + 2) ++multi_way;
+    }
+    EXPECT_GT(twin.batches, 100u) << "seed " << seed;
+    EXPECT_GT(twin.batched.splits(), 0u) << "seed " << seed;
+  }
+  EXPECT_GT(multi_way, 0u) << "no batch split a component several ways";
+}
+
+TEST(DynConnBatch, CutVertexSplitsSeveralWays) {
+  // Three 4-cliques hang off hub 0, two edges each. Deleting the hub in
+  // one batch leaves three pieces from one search: two split off, the
+  // last keeps the label, and the dying hub is no split at all. The
+  // immediate reference splits each clique off as its second hub edge
+  // goes, then the hub itself.
+  Graph g(13);
+  Twin twin(g, 0);
+  for (NodeId c = 1; c < 13; c += 4) {
+    for (NodeId a = c; a < c + 4; ++a)
+      for (NodeId b = a + 1; b < c + 4; ++b) g.add_edge(a, b);
+    g.add_edge(0, c);
+    g.add_edge(0, c + 1);
+  }
+  {
+    const Graph::Batch batch(g);
+    g.remove_node(0);
+  }
+  EXPECT_EQ(twin.batched.components(), 3u);
+  EXPECT_EQ(twin.batched.largest_component(), 4u);
+  EXPECT_EQ(twin.batched.splits(), 2u);
+  EXPECT_EQ(twin.immediate.splits(), 3u);
+}
+
+TEST(DynConnBatch, ChainCutAtSeveralVerticesInOneBatch) {
+  // A 12-vertex path loses vertices 3, 7 and 10 in one batch: four
+  // pieces ({0,1,2} {4,5,6} {8,9} {11}), three of them split off.
+  Graph g(12);
+  Twin twin(g, 0);
+  for (NodeId u = 0; u + 1 < 12; ++u) g.add_edge(u, u + 1);
+  {
+    const Graph::Batch batch(g);
+    for (const NodeId u : {3u, 7u, 10u}) g.remove_node(u);
+  }
+  EXPECT_EQ(twin.batched.components(), 4u);
+  EXPECT_EQ(twin.batched.largest_component(), 3u);
+  EXPECT_EQ(twin.batched.splits(), 3u);
+  EXPECT_EQ(twin.batches, 1u);
+}
+
+TEST(DynConnBatch, DyingVertexIsNotASplit) {
+  // On a cycle, deleting a vertex splits nothing. Outside a batch the
+  // search still splits the dying vertex off with its last edge.
+  Graph g(6);
+  Twin twin(g, 0);
+  for (NodeId u = 0; u < 6; ++u) g.add_edge(u, (u + 1) % 6);
+  {
+    const Graph::Batch batch(g);
+    g.remove_node(2);
+  }
+  EXPECT_EQ(twin.batched.splits(), 0u);
+  EXPECT_EQ(twin.immediate.splits(), 1u);
+  EXPECT_EQ(twin.batched.components(), 1u);
+  EXPECT_GT(twin.batched.search_steps(), 0u);
+}
+
+TEST(DynConnBatchContract, NestedBeginAndUnmatchedEndAreRejected) {
+  Mirror m(2);
+  DynamicConnectivity& dc = m.dc;
+  dc.begin_batch();
+  EXPECT_THROW(dc.begin_batch(), ContractViolation);
+  EXPECT_TRUE(dc.in_batch());
+  dc.end_batch();
+  EXPECT_FALSE(dc.in_batch());
+  EXPECT_THROW(dc.end_batch(), ContractViolation);
+}
+
+TEST(DynConnBatchContract, ComponentQueriesWaitForTheBatchToClose) {
+  // Inside a batch labels may be too coarse, so component answers are
+  // refused; vertex and edge counts stay exact. A vertex whose stale
+  // component is not a singleton may leave.
+  Mirror m(4);
+  DynamicConnectivity& dc = m.dc;
+  for (NodeId u = 0; u < 4; ++u) dc.insert_vertex(u);
+  m.add_edge(0, 1);
+  m.add_edge(1, 2);
+  m.add_edge(2, 3);
+  dc.begin_batch();
+  m.remove_edge(0, 1);
+  m.remove_edge(1, 2);
+  EXPECT_THROW(dc.components(), ContractViolation);
+  EXPECT_THROW(dc.largest_component(), ContractViolation);
+  EXPECT_THROW(dc.component_size(0), ContractViolation);
+  EXPECT_THROW(dc.same_component(0, 3), ContractViolation);
+  EXPECT_EQ(dc.num_edges(), 1u);
+  m.remove_vertex(1);  // stale component {0,1,2,3}: accepted in a batch
+  EXPECT_EQ(dc.num_vertices(), 3u);
+  dc.end_batch();
+  EXPECT_EQ(dc.components(), 2u);  // {0} {2,3}
+  EXPECT_EQ(dc.largest_component(), 2u);
+  EXPECT_EQ(dc.splits(), 1u);
 }
 
 }  // namespace

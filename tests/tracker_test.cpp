@@ -4,14 +4,19 @@
 // tracker byte-identical to the from-scratch sweep after every window,
 // across many seeds), the fully-dynamic component scheme (deletion
 // windows update connectivity in place), the honest
-// order-statistics used for engine victim draws, and the attach/detach
-// contract.
+// order-statistics used for engine victim draws, the attach/detach
+// contract, and DDSR batches (every batch the tracker settles at its end
+// must match an immediate structure on the same overlay, also on SOAP-ed
+// overlays and unpruned DDSR runs; a seeded overlay pins the search
+// steps per deletion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "components_match.hpp"
 #include "core/ddsr.hpp"
 #include "graph/dynamic_connectivity.hpp"
 #include "mitigation/soap.hpp"
@@ -325,37 +330,6 @@ graph::DynamicConnectivity sequential_attach(const OverlayNetwork& net) {
   return dc;
 }
 
-/// Canonical partition: each tracked slot mapped to the smallest slot in
-/// its component (~0u for untracked), so two structures with different
-/// internal component ids compare equal iff they partition alike.
-std::vector<NodeId> partition_of(const graph::DynamicConnectivity& dc,
-                                 std::size_t capacity) {
-  std::vector<NodeId> rep(capacity, graph::kInvalidNode);
-  for (NodeId u = 0; u < capacity; ++u) {
-    if (!dc.tracked(u)) continue;
-    rep[u] = u;
-    for (NodeId w = 0; w < u; ++w)
-      if (dc.tracked(w) && dc.same_component(u, w)) {
-        rep[u] = rep[w];
-        break;
-      }
-  }
-  return rep;
-}
-
-void expect_same_structure(const graph::DynamicConnectivity& bulk,
-                           const graph::DynamicConnectivity& seq,
-                           std::size_t capacity, const std::string& where) {
-  ASSERT_EQ(bulk.components(), seq.components()) << where;
-  ASSERT_EQ(bulk.largest_component(), seq.largest_component()) << where;
-  ASSERT_EQ(bulk.num_vertices(), seq.num_vertices()) << where;
-  ASSERT_EQ(bulk.num_edges(), seq.num_edges()) << where;
-  for (NodeId u = 0; u < capacity; ++u)
-    ASSERT_EQ(bulk.tracked(u), seq.tracked(u)) << where << " u=" << u;
-  ASSERT_EQ(partition_of(bulk, capacity), partition_of(seq, capacity))
-      << where;
-}
-
 TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
@@ -389,7 +363,7 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
     graph::DynamicConnectivity seq = sequential_attach(net);
     ASSERT_GE(bulk.components(), 3u) << where;
     EXPECT_EQ(bulk.merges(), 0u);
-    expect_same_structure(bulk, seq, cap, where + " after attach");
+    graph::expect_same_components(bulk, seq, cap, where + " after attach");
 
     {  // The tracker built on the same state agrees with the sweep.
       StructuralTracker tracker(net);
@@ -436,10 +410,180 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
       const std::string at = where + " op " + std::to_string(op);
       ASSERT_EQ(bulk.splits(), seq.splits()) << at;
       ASSERT_EQ(bulk.search_steps(), seq.search_steps()) << at;
-      expect_same_structure(bulk, seq, cap, at);
+      graph::expect_same_components(bulk, seq, cap, at);
     }
     EXPECT_GT(bulk.splits(), 0u) << where;
   }
+}
+
+// ====================================================================
+// DDSR batches: settled once per deletion, checked against immediate
+// ====================================================================
+
+/// Stands between the graph and a tracker: forwards every callback to
+/// the tracker, whose connectivity follows the batch brackets, and feeds
+/// an immediate DynamicConnectivity over the same honest slots, which
+/// settles each deletion at once. When a batch closes, the two must
+/// partition alike and the tracker must fill byte-identically to the
+/// from-scratch sweep.
+class ImmediateTee final : public graph::MutationObserver {
+ public:
+  ImmediateTee(OverlayNetwork& net, StructuralTracker& tracker)
+      : net_(net), tracker_(tracker), immediate_(net.graph()) {
+    immediate_.load(net.honest_component_labels());
+    net_.graph_mut().set_observer(nullptr);  // take the tracker's place
+    net_.graph_mut().set_observer(this);
+  }
+  ~ImmediateTee() override {
+    net_.graph_mut().set_observer(nullptr);
+    net_.graph_mut().set_observer(&tracker_);
+  }
+  ImmediateTee(const ImmediateTee&) = delete;
+  ImmediateTee& operator=(const ImmediateTee&) = delete;
+
+  std::uint64_t batches() const { return batches_; }
+  const graph::DynamicConnectivity& immediate() const { return immediate_; }
+
+  void on_node_added(NodeId u) override {
+    tracker_.on_node_added(u);
+    if (net_.honest(u)) immediate_.insert_vertex(u);
+  }
+  void on_node_removed(NodeId u) override {
+    tracker_.on_node_removed(u);
+    if (net_.honest(u)) immediate_.remove_vertex(u);
+  }
+  void on_edge_added(NodeId u, NodeId v) override {
+    tracker_.on_edge_added(u, v);
+    if (net_.honest(u) && net_.honest(v)) immediate_.insert_edge(u, v);
+  }
+  void on_edge_removed(NodeId u, NodeId v) override {
+    tracker_.on_edge_removed(u, v);
+    if (net_.honest(u) && net_.honest(v)) immediate_.remove_edge(u, v);
+  }
+  void on_batch_begin() override { tracker_.on_batch_begin(); }
+  void on_batch_end() override {
+    tracker_.on_batch_end();
+    std::string where = "batch ";
+    where += std::to_string(++batches_);
+    check(where);
+  }
+
+  void check(const std::string& where) {
+    graph::expect_same_components(tracker_.connectivity(), immediate_,
+                                  net_.graph().capacity(), where);
+    MetricsSnapshot s;
+    tracker_.fill(s, /*with_histogram=*/true);
+    ASSERT_EQ(codec::encode(s), codec::encode(sweep_structural(net_, true)))
+        << where;
+  }
+
+ private:
+  OverlayNetwork& net_;
+  StructuralTracker& tracker_;
+  graph::DynamicConnectivity immediate_;
+  std::uint64_t batches_ = 0;
+};
+
+TEST(TrackerBatch, MatchesImmediateOnSoapedOverlays) {
+  // The random_op vocabulary: healed and unhealed DDSR deletions are
+  // batches; joins, refills, Sybil clones and SOAP bursts are not.
+  for (std::uint64_t seed = 1; seed <= 12 && !HasFailure(); ++seed) {
+    Rng rng(seed);
+    OverlayNetwork net = make_overlay(120, rng);
+    DdsrEngine ddsr(net.graph_mut(), policy(), rng);
+    StructuralTracker tracker(net);
+    ImmediateTee tee(net, tracker);
+    for (int window = 0; window < 40 && !HasFailure(); ++window) {
+      for (int op = 0; op < 8; ++op) random_op(net, ddsr, rng);
+      std::string where = "seed ";
+      where += std::to_string(seed);
+      where += " window ";
+      where += std::to_string(window);
+      tee.check(where);
+    }
+    std::size_t sybils = 0;
+    std::size_t dead = 0;
+    for (NodeId u = 0; u < net.graph().capacity(); ++u) {
+      if (!net.alive(u))
+        ++dead;
+      else if (!net.honest(u))
+        ++sybils;
+    }
+    EXPECT_GT(tee.batches(), 50u) << "seed " << seed;
+    EXPECT_GT(sybils, 0u) << "seed " << seed;
+    EXPECT_GT(dead, 0u) << "seed " << seed;
+  }
+}
+
+TEST(TrackerBatch, UnprunedDdsrSettlesHundredsOfFrontiers) {
+  // Without pruning, clique repair grows degrees into the hundreds, so a
+  // deletion's batch queues hundreds of endpoints in one component: one
+  // search with that many frontiers. Every fifth deletion is unhealed.
+  Rng rng(21);
+  OverlayNetwork net = make_overlay(300, rng);
+  DdsrPolicy unpruned = policy();
+  unpruned.prune = false;
+  DdsrEngine ddsr(net.graph_mut(), unpruned, rng);
+  StructuralTracker tracker(net);
+  ImmediateTee tee(net, tracker);
+  std::size_t widest = 0;
+  for (int i = 0; i < 200 && !HasFailure(); ++i) {
+    const NodeId victim = rng.pick(net.honest_nodes());
+    widest = std::max(widest, net.graph().degree(victim));
+    if (i % 5 == 4)
+      ddsr.remove_node_no_repair(victim);
+    else
+      ddsr.remove_node(victim);
+  }
+  EXPECT_EQ(tee.batches(), 200u);
+  EXPECT_GE(widest, 100u);
+}
+
+TEST(TrackerBatch, FillInsideAnOpenBatchIsRejected) {
+  Rng rng(14);
+  OverlayNetwork net = make_overlay(20, rng);
+  StructuralTracker tracker(net);
+  MetricsSnapshot s;
+  {
+    const graph::Graph::Batch batch(net.graph_mut());
+    net.retire(net.honest_nodes().front());
+    EXPECT_THROW(tracker.fill(s, true), ContractViolation);
+    EXPECT_THROW(graph::Graph::Batch nested(net.graph_mut()),
+                 ContractViolation);
+  }
+  tracker.fill(s, true);  // closed: exact again
+  EXPECT_EQ(s.honest_alive, 19u);
+  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
+}
+
+TEST(TrackerCost, StepsPerHealedDeletionOnASeededOverlay) {
+  // 20k bots at degree 10, 400 healed DDSR deletions (repair, prune and
+  // refill) of distinct random bots. Deterministic, so the figure is a
+  // pure regression guard. Settling each deletion's batch in one search
+  // reads 59.5 steps per deletion here; one immediate search per lost
+  // edge read 483. The bound is 100.
+  constexpr std::size_t kBots = 20'000;
+  constexpr std::size_t kDeletions = 400;
+  Rng rng(0x5eed);
+  OverlayConfig config;
+  config.dmin = 10;
+  config.dmax = 10;
+  OverlayNetwork net = OverlayNetwork::random_regular(kBots, 10, config, rng);
+  DdsrPolicy p;
+  p.dmin = 10;
+  p.dmax = 10;
+  DdsrEngine ddsr(net.graph_mut(), p, rng);
+  StructuralTracker tracker(net);
+  for (const NodeId v : rng.sample(net.honest_nodes(), kDeletions))
+    ddsr.remove_node(v);
+  const double per_deletion =
+      static_cast<double>(tracker.connectivity().search_steps()) /
+      static_cast<double>(kDeletions);
+  EXPECT_LE(per_deletion, 100.0);
+  EXPECT_EQ(tracker.connectivity().splits(), 0u);
+  MetricsSnapshot s;
+  tracker.fill(s, /*with_histogram=*/false);
+  EXPECT_EQ(s.honest_alive, kBots - kDeletions);
 }
 
 }  // namespace
