@@ -9,7 +9,7 @@
 
 namespace onion::detection {
 
-double coefficient_of_variation(const std::vector<double>& xs) {
+double coefficient_of_variation(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;
   double sum = 0.0;
   for (const double x : xs) sum += x;

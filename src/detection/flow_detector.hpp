@@ -18,6 +18,7 @@
 // point that mitigation collapses into blocking Tor wholesale.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "detection/telemetry.hpp"
@@ -29,7 +30,7 @@ namespace onion::detection {
 /// FlowScorer (detection/flow_scorer.hpp), which computes this
 /// detector's verdicts, shares the arithmetic of channel_features — the
 /// reference its differential test asserts exact set equality against.
-double coefficient_of_variation(const std::vector<double>& xs);
+double coefficient_of_variation(std::span<const double> xs);
 
 struct FlowDetectorConfig {
   /// Minimum flows on a (src,dst) pair before judging it.

@@ -10,12 +10,26 @@
 // scores its flow-beacon and tor-flagger cells from one pass, and the
 // replay grid (detection/replay_grid.hpp) streams synthesized captures
 // straight into it.
+//
+// Cost model: the open host's flows sit in one reusable flat buffer of
+// (src, dst, bytes, at), a flow's position being its arrival index. At
+// on_host_done one linear pass groups them by dst: a generation-stamped
+// open-addressing table numbers the host's channels in first-seen order,
+// and a counting sort lays each channel's flows out in arrival order.
+// Both coefficients of variation are then computed from reused scratch
+// with coefficient_of_variation itself. The size CV sums the sizes in
+// emission order — floating-point sums depend on order, so summing them
+// sorted would move verdicts that sit on a threshold — and the gap CV
+// runs over the channel's sorted timestamps. Relays are a sorted vector;
+// each threshold's verdicts are a vector a host is appended to at most
+// once per settlement, sorted and deduplicated by finish(). The
+// map-based scorer this replaced lives on as a test-only oracle
+// (tests/reference_flow_scorer.hpp), and a differential sweep in
+// tests/replay_grid_test.cpp holds the two to equal verdict sets.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "detection/flow_detector.hpp"
@@ -50,11 +64,13 @@ struct FlowScorerConfig {
   std::vector<std::size_t> tor_min_flows;
 };
 
-/// One-pass streaming scorer: buffers per-channel size/time series only
-/// for hosts not yet finalized, and collapses each host to verdicts at
-/// its on_host_done. Call finish() after the stream ends (it finalizes
-/// any hosts fed without an on_host_done, so raw ungrouped traces work
-/// too); flagged sets are valid afterwards, sorted ascending.
+/// One-pass streaming scorer: buffers the flows of hosts not yet
+/// settled, and collapses a host to verdicts at its on_host_done. Call
+/// finish() after the stream ends: it settles, in ascending host order,
+/// every host fed without an on_host_done, so raw ungrouped traces work
+/// too. Once the buffer holds flows of two hosts (an interleaved feed),
+/// on_host_done leaves settling to finish(), which sorts the buffer by
+/// source once. Flagged sets are valid after finish(), sorted ascending.
 class FlowScorer final : public FlowSink {
  public:
   explicit FlowScorer(FlowScorerConfig config);
@@ -72,20 +88,45 @@ class FlowScorer final : public FlowSink {
   const std::vector<std::vector<HostId>>& tor_flagged() const;
 
  private:
-  struct Series {
-    std::vector<double> sizes;
-    std::vector<double> times;
+  /// One buffered flow; its index in pending_ is its arrival order.
+  struct Pending {
+    HostId src = 0;
+    HostId dst = 0;
+    std::size_t bytes = 0;
+    SimTime at = 0;
   };
-  void finalize_host(HostId host);
+  /// A dst → channel table entry; live while stamp == generation_.
+  struct Slot {
+    HostId dst = 0;
+    std::uint32_t channel = 0;
+    std::uint64_t stamp = 0;
+  };
+  /// Numbers the distinct dsts of `flows` as channels in first-seen
+  /// order and lays the flow indices out channel by channel in order_,
+  /// arrival order within a channel; channel c spans
+  /// [channel_end_[c-1], channel_end_[c]).
+  void group_by_dst(std::span<const Pending> flows);
+  /// Scores one host's flows (emission order) into the verdict vectors.
+  void settle(HostId host, std::span<const Pending> flows);
 
   FlowScorerConfig config_;
-  std::set<HostId> relays_;
-  /// Open (not yet finalized) hosts' channels, keyed (src, dst).
-  std::map<std::pair<HostId, HostId>, Series> channels_;
+  /// Smallest beacon min_flows: shorter channels skip the CV arithmetic.
+  std::size_t min_beacon_flows_;
+  std::vector<HostId> relays_;  // sorted, unique
+  std::vector<Pending> pending_;
+  /// pending_ holds flows of more than one source host.
+  bool mixed_ = false;
+  /// Scratch reused across hosts.
+  std::vector<Slot> slots_;
+  std::uint64_t generation_ = 0;
+  std::vector<HostId> channel_dst_;
+  std::vector<std::uint32_t> channel_end_;
+  std::vector<std::uint32_t> channel_of_;  // per flow
+  std::vector<std::uint32_t> order_;
+  std::vector<double> sizes_;
+  std::vector<double> times_;
   std::uint64_t flows_ = 0;
   bool finished_ = false;
-  std::vector<std::set<HostId>> beacon_sets_;
-  std::vector<std::set<HostId>> tor_sets_;
   std::vector<std::vector<HostId>> beacon_flagged_;
   std::vector<std::vector<HostId>> tor_flagged_;
 };

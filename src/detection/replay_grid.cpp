@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -86,24 +85,31 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
     // Host ids and per-bot event times up front: one forward event pass
     // collects only the cell-emitting events' timestamps (bootstrap and
     // healing peerings, SOAP rounds) — bounded by campaign activity,
-    // never by the churn-dominated event count.
-    std::map<graph::NodeId, HostId> bot_host;
-    std::map<graph::NodeId, std::pair<SimTime, SimTime>> bot_window;
+    // never by the churn-dominated event count. Bot i owns host
+    // onion_bots[i] and cell_times[i]; slot_of maps a node id to its i.
+    constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    ONION_EXPECTS(lifetimes.size() < kNoSlot);
+    graph::NodeId max_node = 0;
+    for (const scenario::BotLifetime& life : lifetimes)
+      max_node = std::max(max_node, life.node);
+    std::vector<std::uint32_t> slot_of(std::size_t{max_node} + 1, kNoSlot);
+    const auto bot_window = [&](std::size_t i) {
+      return std::make_pair(std::min<SimTime>(lifetimes[i].birth, window),
+                            std::min<SimTime>(lifetimes[i].death, window));
+    };
     pops.onion_bots.reserve(lifetimes.size());
-    for (const scenario::BotLifetime& life : lifetimes) {
-      const HostId host = next++;
-      pops.onion_bots.push_back(host);
-      bot_host.emplace(life.node, host);
-      bot_window.emplace(life.node,
-                         std::make_pair(std::min<SimTime>(life.birth, window),
-                                        std::min<SimTime>(life.death, window)));
+    for (std::size_t i = 0; i < lifetimes.size(); ++i) {
+      pops.onion_bots.push_back(next++);
+      slot_of[lifetimes[i].node] = static_cast<std::uint32_t>(i);
     }
-    std::map<graph::NodeId, std::vector<SimTime>> cell_times;
+    std::vector<std::vector<SimTime>> cell_times(lifetimes.size());
     const auto note = [&](std::uint64_t node, SimTime at) {
-      const auto it = bot_window.find(static_cast<graph::NodeId>(node));
-      if (it == bot_window.end()) return;  // subsampled out
-      if (at < it->second.first || at >= it->second.second) return;
-      cell_times[it->first].push_back(at);
+      if (node >= slot_of.size() || slot_of[node] == kNoSlot)
+        return;  // subsampled out
+      const std::uint32_t i = slot_of[node];
+      const auto [birth, death] = bot_window(i);
+      if (at < birth || at >= death) return;
+      cell_times[i].push_back(at);
     };
     graph::NodeId soap_captured = graph::kInvalidNode;
     campaign.for_each_event([&](const CampaignEvent& e) {
@@ -132,22 +138,19 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
     // Stage 2 — one bot at a time: synthesize, feed, release. This is
     // the O(window) loop; the per-bot scratch never outlives the bot.
     TrafficTrace bot_scratch;
-    for (const scenario::BotLifetime& life : lifetimes) {
-      const HostId host = bot_host.at(life.node);
-      const auto [birth, death] = bot_window.at(life.node);
+    for (std::size_t i = 0; i < lifetimes.size(); ++i) {
+      const HostId host = pops.onion_bots[i];
+      const auto [birth, death] = bot_window(i);
       const std::array<HostId, 3> guards = pick_guards(relays, rng);
       bot_scratch.flows.clear();
       bot_scratch.dns.clear();
       emit_browsing(bot_scratch, host, birth, death, rng);
       emit_tor_client(bot_scratch, host, guards, birth, death,
                       config.onion_mean_gap, rng);
-      const auto times = cell_times.find(life.node);
-      if (times != cell_times.end()) {
-        for (const SimTime at : times->second)
-          bot_scratch.flows.push_back(tor_cell_flow(
-              host, guards[rng.uniform(guards.size())], at, rng));
-        cell_times.erase(times);
-      }
+      for (const SimTime at : cell_times[i])
+        bot_scratch.flows.push_back(tor_cell_flow(
+            host, guards[rng.uniform(guards.size())], at, rng));
+      cell_times[i] = {};
       for (const DnsRecord& d : bot_scratch.dns) sink.on_dns(d);
       for (const FlowRecord& f : bot_scratch.flows) sink.on_flow(f);
       out.flows += bot_scratch.flows.size();

@@ -23,14 +23,27 @@ std::string fmt(double v) {
 
 std::string fmt(std::size_t v) { return std::to_string(v); }
 
-bool contains(const std::vector<HostId>& sorted, HostId h) {
-  return std::binary_search(sorted.begin(), sorted.end(), h);
-}
-
 std::vector<HostId> sorted_unique(std::vector<HostId> hosts) {
   std::sort(hosts.begin(), hosts.end());
   hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
   return hosts;
+}
+
+/// `hosts` itself when ascending, otherwise a sorted copy in `copy`.
+const std::vector<HostId>& ascending(const std::vector<HostId>& hosts,
+                                     std::vector<HostId>& copy) {
+  if (std::is_sorted(hosts.begin(), hosts.end())) return hosts;
+  copy = hosts;
+  std::sort(copy.begin(), copy.end());
+  return copy;
+}
+
+/// Merge step: moves `it` to the first entry not below `h` and reports
+/// whether it equals `h`. Probes must come in ascending order.
+bool advance_to(std::vector<HostId>::const_iterator& it,
+                std::vector<HostId>::const_iterator end, HostId h) {
+  while (it != end && *it < h) ++it;
+  return it != end && *it == h;
 }
 
 double rate(std::size_t hits, std::size_t total) {
@@ -44,8 +57,9 @@ TruthIndex::TruthIndex(std::vector<HostId> infected_hosts,
                        std::vector<HostId> monitored_hosts)
     : infected(sorted_unique(std::move(infected_hosts))),
       monitored(sorted_unique(std::move(monitored_hosts))) {
+  auto it = infected.cbegin();
   for (const HostId h : monitored)
-    if (!contains(infected, h)) ++benign;
+    if (!advance_to(it, infected.cend(), h)) ++benign;
 }
 
 RocPoint score_verdict(std::string detector, std::string params,
@@ -55,23 +69,33 @@ RocPoint score_verdict(std::string detector, std::string params,
   p.detector = std::move(detector);
   p.params = std::move(params);
   p.flagged = flagged.size();
-  for (const HostId h : flagged) {
-    if (contains(truth.infected, h))
+  // Every tally is a merge over ascending inputs. Duplicate flagged
+  // entries stay in, so each counts toward TP/FP as reported.
+  std::vector<HostId> copy;
+  const std::vector<HostId>& hosts = ascending(flagged, copy);
+  auto infected = truth.infected.begin();
+  auto monitored = truth.monitored.begin();
+  for (const HostId h : hosts) {
+    if (advance_to(infected, truth.infected.end(), h))
       ++p.true_positives;
-    else if (contains(truth.monitored, h))
+    else if (advance_to(monitored, truth.monitored.end(), h))
       ++p.false_positives;
   }
   p.tpr = rate(p.true_positives, truth.infected.size());
   p.fpr = rate(p.false_positives, truth.benign);
   p.precision = rate(p.true_positives, p.flagged);
-  const std::vector<HostId> flagged_set = sorted_unique(flagged);
   p.families.reserve(families.populations.size());
+  std::vector<HostId> pop_copy;
   for (const GroundTruth::Population& pop : families.populations) {
     RocFamilyCount f;
     f.family = pop.name;
     f.population = pop.hosts.size();
-    for (const HostId h : pop.hosts)
-      if (contains(flagged_set, h)) ++f.flagged;
+    const std::vector<HostId>& members = ascending(pop.hosts, pop_copy);
+    auto it = members.empty() ? hosts.end()
+                              : std::lower_bound(hosts.begin(), hosts.end(),
+                                                 members.front());
+    for (const HostId h : members)
+      if (advance_to(it, hosts.end(), h)) ++f.flagged;
     p.families.push_back(std::move(f));
   }
   return p;

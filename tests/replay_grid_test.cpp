@@ -1,7 +1,10 @@
 // Replay-grid tests: the FlowScorer's verdicts are *equal* — set
 // equality, not approximation — to independent references over the same
 // capture (thresholds over channel_features, a direct per-source count
-// of flows to relays); the batch replay is the streamed replay
+// of flows to relays, and the map-based scorer it replaced, kept as an
+// oracle in reference_flow_scorer.hpp, on grouped, interleaved and
+// unclosed feeds alike); the size CV is summed in emission order; the
+// batch replay is the streamed replay
 // collected, flow for flow and verdict for verdict; the streamed replay
 // is deterministic; the grid fingerprint is thread-count invariant; and the
 // family-resolved RocSweep keeps the legacy aggregate encoding
@@ -9,17 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "detection/flow_detector.hpp"
 #include "detection/replay.hpp"
 #include "detection/replay_grid.hpp"
 #include "detection/roc.hpp"
 #include "detection/telemetry.hpp"
 #include "detection/tor_flagger.hpp"
+#include "reference_flow_scorer.hpp"
 #include "scenario/engine.hpp"
 
 namespace onion::detection {
@@ -127,6 +134,215 @@ TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
     EXPECT_EQ(detect_tor_users(trace, config.tor_min_flows[i]).flagged,
               reference);
   }
+}
+
+/// The trace's flows interleaved across hosts in a seeded order that
+/// keeps each host's own flows in emission order.
+std::vector<const FlowRecord*> interleave(const TrafficTrace& trace,
+                                          std::uint64_t seed) {
+  std::map<HostId, std::vector<const FlowRecord*>> by_src;
+  for (const FlowRecord& f : trace.flows) by_src[f.src].push_back(&f);
+  std::vector<std::pair<std::vector<const FlowRecord*>*, std::size_t>> open;
+  for (auto& [src, flows] : by_src) open.push_back({&flows, 0});
+  Rng rng(seed);
+  std::vector<const FlowRecord*> out;
+  while (!open.empty()) {
+    const std::size_t i = rng.uniform(open.size());
+    auto& [flows, next] = open[i];
+    out.push_back((*flows)[next++]);
+    if (next == flows->size()) {
+      open[i] = open.back();
+      open.pop_back();
+    }
+  }
+  return out;
+}
+
+/// How a capture reaches the scorers under comparison.
+enum class Feed {
+  Interleaved,        // hosts interleaved, never closed: finish() settles
+  InterleavedClosed,  // interleaved, each host closed after its last flow
+};
+
+/// Feeds `trace` to `sink` in the given order: relays, DNS, then flows.
+void feed_interleaved(const TrafficTrace& trace, Feed feed,
+                      std::uint64_t seed, FlowSink& sink) {
+  sink.on_relays(trace.known_tor_relays);
+  for (const DnsRecord& d : trace.dns) sink.on_dns(d);
+  const std::vector<const FlowRecord*> order = interleave(trace, seed);
+  std::map<HostId, std::size_t> left;
+  for (const FlowRecord& f : trace.flows) ++left[f.src];
+  for (const FlowRecord* f : order) {
+    sink.on_flow(*f);
+    if (feed == Feed::InterleavedClosed && --left[f->src] == 0)
+      sink.on_host_done(f->src);
+  }
+}
+
+TEST(FlowScorer, UngroupedFeedMatchesScoreTrace) {
+  const CampaignTrace campaign = record(busy_spec(59));
+  const ReplayResult replay = replay_trace(campaign, small_replay(0xfeed));
+  const TrafficTrace& trace = replay.trace;
+  const FlowScorerConfig config = full_scorer_config();
+  const FlowScorer grouped = score_trace(trace, config);
+
+  // No on_host_done at all: finish() settles every host.
+  FlowScorer ungrouped(config);
+  feed_interleaved(trace, Feed::Interleaved, 17, ungrouped);
+  ungrouped.finish();
+  EXPECT_EQ(ungrouped.flows_scored(), trace.flows.size());
+  EXPECT_EQ(ungrouped.beacon_flagged(), grouped.beacon_flagged());
+  EXPECT_EQ(ungrouped.tor_flagged(), grouped.tor_flagged());
+
+  std::size_t beacon_hits = 0;
+  for (const std::vector<HostId>& v : grouped.beacon_flagged())
+    beacon_hits += v.size();
+  EXPECT_GT(beacon_hits, 0u);
+  EXPECT_FALSE(grouped.tor_flagged().front().empty());
+}
+
+TEST(FlowScorer, SizeCvIsSummedInEmissionOrder) {
+  // Fourteen sizes whose CV moves in its last bits when they are summed
+  // in sorted or in reversed order.
+  const std::vector<std::size_t> sizes = {1200, 1279, 1261, 1243, 1225,
+                                          1207, 1286, 1268, 1250, 1232,
+                                          1214, 1293, 1275, 1257};
+  const std::vector<double> emitted(sizes.begin(), sizes.end());
+  std::vector<double> sorted = emitted;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<double> reversed(emitted.rbegin(), emitted.rend());
+  const double cv_emitted = coefficient_of_variation(emitted);
+  ASSERT_NE(cv_emitted, coefficient_of_variation(sorted))
+      << "the sizes no longer tell emission from sorted order";
+  ASSERT_NE(cv_emitted, coefficient_of_variation(reversed))
+      << "the sizes no longer tell emission from reversed order";
+
+  // One clock-regular channel from host 1 to host 7, its flows
+  // interleaved with size-erratic channels of host 1 and of host 2.
+  TrafficTrace trace;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::size_t erratic = i % 2 == 0 ? 40 : 40000;
+    const SimTime at = (2 * i + 1) * kMinute;
+    trace.flows.push_back({.src = 2, .dst = 9, .bytes = erratic, .at = at});
+    trace.flows.push_back({.src = 1, .dst = 9, .bytes = erratic, .at = at});
+    trace.flows.push_back(
+        {.src = 1, .dst = 7, .bytes = sizes[i], .at = (i + 1) * 2 * kMinute});
+  }
+  const auto flagged = [&](double size_cv) {
+    FlowScorerConfig config;
+    FlowDetectorConfig c;
+    c.size_cv_threshold = size_cv;
+    c.gap_cv_threshold = 0.45;
+    config.beacon_thresholds.push_back(c);
+    oracle::ReferenceFlowScorer reference(config);
+    feed_trace(trace, reference);
+    reference.finish();
+    const FlowScorer scorer = score_trace(trace, config);
+    EXPECT_EQ(scorer.beacon_flagged(), reference.beacon_flagged());
+    // The same flows as emitted, hosts interleaved and never closed.
+    FlowScorer raw(config);
+    for (const FlowRecord& f : trace.flows) raw.on_flow(f);
+    raw.finish();
+    EXPECT_EQ(raw.beacon_flagged(), scorer.beacon_flagged());
+    return scorer.beacon_flagged().front();
+  };
+  EXPECT_EQ(flagged(std::nextafter(cv_emitted,
+                                   std::numeric_limits<double>::infinity())),
+            std::vector<HostId>{1});
+  EXPECT_TRUE(flagged(cv_emitted).empty());
+}
+
+/// Forwards a stream to two sinks.
+class TeeSink final : public FlowSink {
+ public:
+  TeeSink(FlowSink& a, FlowSink& b) : a_(a), b_(b) {}
+  void on_relays(const std::vector<HostId>& relays) override {
+    a_.on_relays(relays);
+    b_.on_relays(relays);
+  }
+  void on_dns(const DnsRecord& d) override {
+    a_.on_dns(d);
+    b_.on_dns(d);
+  }
+  void on_flow(const FlowRecord& f) override {
+    a_.on_flow(f);
+    b_.on_flow(f);
+  }
+  void on_host_done(HostId host) override {
+    a_.on_host_done(host);
+    b_.on_host_done(host);
+  }
+
+ private:
+  FlowSink& a_;
+  FlowSink& b_;
+};
+
+TEST(FlowScorer, AgreesWithTheReferenceScorerAcrossReplays) {
+  const std::vector<CampaignTrace> campaigns = {record(busy_spec(60)),
+                                                record(busy_spec(61))};
+  // A second threshold grid whose min_flows reach down to one flow, so
+  // every channel length is judged.
+  FlowScorerConfig short_channels;
+  for (const std::size_t min_flows : {1, 3, 12, 40})
+    for (const double size_cv : {0.25, 0.75})
+      short_channels.beacon_thresholds.push_back(
+          {.min_flows = min_flows,
+           .size_cv_threshold = size_cv,
+           .gap_cv_threshold = 0.7});
+  short_channels.tor_min_flows = {1, 2, 30, 300};
+  const std::vector<std::size_t> caps = {ReplayConfig::kAllBots, 40, 7, 0};
+
+  std::size_t beacon_hits = 0;
+  std::size_t tor_hits = 0;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const CampaignTrace& campaign = campaigns[i % campaigns.size()];
+    ReplayConfig rc = small_replay(1000 + i);
+    if (i / 4 % 2 == 1)
+      rc.centralized_bots = rc.dga_bots = rc.fastflux_bots = rc.p2p_bots = 0;
+    rc.max_onion_bots = caps[i % caps.size()];
+    const FlowScorerConfig config =
+        i % 3 == 0 ? short_channels : full_scorer_config();
+    const std::string where = "config " + std::to_string(i);
+
+    const auto expect_agree = [&](const FlowScorer& scorer,
+                                  const oracle::ReferenceFlowScorer& ref,
+                                  const char* feed) {
+      EXPECT_EQ(scorer.flows_scored(), ref.flows_scored()) << where << feed;
+      EXPECT_EQ(scorer.beacon_flagged(), ref.beacon_flagged())
+          << where << feed;
+      EXPECT_EQ(scorer.tor_flagged(), ref.tor_flagged()) << where << feed;
+      for (const std::vector<HostId>& v : scorer.beacon_flagged())
+        beacon_hits += v.size();
+      for (const std::vector<HostId>& v : scorer.tor_flagged())
+        tor_hits += v.size();
+    };
+
+    // Streamed straight from the synthesizer, host by host.
+    FlowScorer streamed(config);
+    oracle::ReferenceFlowScorer streamed_ref(config);
+    TeeSink tee(streamed, streamed_ref);
+    replay_trace_streaming(campaign, rc, tee);
+    streamed.finish();
+    streamed_ref.finish();
+    expect_agree(streamed, streamed_ref, " streamed");
+
+    // The same capture materialized, then fed interleaved.
+    const ReplayResult replay = replay_trace(campaign, rc);
+    for (const Feed feed : {Feed::Interleaved, Feed::InterleavedClosed}) {
+      FlowScorer scorer(config);
+      oracle::ReferenceFlowScorer ref(config);
+      TeeSink both(scorer, ref);
+      feed_interleaved(replay.trace, feed, i, both);
+      scorer.finish();
+      ref.finish();
+      expect_agree(scorer, ref,
+                   feed == Feed::Interleaved ? " interleaved"
+                                             : " interleaved+closed");
+    }
+  }
+  EXPECT_GT(beacon_hits, 0u);
+  EXPECT_GT(tor_hits, 0u);
 }
 
 // ====================================================================
@@ -334,6 +550,28 @@ TEST(RocSweep, FamilyResolutionKeepsTheAggregateEncodingByteIdentical) {
   // Same verdicts → same aggregate rates; the fingerprints differ only
   // because the resolved points carry the family block.
   EXPECT_NE(aggregate.fingerprint, resolved.fingerprint);
+}
+
+TEST(ScoreVerdict, CountsDuplicateAndUnsortedEntriesAsReported) {
+  // Infected {3, 5, 9}; monitored seven hosts, four of them benign.
+  const TruthIndex truth({5, 3, 9, 3}, {40, 1, 2, 3, 5, 9, 12});
+  GroundTruth families;
+  families.populations.push_back({"bots", {9, 3, 5, 3}});
+  families.populations.push_back({"benign", {12, 1, 2, 40}});
+  // Host 9 is reported twice; host 77 is not monitored.
+  const RocPoint p = score_verdict("d", "p", {9, 12, 3, 9, 77, 1}, truth,
+                                   families);
+  EXPECT_EQ(p.flagged, 6u);
+  EXPECT_EQ(p.true_positives, 3u);   // 9, 3, 9
+  EXPECT_EQ(p.false_positives, 2u);  // 12, 1
+  EXPECT_DOUBLE_EQ(p.tpr, 1.0);
+  EXPECT_DOUBLE_EQ(p.fpr, 0.5);
+  EXPECT_DOUBLE_EQ(p.precision, 0.5);
+  ASSERT_EQ(p.families.size(), 2u);
+  EXPECT_EQ(p.families[0].flagged, 3u);  // 9, 3, 3 of {9, 3, 5, 3}
+  EXPECT_EQ(p.families[0].population, 4u);
+  EXPECT_EQ(p.families[1].flagged, 2u);  // 12, 1
+  EXPECT_EQ(p.families[1].population, 4u);
 }
 
 TEST(GroundTruthOrder, PopulationsArriveInTheFixedFamilyOrder) {
