@@ -1,5 +1,7 @@
 #include "core/ddsr.hpp"
 
+#include "core/eviction.hpp"
+
 namespace onion::core {
 
 using graph::NodeId;
@@ -100,23 +102,12 @@ void DdsrEngine::prune_node(NodeId v, std::vector<NodeId>& lost_edge) {
     const auto& peers = graph_.neighbors(v);
     NodeId victim = graph::kInvalidNode;
     switch (policy_.victim) {
-      case DdsrPolicy::Victim::HighestDegree: {
+      case DdsrPolicy::Victim::HighestDegree:
         // Highest-degree neighbor; ties broken uniformly (paper rule).
-        std::size_t best = 0;
-        std::size_t ties = 0;
-        for (const NodeId p : peers) {
-          const std::size_t d = graph_.degree(p);
-          if (d > best) {
-            best = d;
-            victim = p;
-            ties = 1;
-          } else if (d == best && d > 0) {
-            ++ties;
-            if (rng_.uniform(ties) == 0) victim = p;
-          }
-        }
+        victim = highest_degree_peer(
+                     peers, [&](NodeId p) { return graph_.degree(p); }, rng_)
+                     .peer;
         break;
-      }
       case DdsrPolicy::Victim::Random:
         victim = peers[static_cast<std::size_t>(rng_.uniform(peers.size()))];
         break;

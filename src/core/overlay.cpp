@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/eviction.hpp"
 #include "graph/generators.hpp"
 
 namespace onion::core {
@@ -80,28 +81,17 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
 
   // Full: accept only if the newcomer undercuts the worst current peer
   // (by declared degree); that peer is evicted — Figure 7 step 4.
-  const auto& peers = graph_.neighbors(target);
-  NodeId victim = graph::kInvalidNode;
-  std::size_t worst = 0;
-  std::size_t ties = 0;
-  for (const NodeId p : peers) {
-    const std::size_t d = declared_degree(p);
-    if (d > worst) {
-      worst = d;
-      victim = p;
-      ties = 1;
-    } else if (d == worst && victim != graph::kInvalidNode) {
-      ++ties;
-      if (rng_.uniform(ties) == 0) victim = p;
-    }
-  }
-  if (victim == graph::kInvalidNode || declared_degree(requester) >= worst)
+  const Eviction worst = highest_degree_peer(
+      graph_.neighbors(target), [&](NodeId p) { return declared_degree(p); },
+      rng_);
+  if (worst.peer == graph::kInvalidNode ||
+      declared_degree(requester) >= worst.degree)
     return PeerDecision::Rejected;
 
-  graph_.remove_edge(target, victim);
+  graph_.remove_edge(target, worst.peer);
   graph_.add_edge(requester, target);
   ++accepted_this_round_[target];
-  if (evicted != nullptr) *evicted = victim;
+  if (evicted != nullptr) *evicted = worst.peer;
   return PeerDecision::AcceptedEvicted;
 }
 

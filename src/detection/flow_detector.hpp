@@ -26,10 +26,9 @@
 namespace onion::detection {
 
 /// Coefficient of variation (stddev/mean, sample variance); 0 for
-/// degenerate input (< 2 samples or non-positive mean). Exported so
-/// FlowScorer (detection/flow_scorer.hpp), which computes this
-/// detector's verdicts, shares the arithmetic of channel_features — the
-/// reference its differential test asserts exact set equality against.
+/// degenerate input (< 2 samples or non-positive mean). The one CV the
+/// flow-beacon detector's verdicts are computed with: FlowScorer
+/// (detection/flow_scorer.hpp) and its test oracle both call it.
 double coefficient_of_variation(std::span<const double> xs);
 
 struct FlowDetectorConfig {
@@ -42,19 +41,6 @@ struct FlowDetectorConfig {
   /// counts as timer-driven.
   double gap_cv_threshold = 0.45;
 };
-
-/// Per-channel features, exposed for tests and the bench printout.
-struct ChannelFeatures {
-  HostId src = 0;
-  HostId dst = 0;
-  std::size_t flows = 0;
-  double size_cv = 0.0;
-  double gap_cv = 0.0;
-};
-
-/// Features for every (src,dst) pair meeting the minimum flow count.
-std::vector<ChannelFeatures> channel_features(const TrafficTrace& trace,
-                                              std::size_t min_flows);
 
 /// Flags sources owning at least one beacon-like channel: a
 /// one-threshold FlowScorer pass (detection/flow_scorer.hpp).

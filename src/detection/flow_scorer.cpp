@@ -122,8 +122,8 @@ void FlowScorer::settle(HostId host, std::span<const Pending> flows) {
       tor_flows += count;
     if (count < min_beacon_flows_) continue;  // no threshold can flag it
 
-    // Same arithmetic as channel_features: sizes CV in emission order,
-    // gaps CV over the sorted timestamps.
+    // A channel's two features: sizes CV in emission order, gaps CV
+    // over the sorted timestamps.
     sizes_.clear();
     times_.clear();
     for (std::size_t k = first; k < last; ++k) {

@@ -45,7 +45,7 @@ struct ReplayConfig {
   /// Observation window; 0 means the campaign horizon.
   SimDuration window = 0;
 
-  /// Benign background (see TrafficConfig for the semantics).
+  /// Benign background (see emit_benign in detection/traffic.hpp).
   std::size_t benign_web = 120;
   std::size_t benign_tor = 20;
   std::size_t tor_relays = 64;

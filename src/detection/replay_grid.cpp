@@ -36,13 +36,9 @@ StreamPopulations replay_trace_streaming(const TraceSource& campaign,
   // must never be materialized is the campaign population below.
   ReplayResult pops;
   TrafficTrace& scratch = pops.trace;
-  TrafficConfig bg;
-  bg.window = window;
-  bg.benign_web = config.benign_web;
-  bg.benign_tor = config.benign_tor;
-  bg.tor_relays = config.tor_relays;
-  bg.tor_mean_gap = config.benign_tor_mean_gap;
-  const BenignPopulation benign = emit_benign(scratch, bg, next, rng);
+  const BenignPopulation benign = emit_benign(
+      scratch, window, config.benign_web, config.benign_tor,
+      config.tor_relays, config.benign_tor_mean_gap, next, rng);
   pops.benign_web_hosts = benign.web_hosts;
   pops.benign_tor_users = benign.tor_users;
   if (config.centralized_bots > 0)

@@ -137,21 +137,22 @@ std::vector<HostId> register_tor_relays(TrafficTrace& trace,
   return relays;
 }
 
-BenignPopulation emit_benign(TrafficTrace& trace,
-                             const TrafficConfig& config, HostId& next,
-                             Rng& rng) {
+BenignPopulation emit_benign(TrafficTrace& trace, SimDuration window,
+                             std::size_t web, std::size_t tor_users,
+                             std::size_t tor_relays, SimDuration tor_mean_gap,
+                             HostId& next, Rng& rng) {
   BenignPopulation out;
-  out.web_hosts = allocate_hosts(trace, next, config.benign_web);
+  out.web_hosts = allocate_hosts(trace, next, web);
   for (const HostId h : out.web_hosts)
-    emit_browsing(trace, h, 0, config.window, rng);
+    emit_browsing(trace, h, 0, window, rng);
 
-  if (config.benign_tor > 0) {
-    out.relays = register_tor_relays(trace, config.tor_relays, next);
-    out.tor_users = allocate_hosts(trace, next, config.benign_tor);
+  if (tor_users > 0) {
+    out.relays = register_tor_relays(trace, tor_relays, next);
+    out.tor_users = allocate_hosts(trace, next, tor_users);
     for (const HostId h : out.tor_users) {
-      emit_browsing(trace, h, 0, config.window, rng);  // Tor users browse too
-      emit_tor_client(trace, h, pick_guards(out.relays, rng), 0,
-                      config.window, config.tor_mean_gap, rng);
+      emit_browsing(trace, h, 0, window, rng);  // Tor users browse too
+      emit_tor_client(trace, h, pick_guards(out.relays, rng), 0, window,
+                      tor_mean_gap, rng);
     }
   }
   return out;
@@ -293,68 +294,6 @@ std::vector<HostId> emit_p2p_bots(TrafficTrace& trace, std::size_t bots,
     }
   }
   return ids;
-}
-
-TrafficTrace benign_background(const TrafficConfig& config, Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  emit_benign(trace, config, next, rng);
-  return trace;
-}
-
-TrafficTrace centralized_http_traffic(const TrafficConfig& config,
-                                      Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  emit_benign(trace, config, next, rng);
-  emit_centralized_bots(trace, config.bots, config.window, next, rng);
-  return trace;
-}
-
-TrafficTrace dga_traffic(const TrafficConfig& config, Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  emit_benign(trace, config, next, rng);
-  emit_dga_bots(trace, config.bots, config.window, next, rng);
-  return trace;
-}
-
-TrafficTrace fastflux_traffic(const TrafficConfig& config, Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  emit_benign(trace, config, next, rng);
-  emit_fastflux_bots(trace, config.bots, config.window, next, rng);
-  return trace;
-}
-
-TrafficTrace p2p_plain_traffic(const TrafficConfig& config, Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  emit_benign(trace, config, next, rng);
-  emit_p2p_bots(trace, config.bots, config.window, next, rng);
-  return trace;
-}
-
-TrafficTrace onionbot_traffic(const TrafficConfig& config, Rng& rng) {
-  TrafficTrace trace;
-  HostId next = config.first_host;
-  // Benign mix first; reuse its relay registry if Tor users exist,
-  // otherwise register relays now.
-  emit_benign(trace, config, next, rng);
-  std::vector<HostId> relays = trace.known_tor_relays;
-  if (relays.empty())
-    relays = register_tor_relays(trace, config.tor_relays, next);
-
-  const auto bots = allocate_bots(trace, next, config.bots);
-  for (const HostId bot : bots) {
-    emit_browsing(trace, bot, 0, config.window, rng);
-    // Heartbeats, NoN shares, relayed broadcasts: all of it is just more
-    // cells into the guard — same shape (and cadence) as the benign Tor
-    // users above, or the indistinguishability story falls apart.
-    emit_tor_client(trace, bot, pick_guards(relays, rng), 0, config.window,
-                    config.tor_mean_gap, rng);
-  }
-  return trace;
 }
 
 }  // namespace onion::detection

@@ -1,6 +1,6 @@
-// Synthetic traffic generators for the detection experiments: one per
+// Synthetic telemetry emitters for the detection experiments: one per
 // botnet architecture the paper surveys (Section II), plus benign
-// background. Each generator emits the telemetry an on-path defender
+// background. Each emitter appends the telemetry an on-path defender
 // would actually record over an observation window — the models encode
 // the published behavioural signatures:
 //
@@ -20,10 +20,10 @@
 // false-positive story — legitimate Tor users, who look exactly like
 // OnionBots from the flow log.
 //
-// Two layers: the classic one-shot generators (each builds benign
-// background plus one infected population), and underneath them the
-// composable population emitters the campaign-replay synthesizer
-// (detection/replay.hpp) stacks into co-resident multi-family traces.
+// These are building blocks, not captures: the campaign-replay
+// synthesizer (detection/replay_grid.hpp, replay_trace_streaming) is
+// the one place that stacks them into a co-resident multi-family trace,
+// and it emits the OnionBot population from a recorded campaign.
 #pragma once
 
 #include <array>
@@ -36,54 +36,10 @@
 
 namespace onion::detection {
 
-/// Shared workload parameters.
-struct TrafficConfig {
-  /// Observation window.
-  SimDuration window = 24 * kHour;
-  /// Infected population.
-  std::size_t bots = 40;
-  /// Benign web-browsing hosts.
-  std::size_t benign_web = 120;
-  /// Benign Tor users (browse through Tor; no botnet involvement).
-  std::size_t benign_tor = 20;
-  /// Simulated public Tor relay count (consensus size).
-  std::size_t tor_relays = 64;
-  /// Mean gap between a benign Tor user's guard contacts.
-  SimDuration tor_mean_gap = 10 * kMinute;
-  /// First HostId to allocate (so traces can be composed).
-  HostId first_host = 0;
-};
-
-/// Benign background only (no infected hosts).
-TrafficTrace benign_background(const TrafficConfig& config, Rng& rng);
-
-/// Centralized HTTP C&C: every bot resolves the (single) C&C domain and
-/// polls it on a timer.
-TrafficTrace centralized_http_traffic(const TrafficConfig& config, Rng& rng);
-
-/// DGA rendezvous: each bot walks the day's generated domain list until
-/// the one registered name answers; the rest are NXDOMAIN.
-TrafficTrace dga_traffic(const TrafficConfig& config, Rng& rng);
-
-/// Fast-flux C&C: one domain whose A records rotate through a large,
-/// short-TTL address pool (the compromised-proxy layer).
-TrafficTrace fastflux_traffic(const TrafficConfig& config, Rng& rng);
-
-/// Unencrypted peer-to-peer C&C: bots gossip directly with each other;
-/// every link is visible in the flow log with a plaintext payload.
-TrafficTrace p2p_plain_traffic(const TrafficConfig& config, Rng& rng);
-
-/// OnionBot: bots speak only to known Tor relays in fixed 512-byte
-/// cells over encrypted channels; no DNS records exist.
-TrafficTrace onionbot_traffic(const TrafficConfig& config, Rng& rng);
-
-/// --- composable population emitters ----------------------------------
-// Each emitter appends one population to an existing trace, allocating
-// monitored-host ids from `next` (advanced past the allocation), so
-// arbitrary mixes — benign + several co-resident botnet families —
-// compose into a single capture without id collisions. The one-shot
-// generators above are thin wrappers over these with identical RNG draw
-// order, so their outputs are unchanged.
+// Each population emitter appends one population to an existing trace,
+// allocating monitored-host ids from `next` (advanced past the
+// allocation), so arbitrary mixes — benign + several co-resident botnet
+// families — compose into a single capture without id collisions.
 
 /// Who the benign mix allocated — the per-population ground truth the
 /// replay compositor reports FPRs against.
@@ -93,12 +49,14 @@ struct BenignPopulation {
   std::vector<HostId> relays;
 };
 
-/// Benign mix: `config.benign_web` browsing hosts, plus (when
-/// `config.benign_tor > 0`) a `config.tor_relays`-relay registry and
-/// the legitimate Tor users.
-BenignPopulation emit_benign(TrafficTrace& trace,
-                             const TrafficConfig& config, HostId& next,
-                             Rng& rng);
+/// Benign mix over [0, window): `web` browsing hosts, plus (when
+/// `tor_users > 0`) a `tor_relays`-relay registry and the legitimate Tor
+/// users, who browse too and contact their guards every `tor_mean_gap`
+/// on average.
+BenignPopulation emit_benign(TrafficTrace& trace, SimDuration window,
+                             std::size_t web, std::size_t tor_users,
+                             std::size_t tor_relays, SimDuration tor_mean_gap,
+                             HostId& next, Rng& rng);
 
 /// Registers `count` public Tor relay ids in the trace (defenders know
 /// the consensus). Relays are destinations, not monitored hosts.

@@ -3,29 +3,69 @@
 // the module's reason to exist — comes up empty against OnionBot
 // traffic (paper §II/§VI: every network-level technique the paper
 // surveys fails once the C&C moves inside Tor).
+//
+// Every capture comes from the one replay synthesizer (replay_trace):
+// legacy families are ReplayConfig counts with the campaign population
+// switched off, and OnionBots are a recorded 20-bot campaign with no
+// events, i.e. pure steady-state heartbeat traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "detection/dga_detector.hpp"
 #include "detection/fastflux_detector.hpp"
 #include "detection/flow_detector.hpp"
 #include "detection/p2p_detector.hpp"
+#include "detection/replay.hpp"
 #include "detection/telemetry.hpp"
 #include "detection/tor_flagger.hpp"
-#include "detection/traffic.hpp"
 
 namespace onion::detection {
 namespace {
 
-TrafficConfig small_config() {
-  TrafficConfig cfg;
-  cfg.window = 12 * kHour;
-  cfg.bots = 20;
-  cfg.benign_web = 60;
-  cfg.benign_tor = 10;
-  return cfg;
+/// Infected population per capture: every legacy family's count, and
+/// the recorded campaign's size.
+constexpr std::size_t kBots = 20;
+
+/// A begun 12-hour campaign of kBots initial bots and no events.
+const scenario::CampaignTrace& campaign() {
+  static const scenario::CampaignTrace recorded = [] {
+    scenario::ScenarioSpec spec;
+    spec.initial_size = kBots;
+    spec.horizon = 12 * kHour;
+    std::vector<graph::NodeId> initial(kBots);
+    std::iota(initial.begin(), initial.end(), graph::NodeId{0});
+    scenario::CampaignTrace trace;
+    trace.on_begin(spec, initial);
+    return trace;
+  }();
+  return recorded;
+}
+
+/// Benign background only: set a family count, or max_onion_bots, to
+/// add an infected population.
+ReplayConfig small_config(std::uint64_t seed) {
+  ReplayConfig rc;
+  rc.seed = seed;
+  rc.window = 12 * kHour;
+  rc.benign_web = 60;
+  rc.benign_tor = 10;
+  rc.max_onion_bots = 0;
+  return rc;
+}
+
+ReplayConfig onion_config(std::uint64_t seed) {
+  ReplayConfig rc = small_config(seed);
+  rc.max_onion_bots = ReplayConfig::kAllBots;
+  return rc;
+}
+
+TrafficTrace capture(const ReplayConfig& rc) {
+  return replay_trace(campaign(), rc).trace;
 }
 
 // --- telemetry scoring ------------------------------------------------
@@ -106,27 +146,26 @@ TEST(Telemetry, SerializationCoversEveryStream) {
   EXPECT_NE(serialize(a), serialize(e));
 }
 
-// --- workload generators ----------------------------------------------
+// --- replayed captures ------------------------------------------------
 
 TEST(Traffic, GeneratorsProduceLabelledHosts) {
   Rng rng(11);
-  const TrafficConfig cfg = small_config();
   for (const auto* name : {"centralized", "dga", "fastflux", "p2p",
                            "onion"}) {
-    Rng local(rng.next_u64());
-    TrafficTrace trace;
+    ReplayConfig rc = small_config(rng.next_u64());
     if (std::string(name) == "centralized")
-      trace = centralized_http_traffic(cfg, local);
+      rc.centralized_bots = kBots;
     else if (std::string(name) == "dga")
-      trace = dga_traffic(cfg, local);
+      rc.dga_bots = kBots;
     else if (std::string(name) == "fastflux")
-      trace = fastflux_traffic(cfg, local);
+      rc.fastflux_bots = kBots;
     else if (std::string(name) == "p2p")
-      trace = p2p_plain_traffic(cfg, local);
+      rc.p2p_bots = kBots;
     else
-      trace = onionbot_traffic(cfg, local);
-    EXPECT_EQ(trace.infected.size(), cfg.bots) << name;
-    EXPECT_GE(trace.hosts.size(), cfg.bots + cfg.benign_web) << name;
+      rc.max_onion_bots = ReplayConfig::kAllBots;
+    const TrafficTrace trace = capture(rc);
+    EXPECT_EQ(trace.infected.size(), kBots) << name;
+    EXPECT_GE(trace.hosts.size(), kBots + rc.benign_web) << name;
     EXPECT_FALSE(trace.flows.empty()) << name;
     // Infected hosts are monitored hosts.
     const std::set<HostId> hosts(trace.hosts.begin(), trace.hosts.end());
@@ -136,11 +175,10 @@ TEST(Traffic, GeneratorsProduceLabelledHosts) {
 }
 
 TEST(Traffic, OnionBotEmitsNoBotDnsAndOnlyCellSizedTorFlows) {
-  Rng rng(12);
-  TrafficConfig cfg = small_config();
-  cfg.benign_web = 0;  // isolate the bots (plus relay registry)
-  cfg.benign_tor = 0;
-  const TrafficTrace trace = onionbot_traffic(cfg, rng);
+  ReplayConfig rc = onion_config(12);
+  rc.benign_web = 0;  // isolate the bots (plus relay registry)
+  rc.benign_tor = 0;
+  const TrafficTrace trace = capture(rc);
   const std::set<HostId> bots(trace.infected.begin(), trace.infected.end());
   const std::set<HostId> relays(trace.known_tor_relays.begin(),
                                 trace.known_tor_relays.end());
@@ -162,8 +200,7 @@ TEST(Traffic, OnionBotEmitsNoBotDnsAndOnlyCellSizedTorFlows) {
 }
 
 TEST(Traffic, BenignBackgroundHasNoInfectedHosts) {
-  Rng rng(13);
-  const TrafficTrace trace = benign_background(small_config(), rng);
+  const TrafficTrace trace = capture(small_config(13));
   EXPECT_TRUE(trace.infected.empty());
   EXPECT_FALSE(trace.dns.empty());
 }
@@ -179,30 +216,30 @@ TEST(DgaDetector, NameEntropySeparatesGeneratedFromHuman) {
 }
 
 TEST(DgaDetector, CatchesDgaBots) {
-  Rng rng(21);
-  const TrafficTrace trace = dga_traffic(small_config(), rng);
+  ReplayConfig rc = small_config(21);
+  rc.dga_bots = kBots;
+  const TrafficTrace trace = capture(rc);
   const DetectionResult r = detect_dga(trace);
   EXPECT_GE(r.true_positive_rate(trace), 0.95);
   EXPECT_LE(r.false_positive_rate(trace), 0.02);
 }
 
 TEST(DgaDetector, QuietOnBenign) {
-  Rng rng(22);
-  const TrafficTrace trace = benign_background(small_config(), rng);
+  const TrafficTrace trace = capture(small_config(22));
   const DetectionResult r = detect_dga(trace);
   EXPECT_TRUE(r.flagged.empty());
 }
 
 TEST(DgaDetector, BlindToOnionBots) {
-  Rng rng(23);
-  const TrafficTrace trace = onionbot_traffic(small_config(), rng);
+  const TrafficTrace trace = capture(onion_config(23));
   const DetectionResult r = detect_dga(trace);
   EXPECT_DOUBLE_EQ(r.true_positive_rate(trace), 0.0);
 }
 
 TEST(DgaDetector, FeatureVectorShapes) {
-  Rng rng(24);
-  const TrafficTrace trace = dga_traffic(small_config(), rng);
+  ReplayConfig rc = small_config(24);
+  rc.dga_bots = kBots;
+  const TrafficTrace trace = capture(rc);
   const auto features = dga_features(trace);
   EXPECT_FALSE(features.empty());
   // Bots dominate the NXDOMAIN tail.
@@ -221,8 +258,9 @@ TEST(DgaDetector, FeatureVectorShapes) {
 // --- fast-flux detector -------------------------------------------------
 
 TEST(FluxDetector, CatchesFluxedDomainAndItsClients) {
-  Rng rng(31);
-  const TrafficTrace trace = fastflux_traffic(small_config(), rng);
+  ReplayConfig rc = small_config(31);
+  rc.fastflux_bots = kBots;
+  const TrafficTrace trace = capture(rc);
   const auto domains = fluxed_domains(trace, {});
   ASSERT_EQ(domains.size(), 1u);
   EXPECT_EQ(domains[0], "promo-deals.example");
@@ -232,14 +270,12 @@ TEST(FluxDetector, CatchesFluxedDomainAndItsClients) {
 }
 
 TEST(FluxDetector, QuietOnBenign) {
-  Rng rng(32);
-  const TrafficTrace trace = benign_background(small_config(), rng);
+  const TrafficTrace trace = capture(small_config(32));
   EXPECT_TRUE(fluxed_domains(trace, {}).empty());
 }
 
 TEST(FluxDetector, BlindToOnionBots) {
-  Rng rng(33);
-  const TrafficTrace trace = onionbot_traffic(small_config(), rng);
+  const TrafficTrace trace = capture(onion_config(33));
   const DetectionResult r = detect_fastflux(trace);
   EXPECT_DOUBLE_EQ(r.true_positive_rate(trace), 0.0);
 }
@@ -262,16 +298,16 @@ TEST(FluxDetector, PopularSiteWithManyIpsNeedsShortTtlToo) {
 // --- flow/beacon detector -----------------------------------------------
 
 TEST(FlowDetector, CatchesCentralizedBeacons) {
-  Rng rng(41);
-  const TrafficTrace trace = centralized_http_traffic(small_config(), rng);
+  ReplayConfig rc = small_config(41);
+  rc.centralized_bots = kBots;
+  const TrafficTrace trace = capture(rc);
   const DetectionResult r = detect_beacons(trace);
   EXPECT_GE(r.true_positive_rate(trace), 0.9);
   EXPECT_LE(r.false_positive_rate(trace), 0.05);
 }
 
 TEST(FlowDetector, QuietOnBenign) {
-  Rng rng(42);
-  const TrafficTrace trace = benign_background(small_config(), rng);
+  const TrafficTrace trace = capture(small_config(42));
   const DetectionResult r = detect_beacons(trace);
   EXPECT_LE(r.false_positive_rate(trace), 0.05);
 }
@@ -279,10 +315,9 @@ TEST(FlowDetector, QuietOnBenign) {
 TEST(FlowDetector, CannotSeparateOnionBotsFromTorUsers) {
   // Whatever it flags among OnionBots, it flags a comparable share of
   // benign Tor users: the feature no longer separates (paper §VI).
-  Rng rng(43);
-  TrafficConfig cfg = small_config();
+  ReplayConfig cfg = onion_config(43);
   cfg.benign_tor = 20;
-  const TrafficTrace trace = onionbot_traffic(cfg, rng);
+  const TrafficTrace trace = capture(cfg);
   const DetectionResult r = detect_beacons(trace);
   const double tpr = r.true_positive_rate(trace);
   const double fpr = r.false_positive_rate(trace);
@@ -297,36 +332,39 @@ TEST(FlowDetector, CannotSeparateOnionBotsFromTorUsers) {
   }
 }
 
-TEST(FlowDetector, ChannelFeaturesComputeCv) {
-  TrafficTrace trace;
-  // Perfectly regular beacon: constant size, constant gap.
-  for (int i = 0; i < 20; ++i) {
-    FlowRecord f;
-    f.src = 5;
-    f.dst = 9;
-    f.bytes = 100;
-    f.at = static_cast<SimTime>(i) * kMinute;
-    trace.flows.push_back(f);
-  }
-  const auto features = channel_features(trace, 12);
-  ASSERT_EQ(features.size(), 1u);
-  EXPECT_LT(features[0].size_cv, 1e-9);
-  EXPECT_LT(features[0].gap_cv, 1e-9);
+TEST(FlowDetector, CoefficientOfVariationIsSampleStddevOverMean) {
+  // A perfectly regular beacon: constant sizes and constant gaps.
+  const std::vector<double> sizes(20, 100.0);
+  const std::vector<double> gaps(19, static_cast<double>(kMinute));
+  EXPECT_EQ(coefficient_of_variation(sizes), 0.0);
+  EXPECT_EQ(coefficient_of_variation(gaps), 0.0);
+
+  // By hand: mean 5, squared deviations 9+1+1+1+0+0+4+16 = 32, sample
+  // variance 32/7, so CV = sqrt(32/7)/5 ≈ 0.4276.
+  const std::vector<double> xs = {2, 4, 4, 4, 5, 5, 7, 9};
+  EXPECT_DOUBLE_EQ(coefficient_of_variation(xs), std::sqrt(32.0 / 7.0) / 5.0);
+  EXPECT_NEAR(coefficient_of_variation(xs), 0.4276, 1e-4);
+
+  // Degenerate input: fewer than two samples, or a non-positive mean.
+  EXPECT_EQ(coefficient_of_variation({}), 0.0);
+  EXPECT_EQ(coefficient_of_variation(std::vector<double>{42.0}), 0.0);
+  EXPECT_EQ(coefficient_of_variation(std::vector<double>{-1.0, -3.0}), 0.0);
+  EXPECT_EQ(coefficient_of_variation(std::vector<double>{-2.0, 2.0}), 0.0);
 }
 
 // --- P2P mesh detector ----------------------------------------------------
 
 TEST(P2pDetector, CatchesPlaintextP2pMesh) {
-  Rng rng(51);
-  const TrafficTrace trace = p2p_plain_traffic(small_config(), rng);
+  ReplayConfig rc = small_config(51);
+  rc.p2p_bots = kBots;
+  const TrafficTrace trace = capture(rc);
   const DetectionResult r = detect_p2p(trace);
   EXPECT_GE(r.true_positive_rate(trace), 0.8);
   EXPECT_LE(r.false_positive_rate(trace), 0.02);
 }
 
 TEST(P2pDetector, QuietOnBenign) {
-  Rng rng(52);
-  const TrafficTrace trace = benign_background(small_config(), rng);
+  const TrafficTrace trace = capture(small_config(52));
   const DetectionResult r = detect_p2p(trace);
   EXPECT_TRUE(r.flagged.empty())
       << "browsing is star-shaped; no monitored-host mesh exists";
@@ -335,8 +373,7 @@ TEST(P2pDetector, QuietOnBenign) {
 TEST(P2pDetector, BlindToOnionBots) {
   // The paper's structural evasion: bot<->bot edges exist only inside
   // Tor; the observable graph has no monitored-host mesh at all.
-  Rng rng(53);
-  const TrafficTrace trace = onionbot_traffic(small_config(), rng);
+  const TrafficTrace trace = capture(onion_config(53));
   const DetectionResult r = detect_p2p(trace);
   EXPECT_DOUBLE_EQ(r.true_positive_rate(trace), 0.0);
 }
@@ -344,17 +381,15 @@ TEST(P2pDetector, BlindToOnionBots) {
 // --- the blunt instrument --------------------------------------------------
 
 TEST(TorFlagger, FlagsEveryOnionBot) {
-  Rng rng(61);
-  const TrafficTrace trace = onionbot_traffic(small_config(), rng);
+  const TrafficTrace trace = capture(onion_config(61));
   const DetectionResult r = detect_tor_users(trace);
   EXPECT_GE(r.true_positive_rate(trace), 0.99);
 }
 
 TEST(TorFlagger, AlsoFlagsEveryLegitimateTorUser) {
-  Rng rng(62);
-  TrafficConfig cfg = small_config();
+  ReplayConfig cfg = onion_config(62);
   cfg.benign_tor = 20;
-  const TrafficTrace trace = onionbot_traffic(cfg, rng);
+  const TrafficTrace trace = capture(cfg);
   const DetectionResult r = detect_tor_users(trace);
   // All benign Tor users are false-flagged: the measure is equivalent
   // to blocking Tor for everyone (paper conclusion).

@@ -1,9 +1,10 @@
 // The map-based FlowScorer, kept verbatim as a test-only oracle for the
-// flat-buffer scorer in src/detection/flow_scorer.hpp. It holds one
+// flat-buffer scorer in src/detection/flow_scorer.hpp — the one
+// flow-beacon implementation the library ships. It holds one
 // (src, dst) → Series map entry per open channel and one std::set of
 // verdicts per threshold, so it is slow but obviously right; the
-// differential sweep in tests/replay_grid_test.cpp asserts that both
-// scorers produce the same verdict sets on every feed it tries.
+// differential tests in tests/replay_grid_test.cpp assert that both
+// scorers produce the same verdict sets on every feed they try.
 #pragma once
 
 #include <algorithm>
@@ -76,8 +77,8 @@ class ReferenceFlowScorer final : public FlowSink {
     while (it != channels_.end() && it->first.first == host) {
       Series& s = it->second;
       const std::size_t count = s.sizes.size();
-      // Same arithmetic as channel_features: sizes CV as emitted, gaps CV
-      // over the sorted timestamps.
+      // A channel's two features: sizes CV as emitted, gaps CV over the
+      // sorted timestamps.
       const double size_cv = coefficient_of_variation(s.sizes);
       std::sort(s.times.begin(), s.times.end());
       std::vector<double> gaps;

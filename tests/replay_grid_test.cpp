@@ -1,9 +1,9 @@
 // Replay-grid tests: the FlowScorer's verdicts are *equal* — set
 // equality, not approximation — to independent references over the same
-// capture (thresholds over channel_features, a direct per-source count
-// of flows to relays, and the map-based scorer it replaced, kept as an
-// oracle in reference_flow_scorer.hpp, on grouped, interleaved and
-// unclosed feeds alike); the size CV is summed in emission order; the
+// capture (a direct per-source count of flows to relays, and the
+// map-based scorer it replaced, kept as an oracle in
+// reference_flow_scorer.hpp, on grouped, interleaved and unclosed feeds
+// alike); the size CV is summed in emission order; the
 // batch replay is the streamed replay
 // collected, flow for flow and verdict for verdict; the streamed replay
 // is deterministic; the grid fingerprint is thread-count invariant; and the
@@ -99,17 +99,18 @@ TEST(FlowScorer, MatchesBatchDetectorsOnTheSameCapture) {
   const FlowScorer scorer = score_trace(trace, config);
   EXPECT_EQ(scorer.flows_scored(), trace.flows.size());
 
-  // Flow-beacon reference: each threshold applied to channel_features.
+  // Flow-beacon reference: the map-based oracle's verdict per threshold.
   // detect_beacons wraps the scorer, so it must agree as well.
+  oracle::ReferenceFlowScorer oracle_scorer(config);
+  feed_trace(trace, oracle_scorer);
+  oracle_scorer.finish();
   ASSERT_EQ(scorer.beacon_flagged().size(), config.beacon_thresholds.size());
+  ASSERT_EQ(oracle_scorer.beacon_flagged().size(),
+            config.beacon_thresholds.size());
   std::size_t beacon_hits = 0;
   for (std::size_t i = 0; i < config.beacon_thresholds.size(); ++i) {
     const FlowDetectorConfig& c = config.beacon_thresholds[i];
-    std::set<HostId> expected;
-    for (const ChannelFeatures& f : channel_features(trace, c.min_flows))
-      if (f.size_cv < c.size_cv_threshold && f.gap_cv < c.gap_cv_threshold)
-        expected.insert(f.src);
-    const std::vector<HostId> reference(expected.begin(), expected.end());
+    const std::vector<HostId>& reference = oracle_scorer.beacon_flagged()[i];
     beacon_hits += reference.size();
     EXPECT_EQ(scorer.beacon_flagged()[i], reference)
         << "beacon threshold " << i << " diverged";
