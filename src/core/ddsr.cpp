@@ -7,16 +7,12 @@ namespace onion::core {
 using graph::NodeId;
 
 void DdsrEngine::remove_node_no_repair(NodeId u) {
-  const graph::Graph::Batch batch(graph_);
   graph_.remove_node(u);
   ++stats_.nodes_removed;
 }
 
 void DdsrEngine::remove_node(NodeId u) {
   const std::vector<NodeId> former = graph_.neighbors(u);
-  // One batch per deletion: an observer settles the whole step (delete,
-  // repair, prune, refill) once, after the repair clique exists.
-  const graph::Graph::Batch batch(graph_);
   graph_.remove_node(u);
   ++stats_.nodes_removed;
 

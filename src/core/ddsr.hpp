@@ -83,11 +83,10 @@ class DdsrEngine {
 
   /// Removes `u` and runs repair/prune/refill on its former neighborhood
   /// (the gradual-takedown model: one deletion, then the network heals).
-  /// The whole step runs inside one graph::Graph::Batch.
   void remove_node(graph::NodeId u);
 
   /// Removes `u` with no healing (the "Normal" baseline of Figure 5, and
-  /// the simultaneous-takedown model of Figure 6), inside one batch.
+  /// the simultaneous-takedown model of Figure 6).
   void remove_node_no_repair(graph::NodeId u);
 
   /// How repair and refill edges come into being. Default (none):

@@ -21,13 +21,12 @@ void DynamicConnectivity::reset() {
   splits_ = 0;
   search_steps_ = 0;
   epoch_ = 0;
-  in_batch_ = false;
   queued_.clear();
   // Search scratch is sized up front, so a run's searches allocate
   // nothing once attached. Growing it mid-run, between the graph's own
   // reallocations, fragmented the heap: on the pinned 500k campaign the
   // peak RSS of back-to-back runs rose by 10 MB.
-  queued_.reserve(kScratchSeeds);
+  queued_.reserve(kScratchReach);
   frontiers_.reserve(kScratchSeeds);
   reach_.reserve(std::min<std::size_t>(cap, kScratchReach));
 }
@@ -85,17 +84,11 @@ void DynamicConnectivity::remove_vertex(NodeId u) {
   ONION_EXPECTS_MSG(tracked(u) && !g_.alive(u), "u=" << u);
   const std::uint32_t c = label_[u];
   const std::uint32_t size = comp_size_[c];
-  // Outside a batch, removing u's last tracked edge already split it
-  // into a singleton (the u-side frontier of the search cannot expand),
-  // so the component record must be exactly {u}.
-  ONION_EXPECTS_MSG(size == 1 || in_batch_,
-                    "u=" << u << " still shares a component of size "
-                         << size);
   drop_size(size);
   if (size == 1) {
     free_component(c);
     --components_;
-  } else {  // in a batch: leave the stale roster; end_batch settles it
+  } else {  // leave the rest of the stale roster; settle() splits it
     const std::uint32_t n = member_next_[u];
     const std::uint32_t p = member_prev_[u];
     member_next_[p] = n;
@@ -242,25 +235,11 @@ void DynamicConnectivity::remove_edge(NodeId u, NodeId v) {
                          << ": both must be tracked, in one component, "
                             "and the edge already gone from the graph");
   --num_edges_;
-  if (in_batch_) {
-    queued_.push_back(u);
-    queued_.push_back(v);
-    return;
-  }
-  // Meeting ⇒ the edge was cycle-covered, nothing to do; one side
-  // exhausting ⇒ it was a bridge, and that side becomes a new component.
-  const NodeId seeds[] = {u, v};
-  settle(seeds);
+  queued_.push_back(u);
+  queued_.push_back(v);
 }
 
-void DynamicConnectivity::begin_batch() {
-  ONION_EXPECTS_MSG(!in_batch_, "batches do not nest");
-  in_batch_ = true;
-}
-
-void DynamicConnectivity::end_batch() {
-  ONION_EXPECTS_MSG(in_batch_, "no batch is open");
-  in_batch_ = false;
+void DynamicConnectivity::settle() {
   // Surviving endpoints, each once, grouped by their (too coarse) label.
   // Every true piece of a label that lost an edge holds one of them, so a
   // label with a single survivor is still exact.
@@ -274,7 +253,7 @@ void DynamicConnectivity::end_batch() {
     std::size_t j = i + 1;
     while (j < queued_.size() && label_[queued_[j]] == label_[queued_[i]]) ++j;
     if (j - i >= 2)
-      settle(std::span<const NodeId>(queued_).subspan(i, j - i));
+      search(std::span<const NodeId>(queued_).subspan(i, j - i));
     i = j;
   }
   queued_.clear();
@@ -336,7 +315,7 @@ std::uint32_t DynamicConnectivity::unite_frontiers(std::uint32_t a,
   return a;
 }
 
-void DynamicConnectivity::settle(std::span<const NodeId> seeds) {
+void DynamicConnectivity::search(std::span<const NodeId> seeds) {
   const auto k = static_cast<std::uint32_t>(seeds.size());
   const std::uint32_t comp = label_[seeds[0]];
   // Frontier f stamps base + f, so one mark says both "reached in this

@@ -19,24 +19,22 @@
 // This is not the HDT polylog worst case: an adversarial bridge chain
 // costs O(n) per cut (tests/dynconn_test.cpp drives exactly that).
 //
-// When the search runs depends on the caller:
-//   * Outside a batch, remove_edge settles at once with two frontiers,
-//     one per endpoint. This immediate path is the reference.
-//   * Between begin_batch and end_batch (graph::Graph::Batch, one per
-//     DDSR deletion), remove_edge only queues its two endpoints, and
-//     remove_vertex unlinks the vertex from its component roster whatever
-//     the component's size. Insertions merge as always. Labels can
-//     therefore only be too coarse: each true component lies inside one
-//     label. end_batch drops queued endpoints that are no longer tracked
-//     and duplicates, groups the rest by label, and runs one search per
-//     group of two or more. Every true piece of a label that lost an edge
-//     holds a queued endpoint, so one search per group is exact. Counts
-//     and sizes are stale until end_batch; the queries refuse to answer
-//     in between.
-// The two paths agree on every partition (tests/dynconn_test.cpp and
-// tests/tracker_test.cpp compare them after every batch). Their counters
-// differ: a batch never splits off the dying vertex, nor splits and then
-// re-merges a piece the repair clique reconnects.
+// Deletions are settled when someone reads components, not when they
+// happen. remove_edge only queues its two endpoints, and remove_vertex
+// unlinks the vertex from its component roster whatever the component's
+// size. Insertions merge as always. Labels can therefore only be too
+// coarse: each true component lies inside one label. settle() drops
+// queued endpoints that are no longer tracked and duplicates, groups the
+// rest by label, and runs one search per group of two or more. Every
+// true piece of a label that lost an edge holds a queued endpoint, so one
+// search per group is exact. The component queries refuse to answer while
+// deletions are pending, so a reader calls settle() first; the scenario
+// tracker does so once per snapshot. Settling after every removal is the
+// reference that settles each lost edge with two frontiers
+// (tests/dynconn_test.cpp and tests/tracker_test.cpp compare the two on
+// every partition). Their counters differ: a later settle never splits
+// off a vertex that has since left, nor splits and then re-merges a piece
+// that later insertions reconnect.
 //
 // The structure is a view over the graph it tracks: it keeps no
 // adjacency of its own, and the search walks Graph::neighbors, skipping
@@ -95,11 +93,10 @@ class DynamicConnectivity {
   /// in g and not tracked.
   void insert_vertex(NodeId u);
 
-  /// Stops tracking `u`, already removed from g. Precondition: tracked
-  /// and, outside a batch, a singleton component (callers remove incident
-  /// edges first — exactly the order in which graph::Graph::remove_node
-  /// notifies an observer). Inside a batch u's component may be larger:
-  /// its lost edges are queued, and end_batch settles the rest.
+  /// Stops tracking `u`, already removed from g. Precondition: tracked.
+  /// Callers report u's lost edges first (exactly the order in which
+  /// graph::Graph::remove_node notifies an observer); they are queued,
+  /// and settle() splits what u's departure disconnected.
   void remove_vertex(NodeId u);
 
   /// Reports edge {u,v}, already added to g, between tracked vertices;
@@ -107,24 +104,21 @@ class DynamicConnectivity {
   /// Precondition: both tracked, u != v.
   void insert_edge(NodeId u, NodeId v);
 
-  /// Reports edge {u,v}, already removed from g. Outside a batch, splits
-  /// the component at once if {u,v} was a bridge (the exhausted side is
-  /// relabeled); inside one, queues both endpoints for end_batch.
-  /// Precondition: both tracked, in the same component, and g no longer
-  /// holds the edge.
+  /// Reports edge {u,v}, already removed from g, and queues both
+  /// endpoints for settle(). Precondition: both tracked, in the same
+  /// (possibly too coarse) component, and g no longer holds the edge.
   void remove_edge(NodeId u, NodeId v);
 
-  /// Opens a batch: until end_batch, deletions are queued instead of
-  /// searched. Precondition: no batch open (batches do not nest).
-  void begin_batch();
-  /// Settles every deletion queued since begin_batch with one multi-
-  /// frontier search per affected component, and closes the batch.
-  void end_batch();
-  bool in_batch() const { return in_batch_; }
+  /// Settles every deletion queued since the last settle with one
+  /// multi-frontier search per affected component: a component that
+  /// lost its last path between two queued endpoints splits, and each
+  /// exhausted side is relabeled. O(1) when nothing is queued.
+  void settle();
 
   /// --- queries (all O(1) except same_component's two loads) ----------
-  /// Component-level answers are refused inside a batch, where labels
-  /// may be too coarse; vertex and edge counts are always exact.
+  /// Component-level answers are refused while deletions are pending,
+  /// where labels may be too coarse; vertex and edge counts are always
+  /// exact.
   bool tracked(NodeId u) const {
     return u < label_.size() && label_[u] != kNil;
   }
@@ -132,32 +126,32 @@ class DynamicConnectivity {
   /// Edges of g between two tracked vertices.
   std::uint64_t num_edges() const { return num_edges_; }
   std::uint64_t components() const {
-    ONION_EXPECTS(!in_batch_);
+    ONION_EXPECTS(queued_.empty());
     return components_;
   }
   /// Size of the largest component (0 when no vertex is tracked).
   std::uint64_t largest_component() const {
-    ONION_EXPECTS(!in_batch_);
+    ONION_EXPECTS(queued_.empty());
     return size_counts_.empty() ? 0 : size_counts_.rbegin()->first;
   }
   std::uint64_t component_size(NodeId u) const {
-    ONION_EXPECTS(!in_batch_ && tracked(u));
+    ONION_EXPECTS(queued_.empty() && tracked(u));
     return comp_size_[label_[u]];
   }
   bool same_component(NodeId u, NodeId v) const {
-    ONION_EXPECTS(!in_batch_ && tracked(u) && tracked(v));
+    ONION_EXPECTS(queued_.empty() && tracked(u) && tracked(v));
     return label_[u] == label_[v];
   }
 
   /// --- introspection (tests and benches) -----------------------------
   /// Component merges performed by insert_edge.
   std::uint64_t merges() const { return merges_; }
-  /// Components split off by searches. A vertex leaving inside a batch
-  /// is not a split; outside one, its last edge's search splits it off.
+  /// Components split off by searches. A vertex that left before the
+  /// settle is not a split.
   std::uint64_t splits() const { return splits_; }
   /// Total vertices expanded by replacement-path searches — the real
-  /// cost of all deletions so far (tests bound this; the bench reports
-  /// it per deletion).
+  /// cost of all settled deletions so far (tests bound this; the bench
+  /// reports it per deletion). Deletions still queued cost nothing yet.
   std::uint64_t search_steps() const { return search_steps_; }
 
  private:
@@ -178,7 +172,7 @@ class DynamicConnectivity {
   std::uint32_t reserve_marks(std::uint32_t k);
   /// Multi-frontier search from `seeds` (distinct, all in one component):
   /// splits off every class of met frontiers that runs out.
-  void settle(std::span<const NodeId> seeds);
+  void search(std::span<const NodeId> seeds);
 
   /// A list of reach_ entries, linked through Reach::next.
   struct List {
@@ -234,13 +228,15 @@ class DynamicConnectivity {
   std::uint64_t splits_ = 0;
   std::uint64_t search_steps_ = 0;
   std::uint32_t epoch_ = 0;  // last visit-mark value handed out
-  bool in_batch_ = false;
 
-  // Endpoints of edges removed in the open batch, settled by end_batch.
+  // Endpoints of edges removed since the last settle(), reserved by
+  // reset() for kScratchReach (the pinned 500k campaign queues up to
+  // 1,540 between snapshots).
   std::vector<NodeId> queued_;
   // Search scratch, reused across searches, reserved by reset() for up to
-  // kScratchSeeds seeds and kScratchReach reached vertices (the pinned
-  // 500k campaign peaks at 218 and about 11k).
+  // kScratchSeeds seeds and kScratchReach reached vertices per settle (the
+  // pinned 500k campaign peaks at 278 and 13,275; seed 0x1d0c at 1,036
+  // and 25,507, which grow the scratch once).
   static constexpr std::size_t kScratchSeeds = 512;
   static constexpr std::size_t kScratchReach = 16384;
   std::vector<Frontier> frontiers_;

@@ -1,9 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <exception>
-
-#include "common/logging.hpp"
 
 namespace onion::graph {
 
@@ -55,27 +52,6 @@ Graph& Graph::operator=(Graph&& other) {
   other.num_edges_ = 0;
   other.epoch_ = 0;
   return *this;
-}
-
-Graph::Batch::Batch(Graph& g)
-    : g_(g),
-      observer_(g.observer_),
-      exceptions_(std::uncaught_exceptions()) {
-  if (observer_ != nullptr) observer_->on_batch_begin();
-}
-
-Graph::Batch::~Batch() noexcept(false) {
-  if (observer_ == nullptr || g_.observer_ != observer_) return;
-  if (std::uncaught_exceptions() == exceptions_) {
-    observer_->on_batch_end();
-    return;
-  }
-  try {  // already unwinding: a second exception would terminate
-    observer_->on_batch_end();
-  } catch (const std::exception& e) {
-    ONION_LOG(Error) << "closing a graph batch while unwinding: "
-                     << e.what();
-  }
 }
 
 NodeId Graph::add_node() {

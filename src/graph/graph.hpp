@@ -26,12 +26,9 @@ constexpr NodeId kInvalidNode = ~NodeId{0};
 /// state. remove_node() is decomposed into one on_edge_removed per
 /// incident edge followed by on_node_removed (the node is degree-0 by
 /// then), so an observer only ever has to understand four primitives.
-/// A Graph::Batch brackets a group of them with on_batch_begin and
-/// on_batch_end: in between, an observer may defer work and settle the
-/// group once at the end (DynamicConnectivity defers its replacement-
-/// path searches), but it must be exact again when on_batch_end returns.
-/// Batches do not nest. Observers must not mutate the graph from inside a
-/// callback.
+/// An observer may defer work until it is read (DynamicConnectivity
+/// queues deletions until someone asks for components). Observers must
+/// not mutate the graph from inside a callback.
 class MutationObserver {
  public:
   virtual ~MutationObserver() = default;
@@ -39,8 +36,6 @@ class MutationObserver {
   virtual void on_node_removed(NodeId u) = 0;
   virtual void on_edge_added(NodeId u, NodeId v) = 0;
   virtual void on_edge_removed(NodeId u, NodeId v) = 0;
-  virtual void on_batch_begin() {}
-  virtual void on_batch_end() {}
 };
 
 /// Mutable undirected simple graph (no self-loops, no parallel edges).
@@ -141,25 +136,6 @@ class Graph {
     observer_ = observer;
   }
   MutationObserver* observer() const { return observer_; }
-
-  /// RAII bracket: the observer attached at construction hears
-  /// on_batch_begin now and on_batch_end when the bracket closes (unless
-  /// it detached meanwhile). The mutations in between are unchanged; only
-  /// when the observer settles them differs. If an exception unwinds
-  /// through the bracket, the batch is still closed; an error from closing
-  /// it is logged, and the exception in flight propagates.
-  class Batch {
-   public:
-    explicit Batch(Graph& g);
-    ~Batch() noexcept(false);
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-
-   private:
-    Graph& g_;
-    MutationObserver* observer_;
-    int exceptions_;  // std::uncaught_exceptions() at construction
-  };
 
   /// Count of mutations ever applied: +1 per node added, edge added, or
   /// edge removed, and +degree+1 for remove_node (its edge detachments

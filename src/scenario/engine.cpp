@@ -362,10 +362,9 @@ MetricsSnapshot CampaignEngine::compute_snapshot() {
   s.time = sim_.now();
   const graph::Graph& g = net_.graph();
 
-  // Structural fields come from the per-mutation tracker: O(1) plus the
-  // histogram copy, whether or not the window saw deletions (connectivity
-  // is fully dynamic) — byte-identical to the full sweep this replaced
-  // (sweep_structural).
+  // Structural fields come from the per-mutation tracker, which settles
+  // the window's deletions here with one search per affected component —
+  // byte-identical to the full sweep this replaced (sweep_structural).
   tracker_.fill(s, spec_.metrics.degree_histogram);
 
   if (spec_.metrics.diameter_sweeps > 0 && s.honest_alive >= 2)

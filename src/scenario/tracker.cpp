@@ -123,8 +123,7 @@ void StructuralTracker::on_node_removed(NodeId u) {
   ++events_seen_;
   if (net_.honest(u)) {
     // The graph detaches every incident edge before this fires, so the
-    // node sits in the degree-0 bucket by now (and, outside a batch, in
-    // a singleton component).
+    // node sits in the degree-0 bucket by now.
     --honest_alive_;
     shift_histogram(0, kNoBucket);
     dc_.remove_vertex(u);
@@ -170,15 +169,12 @@ void StructuralTracker::on_edge_removed(NodeId u, NodeId v) {
   }
   if (hu && hv) {
     --honest_edges_;
-    // The replacement-path search settles the split (or proves there is
-    // none) over the graph that has just dropped the edge: right now, or
-    // when the open batch closes.
+    // The next fill() settles the split (or proves there is none).
     dc_.remove_edge(u, v);
   }
 }
 
 void StructuralTracker::fill(MetricsSnapshot& s, bool with_histogram) {
-  ONION_EXPECTS_MSG(!dc_.in_batch(), "fill() inside an open graph batch");
   // Any mutation this tracker did not observe breaks every counter; the
   // epoch makes that loud instead of silently wrong.
   ONION_ENSURES_MSG(graph_.mutation_epoch() == base_epoch_ + events_seen_,
@@ -188,6 +184,7 @@ void StructuralTracker::fill(MetricsSnapshot& s, bool with_histogram) {
   s.honest_alive = honest_alive_;
   s.sybil_alive = sybil_alive_;
   s.honest_edges = honest_edges_;
+  dc_.settle();
   if (honest_alive_ > 0) {
     s.components = dc_.components();
     s.largest_component = dc_.largest_component();

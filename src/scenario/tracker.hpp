@@ -9,16 +9,15 @@
 // Components and the largest component live in a fully-dynamic
 // connectivity structure (graph::DynamicConnectivity) that searches the
 // overlay graph itself: insertions merge by weighted relabeling,
-// deletions run a replacement-path search over the honest neighbours.
-// The tracker forwards the graph's batch brackets, so a DDSR deletion
-// (delete, repair, prune, refill) is settled by one multi-frontier
-// search when its batch closes rather than one search per lost edge.
-// Takedown-heavy campaigns (the paper's Section V resilience sweeps) pay
-// per-event costs proportional to actual structural change, not to
-// graph size. tests/tracker_test.cpp proves byte-equality with the
-// from-scratch sweep across randomized join/leave/takedown/SOAP
-// interleavings; bench/micro_snapshot.cpp measures the deletion-window
-// gap versus the sweep.
+// deletions queue their endpoints. fill(), the tracker's one reader of
+// components, settles everything queued since the last snapshot with
+// one multi-frontier search per affected component, so a snapshot window
+// of many deletions, joins, refills and SOAP rounds pays one search per
+// component it touched rather than one per lost edge. Takedown-heavy
+// campaigns (the paper's Section V resilience sweeps) pay per-event
+// costs proportional to actual structural change, not to graph size.
+// tests/tracker_test.cpp proves byte-equality with the from-scratch
+// sweep across randomized join/leave/takedown/SOAP interleavings.
 //
 // The tracker also keeps an order-statistics bitmap over honest alive
 // slots, so the engine can draw a uniform honest victim in O(log n)
@@ -63,20 +62,17 @@ class StructuralTracker final : public graph::MutationObserver {
   StructuralTracker& operator=(const StructuralTracker&) = delete;
 
   // graph::MutationObserver — insertions are O(1) amortized (weighted-
-  // union relabeling); an honest-honest edge removal pays a replacement-
-  // path search bounded by the split-off sides, at once outside a batch
-  // and shared with the batch's other removals inside one.
+  // union relabeling); an honest-honest edge removal is O(1) and leaves
+  // its replacement-path search to the next fill().
   void on_node_added(NodeId u) override;
   void on_node_removed(NodeId u) override;
   void on_edge_added(NodeId u, NodeId v) override;
   void on_edge_removed(NodeId u, NodeId v) override;
-  void on_batch_begin() override { dc_.begin_batch(); }
-  void on_batch_end() override { dc_.end_batch(); }
 
-  /// Writes the structural fields into `s`: byte-identical to
-  /// sweep_structural() on the same state. Always O(1) plus the
-  /// histogram copy — deletions were folded in when their batch closed
-  /// (or at once, outside a batch). Precondition: no batch open.
+  /// Settles the deletions queued since the last fill, then writes the
+  /// structural fields into `s`: byte-identical to sweep_structural() on
+  /// the same state. O(1) plus the histogram copy, plus the settle's
+  /// searches when the window deleted honest edges.
   void fill(MetricsSnapshot& s, bool with_histogram);
 
   /// --- honest-population order statistics ----------------------------
@@ -90,6 +86,7 @@ class StructuralTracker final : public graph::MutationObserver {
 
   /// --- introspection (tests and benches) -----------------------------
   /// The underlying connectivity structure (search-step counters etc.).
+  /// Its component queries answer only after a fill().
   const graph::DynamicConnectivity& connectivity() const { return dc_; }
 
  private:

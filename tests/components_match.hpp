@@ -2,9 +2,10 @@
 // one graph: same tracked slots and edge count, same component count and
 // largest component, the same partition into components, and size
 // records that agree with that partition (so the size multisets match
-// too). Internal component ids may differ. Used by the batched-versus-
-// immediate differential tests in tests/dynconn_test.cpp and
-// tests/tracker_test.cpp, and by the bulk-attach test.
+// too). Internal component ids may differ. Both structures must be
+// settled. Used by the differential tests in tests/dynconn_test.cpp and
+// tests/tracker_test.cpp that compare one settle after many deletions
+// with settling after every removal, and by the bulk-attach test.
 #pragma once
 
 #include <gtest/gtest.h>

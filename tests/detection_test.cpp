@@ -14,6 +14,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "detection/dga_detector.hpp"
@@ -66,6 +68,26 @@ ReplayConfig onion_config(std::uint64_t seed) {
 
 TrafficTrace capture(const ReplayConfig& rc) {
   return replay_trace(campaign(), rc).trace;
+}
+
+/// True iff the browsing model emits `qname`: one of its popular sites,
+/// or a pseudo-word of two or three consonant-vowel syllables, both
+/// under ".example".
+bool browsing_name(const std::string& qname) {
+  static const std::set<std::string> kPopularSites = {
+      "search.example", "video.example", "social.example", "news.example",
+      "mail.example",   "shop.example",  "wiki.example",   "cdn.example"};
+  if (kPopularSites.count(qname) > 0) return true;
+  const std::string_view suffix = ".example";
+  const std::string_view name = qname;
+  if (!name.ends_with(suffix)) return false;
+  const std::string_view word = name.substr(0, name.size() - suffix.size());
+  if (word.size() != 4 && word.size() != 6) return false;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    const std::string_view letters = i % 2 == 0 ? "bcdfghklmnprstvw" : "aeiou";
+    if (letters.find(word[i]) == std::string_view::npos) return false;
+  }
+  return true;
 }
 
 // --- telemetry scoring ------------------------------------------------
@@ -189,14 +211,16 @@ TEST(Traffic, OnionBotEmitsNoBotDnsAndOnlyCellSizedTorFlows) {
       EXPECT_EQ(f.bytes % 512, 0u) << "Tor moves fixed-size cells";
     }
   }
-  // The bots browse like their human owners, but the *botnet* adds no
-  // DNS: every bot DNS record here comes from the browsing model, none
-  // from C&C (no .onion name ever reaches the resolver). With browsing
-  // disabled for this check we confirm zero non-browsing DNS:
+  // The bots browse like their human owners, but the botnet adds no DNS
+  // of its own: C&C runs over .onion names, which never reach the
+  // resolver. Every bot lookup is therefore a name browsing emits.
+  std::size_t bot_lookups = 0;
   for (const DnsRecord& r : trace.dns) {
-    // browsing emits benign names only; no bot C&C domain exists
-    EXPECT_TRUE(r.qname.find(".example") != std::string::npos);
+    if (bots.count(r.client) == 0) continue;
+    ++bot_lookups;
+    EXPECT_TRUE(browsing_name(r.qname)) << r.qname;
   }
+  EXPECT_GT(bot_lookups, 0u);
 }
 
 TEST(Traffic, BenignBackgroundHasNoInfectedHosts) {

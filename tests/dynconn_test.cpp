@@ -9,9 +9,10 @@
 // bridge); the property sweep differential-tests 12 seeds of randomized
 // operations, with untracked slots carrying graph edges, against a
 // from-scratch union-find reference over the tracked-tracked edges. The
-// batch suite compares deletions deferred to end_batch with the
-// immediate path after every batch (random interleavings, cut vertices
-// that split several ways) and pins the batch contract.
+// batch suite lets deletions queue across many mutations and compares
+// one settle() with the reference that settles after every removal
+// (random interleavings, cut vertices that split several ways), and pins
+// the rule that component queries wait for a settle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +30,8 @@ namespace onion::graph {
 namespace {
 
 /// A graph and the structure viewing it. Each operation is applied to
-/// the graph, then reported to the structure.
+/// the graph, then reported to the structure; an edge removal is settled
+/// at once, so every query may follow it.
 struct Mirror {
   Graph g;
   DynamicConnectivity dc{g};
@@ -43,10 +45,15 @@ struct Mirror {
     ASSERT_TRUE(added) << u << "-" << v;
     dc.insert_edge(u, v);
   }
-  void remove_edge(NodeId u, NodeId v) {
+  /// Removes the edge and reports it, leaving it queued.
+  void queue_remove_edge(NodeId u, NodeId v) {
     const bool removed = g.remove_edge(u, v);
     ASSERT_TRUE(removed) << u << "-" << v;
     dc.remove_edge(u, v);
+  }
+  void remove_edge(NodeId u, NodeId v) {
+    queue_remove_edge(u, v);
+    dc.settle();
   }
   /// Retires a vertex whose tracked edges were already removed; the
   /// graph drops any untracked edges it still has.
@@ -219,18 +226,13 @@ TEST(DynConn, SlotsAddedAfterConstructionAreSearchable) {
 }
 
 TEST(DynConn, RemovingNonIsolatedVertexIsRejected) {
-  // Outside a batch. 2 is an isolated bystander, so a size-1 component
-  // exists and only the singleton check itself can catch the bad call
-  // once the graph has dropped the node.
+  // The structure hears of a vertex's departure only after the graph
+  // has dropped it.
   Mirror m(3);
   DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 3; ++u) dc.insert_vertex(u);
   m.add_edge(0, 1);
   EXPECT_THROW(dc.remove_vertex(0), ContractViolation);  // still in g
-  // The graph dropping the node does not help while the edge removal
-  // was never reported: 0 still has a tracked neighbour.
-  m.g.remove_node(0);
-  EXPECT_THROW(dc.remove_vertex(0), ContractViolation);
   EXPECT_TRUE(dc.tracked(0));
   EXPECT_EQ(dc.components(), 2u);
 }
@@ -449,21 +451,23 @@ TEST(DynConnDifferential, CountersAreDeterministic) {
 }
 
 // ====================================================================
-// Batches: deletions settled at end_batch vs the immediate reference
+// Batches: many deletions, one settle, vs settling every removal
 // ====================================================================
 
 /// Observes a graph with two structures over the same slots: `immediate`
-/// settles every deletion at once and ignores batch brackets (the
-/// reference), `batched` follows them. Slots whose id is a multiple of
-/// `sybil_stride` (none when 0) are never tracked, but their edges stay
-/// in the graph. After every batch the two must agree with each other and
-/// with a union-find rebuild over the graph. Attach to an edgeless graph.
+/// settles after every edge removal (the reference), `lazy` only when
+/// settle() runs here, or after every removal too while `eager` is set.
+/// Slots whose id is a multiple of `sybil_stride` (none when 0) are never
+/// tracked, but their edges stay in the graph. After every settle the two
+/// must agree with each other and with a union-find rebuild over the
+/// graph. Attach to an edgeless graph.
 struct Twin final : MutationObserver {
   Graph& g;
   NodeId sybil_stride;
   DynamicConnectivity immediate{g};
-  DynamicConnectivity batched{g};
-  std::uint64_t batches = 0;
+  DynamicConnectivity lazy{g};
+  bool eager = false;
+  std::uint64_t settles = 0;
 
   Twin(Graph& graph, NodeId stride) : g(graph), sybil_stride(stride) {
     EXPECT_EQ(g.num_edges(), 0u);
@@ -480,33 +484,36 @@ struct Twin final : MutationObserver {
   void on_node_added(NodeId u) override {
     if (!tracked(u)) return;
     immediate.insert_vertex(u);
-    batched.insert_vertex(u);
+    lazy.insert_vertex(u);
   }
   void on_node_removed(NodeId u) override {
     if (!tracked(u)) return;
     immediate.remove_vertex(u);
-    batched.remove_vertex(u);
+    lazy.remove_vertex(u);
   }
   void on_edge_added(NodeId u, NodeId v) override {
     if (!tracked(u) || !tracked(v)) return;
     immediate.insert_edge(u, v);
-    batched.insert_edge(u, v);
+    lazy.insert_edge(u, v);
   }
   void on_edge_removed(NodeId u, NodeId v) override {
     if (!tracked(u) || !tracked(v)) return;
     immediate.remove_edge(u, v);
-    batched.remove_edge(u, v);
+    immediate.settle();
+    lazy.remove_edge(u, v);
+    if (eager) lazy.settle();
   }
-  void on_batch_begin() override { batched.begin_batch(); }
-  void on_batch_end() override {
-    batched.end_batch();
-    std::string where = "batch ";
-    where += std::to_string(++batches);
+
+  /// Settles `lazy` and checks it.
+  void settle() {
+    lazy.settle();
+    std::string where = "settle ";
+    where += std::to_string(++settles);
     check(where);
   }
 
   void check(const std::string& where) const {
-    expect_same_components(batched, immediate, g.capacity(), where);
+    expect_same_components(lazy, immediate, g.capacity(), where);
     std::vector<NodeId> vertices;
     std::vector<std::pair<NodeId, NodeId>> edges;
     for (const NodeId u : g.alive_nodes()) {
@@ -516,15 +523,16 @@ struct Twin final : MutationObserver {
         if (v > u && tracked(v)) edges.emplace_back(u, v);
     }
     const Reference ref = reference_of(vertices, edges, g.capacity());
-    ASSERT_EQ(batched.components(), ref.components) << where;
-    ASSERT_EQ(batched.largest_component(), ref.largest) << where;
+    ASSERT_EQ(lazy.components(), ref.components) << where;
+    ASSERT_EQ(lazy.largest_component(), ref.largest) << where;
   }
 };
 
 TEST(DynConnBatch, RandomInterleavingsMatchImmediate) {
-  // Rounds of 1-8 random mutations, three in four inside a batch: node
-  // births and deaths, edge insertions and removals, with every fifth
-  // slot an untracked Sybil whose edges are no path.
+  // Rounds of 1-8 random mutations: node births and deaths, edge
+  // insertions and removals, with every fifth slot an untracked Sybil
+  // whose edges are no path. Three rounds in four settle once at the
+  // end; the fourth settles after every removal.
   std::uint64_t multi_way = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
@@ -550,30 +558,30 @@ TEST(DynConnBatch, RandomInterleavingsMatchImmediate) {
     };
     for (int round = 0; round < 200 && !HasFailure(); ++round) {
       if (rng.uniform(4) == 0) {
+        twin.eager = true;
         mutate();
+        twin.eager = false;
         std::string where = "seed ";
         where += std::to_string(seed);
-        where += " unbatched round";
+        where += " eager round";
         twin.check(where);
         continue;
       }
-      const std::uint64_t before = twin.batched.components();
-      {
-        const Graph::Batch batch(g);
-        mutate();
-      }
-      if (twin.batched.components() >= before + 2) ++multi_way;
+      const std::uint64_t before = twin.lazy.components();
+      mutate();
+      twin.settle();
+      if (twin.lazy.components() >= before + 2) ++multi_way;
     }
-    EXPECT_GT(twin.batches, 100u) << "seed " << seed;
-    EXPECT_GT(twin.batched.splits(), 0u) << "seed " << seed;
+    EXPECT_GT(twin.settles, 100u) << "seed " << seed;
+    EXPECT_GT(twin.lazy.splits(), 0u) << "seed " << seed;
   }
-  EXPECT_GT(multi_way, 0u) << "no batch split a component several ways";
+  EXPECT_GT(multi_way, 0u) << "no settle split a component several ways";
 }
 
 TEST(DynConnBatch, CutVertexSplitsSeveralWays) {
-  // Three 4-cliques hang off hub 0, two edges each. Deleting the hub in
-  // one batch leaves three pieces from one search: two split off, the
-  // last keeps the label, and the dying hub is no split at all. The
+  // Three 4-cliques hang off hub 0, two edges each. Deleting the hub and
+  // then settling leaves three pieces from one search: two split off,
+  // the last keeps the label, and the dead hub is no split at all. The
   // immediate reference splits each clique off as its second hub edge
   // goes, then the hub itself.
   Graph g(13);
@@ -584,83 +592,68 @@ TEST(DynConnBatch, CutVertexSplitsSeveralWays) {
     g.add_edge(0, c);
     g.add_edge(0, c + 1);
   }
-  {
-    const Graph::Batch batch(g);
-    g.remove_node(0);
-  }
-  EXPECT_EQ(twin.batched.components(), 3u);
-  EXPECT_EQ(twin.batched.largest_component(), 4u);
-  EXPECT_EQ(twin.batched.splits(), 2u);
+  g.remove_node(0);
+  twin.settle();
+  EXPECT_EQ(twin.lazy.components(), 3u);
+  EXPECT_EQ(twin.lazy.largest_component(), 4u);
+  EXPECT_EQ(twin.lazy.splits(), 2u);
   EXPECT_EQ(twin.immediate.splits(), 3u);
 }
 
 TEST(DynConnBatch, ChainCutAtSeveralVerticesInOneBatch) {
-  // A 12-vertex path loses vertices 3, 7 and 10 in one batch: four
+  // A 12-vertex path loses vertices 3, 7 and 10 before one settle: four
   // pieces ({0,1,2} {4,5,6} {8,9} {11}), three of them split off.
   Graph g(12);
   Twin twin(g, 0);
   for (NodeId u = 0; u + 1 < 12; ++u) g.add_edge(u, u + 1);
-  {
-    const Graph::Batch batch(g);
-    for (const NodeId u : {3u, 7u, 10u}) g.remove_node(u);
-  }
-  EXPECT_EQ(twin.batched.components(), 4u);
-  EXPECT_EQ(twin.batched.largest_component(), 3u);
-  EXPECT_EQ(twin.batched.splits(), 3u);
-  EXPECT_EQ(twin.batches, 1u);
+  for (const NodeId u : {3u, 7u, 10u}) g.remove_node(u);
+  twin.settle();
+  EXPECT_EQ(twin.lazy.components(), 4u);
+  EXPECT_EQ(twin.lazy.largest_component(), 3u);
+  EXPECT_EQ(twin.lazy.splits(), 3u);
+  EXPECT_EQ(twin.settles, 1u);
 }
 
 TEST(DynConnBatch, DyingVertexIsNotASplit) {
-  // On a cycle, deleting a vertex splits nothing. Outside a batch the
-  // search still splits the dying vertex off with its last edge.
+  // On a cycle, deleting a vertex splits nothing. Settling after every
+  // removal still splits the dying vertex off with its last edge.
   Graph g(6);
   Twin twin(g, 0);
   for (NodeId u = 0; u < 6; ++u) g.add_edge(u, (u + 1) % 6);
-  {
-    const Graph::Batch batch(g);
-    g.remove_node(2);
-  }
-  EXPECT_EQ(twin.batched.splits(), 0u);
+  g.remove_node(2);
+  twin.settle();
+  EXPECT_EQ(twin.lazy.splits(), 0u);
   EXPECT_EQ(twin.immediate.splits(), 1u);
-  EXPECT_EQ(twin.batched.components(), 1u);
-  EXPECT_GT(twin.batched.search_steps(), 0u);
-}
-
-TEST(DynConnBatchContract, NestedBeginAndUnmatchedEndAreRejected) {
-  Mirror m(2);
-  DynamicConnectivity& dc = m.dc;
-  dc.begin_batch();
-  EXPECT_THROW(dc.begin_batch(), ContractViolation);
-  EXPECT_TRUE(dc.in_batch());
-  dc.end_batch();
-  EXPECT_FALSE(dc.in_batch());
-  EXPECT_THROW(dc.end_batch(), ContractViolation);
+  EXPECT_EQ(twin.lazy.components(), 1u);
+  EXPECT_GT(twin.lazy.search_steps(), 0u);
 }
 
 TEST(DynConnBatchContract, ComponentQueriesWaitForTheBatchToClose) {
-  // Inside a batch labels may be too coarse, so component answers are
-  // refused; vertex and edge counts stay exact. A vertex whose stale
-  // component is not a singleton may leave.
+  // While deletions are queued, labels may be too coarse, so component
+  // answers are refused; vertex and edge counts stay exact. A vertex
+  // whose stale component is not a singleton may leave.
   Mirror m(4);
   DynamicConnectivity& dc = m.dc;
   for (NodeId u = 0; u < 4; ++u) dc.insert_vertex(u);
   m.add_edge(0, 1);
   m.add_edge(1, 2);
   m.add_edge(2, 3);
-  dc.begin_batch();
-  m.remove_edge(0, 1);
-  m.remove_edge(1, 2);
+  m.queue_remove_edge(0, 1);
+  m.queue_remove_edge(1, 2);
   EXPECT_THROW(dc.components(), ContractViolation);
   EXPECT_THROW(dc.largest_component(), ContractViolation);
   EXPECT_THROW(dc.component_size(0), ContractViolation);
   EXPECT_THROW(dc.same_component(0, 3), ContractViolation);
   EXPECT_EQ(dc.num_edges(), 1u);
-  m.remove_vertex(1);  // stale component {0,1,2,3}: accepted in a batch
+  m.remove_vertex(1);  // stale component {0,1,2,3}: accepted
   EXPECT_EQ(dc.num_vertices(), 3u);
-  dc.end_batch();
+  dc.settle();
   EXPECT_EQ(dc.components(), 2u);  // {0} {2,3}
   EXPECT_EQ(dc.largest_component(), 2u);
   EXPECT_EQ(dc.splits(), 1u);
+  const std::uint64_t steps = dc.search_steps();
+  dc.settle();  // nothing queued: no search
+  EXPECT_EQ(dc.search_steps(), steps);
 }
 
 }  // namespace

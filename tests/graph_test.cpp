@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
@@ -122,9 +121,7 @@ struct RecordingObserver final : MutationObserver {
     kNodeAdded,
     kNodeRemoved,
     kEdgeAdded,
-    kEdgeRemoved,
-    kBatchBegin,
-    kBatchEnd
+    kEdgeRemoved
   };
   struct Event {
     Kind kind;
@@ -147,18 +144,6 @@ struct RecordingObserver final : MutationObserver {
   void on_edge_removed(NodeId u, NodeId v) override {
     events.push_back({kEdgeRemoved, u, v});
     if (graph != nullptr) degree_at_removal.push_back(graph->degree(u));
-  }
-  void on_batch_begin() override {
-    events.push_back({kBatchBegin, kInvalidNode, kInvalidNode});
-  }
-  void on_batch_end() override {
-    events.push_back({kBatchEnd, kInvalidNode, kInvalidNode});
-  }
-
-  std::vector<Kind> kinds() const {
-    std::vector<Kind> out;
-    for (const Event& e : events) out.push_back(e.kind);
-    return out;
   }
 };
 
@@ -200,69 +185,6 @@ TEST(GraphObserver, RemoveNodeDecomposesIntoEdgeRemovalsThenNodeRemoval) {
   // Each callback saw the post-removal degree: 2, then 1, then 0 — the
   // graph is consistent *during* the decomposed removal.
   EXPECT_EQ(obs.degree_at_removal, (std::vector<std::size_t>{2, 1, 0}));
-}
-
-TEST(GraphObserver, BatchBracketsTheMutationsInside) {
-  using R = RecordingObserver;
-  Graph g(3);
-  R obs;
-  g.set_observer(&obs);
-  {
-    const Graph::Batch batch(g);
-    g.add_edge(0, 1);
-    g.remove_node(1);
-  }
-  EXPECT_EQ(obs.kinds(), (std::vector<R::Kind>{R::kBatchBegin, R::kEdgeAdded,
-                                               R::kEdgeRemoved,
-                                               R::kNodeRemoved, R::kBatchEnd}));
-  // The observer that heard the begin hears the end only while attached.
-  obs.events.clear();
-  {
-    const Graph::Batch batch(g);
-    g.set_observer(nullptr);
-  }
-  EXPECT_EQ(obs.kinds(), std::vector<R::Kind>{R::kBatchBegin});
-}
-
-TEST(GraphObserver, BatchClosesWhileAnExceptionUnwinds) {
-  using R = RecordingObserver;
-  Graph g(2);
-  R obs;
-  g.set_observer(&obs);
-  EXPECT_THROW(
-      {
-        const Graph::Batch batch(g);
-        g.remove_node(0);
-        g.remove_node(0);  // already dead
-      },
-      ContractViolation);
-  EXPECT_EQ(obs.kinds(), (std::vector<R::Kind>{R::kBatchBegin, R::kNodeRemoved,
-                                               R::kBatchEnd}));
-}
-
-TEST(GraphObserver, BatchCloseErrorNeverMasksTheExceptionInFlight) {
-  struct ThrowingClose final : MutationObserver {
-    void on_node_added(NodeId) override {}
-    void on_node_removed(NodeId) override {}
-    void on_edge_added(NodeId, NodeId) override {}
-    void on_edge_removed(NodeId, NodeId) override {}
-    void on_batch_end() override { throw ContractViolation("close"); }
-  };
-  Graph g(1);
-  ThrowingClose obs;
-  g.set_observer(&obs);
-  // Closing normally, the observer's error reaches the caller.
-  EXPECT_THROW({ const Graph::Batch batch(g); }, ContractViolation);
-  // While unwinding, it is logged and the first exception propagates.
-  const LogLevel level = log_level();
-  set_log_level(LogLevel::Off);
-  EXPECT_THROW(
-      {
-        const Graph::Batch batch(g);
-        throw std::runtime_error("first");
-      },
-      std::runtime_error);
-  set_log_level(level);
 }
 
 TEST(GraphObserver, SecondObserverRejectedUntilDetach) {

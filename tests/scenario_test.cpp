@@ -1,8 +1,12 @@
 // Scenario campaign engine tests: the golden-determinism contract
 // (equal spec + equal seed => byte-identical snapshot stream; different
 // seed => different stream), snapshot cadence and semantics, attack
-// phases, defense toggles, and sink behavior.
+// phases, defense toggles, sink behavior, and the tracker's settled
+// connectivity against the from-scratch sweep at every snapshot of
+// random campaigns.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "scenario/engine.hpp"
 
@@ -810,6 +814,109 @@ TEST(ChargedHealing, ShiftsRepairEconomicsUnderActiveDefenses) {
   // ...while honest bots now pay proof-of-work for their own healing.
   EXPECT_GT(charged.overlay().honest_work_spent(),
             uncharged.overlay().honest_work_spent());
+}
+
+// ====================================================================
+// Settled connectivity: every snapshot against the sweep
+// ====================================================================
+
+/// Holds the engine it listens to and compares each snapshot's
+/// structural fields with sweep_structural() of the overlay at that
+/// moment: the tracker settles the window's deletions in its fill, so a
+/// window of joins, leaves, takedowns, refills and SOAP rounds meets the
+/// oracle once, at its end.
+class SweepCheckSink final : public SnapshotSink {
+ public:
+  void listen_to(const CampaignEngine& engine) { engine_ = &engine; }
+  std::size_t snapshots() const { return snapshots_; }
+  std::uint64_t max_sybils() const { return max_sybils_; }
+
+  void on_snapshot(const MetricsSnapshot& s) override {
+    ++snapshots_;
+    max_sybils_ = std::max(max_sybils_, s.sybil_alive);
+    const MetricsSnapshot sweep = sweep_structural(
+        engine_->overlay(), engine_->spec().metrics.degree_histogram);
+    MetricsSnapshot structural;
+    structural.honest_alive = s.honest_alive;
+    structural.sybil_alive = s.sybil_alive;
+    structural.honest_edges = s.honest_edges;
+    structural.components = s.components;
+    structural.largest_component = s.largest_component;
+    structural.largest_fraction = s.largest_fraction;
+    structural.average_degree = s.average_degree;
+    structural.degree_histogram = s.degree_histogram;
+    EXPECT_EQ(codec::encode(structural), codec::encode(sweep))
+        << "seed " << engine_->spec().seed << " t=" << s.time
+        << ": tracker " << s.components << " components, sweep "
+        << sweep.components;
+  }
+
+ private:
+  const CampaignEngine* engine_ = nullptr;
+  std::size_t snapshots_ = 0;
+  std::uint64_t max_sybils_ = 0;
+};
+
+/// A small campaign with every kind of mutation: pooled or session
+/// churn (healed or not), a SOAP phase, and two or three takedown waves
+/// under a rate limit, with charged healing on half the seeds.
+ScenarioSpec random_spec(std::uint64_t seed) {
+  Rng rng(seed);
+  ScenarioSpec spec;
+  spec.seed = seed;
+  spec.initial_size = 150 + 2 * rng.uniform(75);  // n * degree even
+  spec.degree = 4 + rng.uniform(5);
+  spec.horizon = 40 * kMinute;
+  spec.churn.joins_per_hour = static_cast<double>(60 + rng.uniform(240));
+  spec.churn.leaves_per_hour = static_cast<double>(60 + rng.uniform(240));
+  spec.churn.heal_on_leave = rng.uniform(4) != 0;
+  spec.churn.session_leaves = rng.uniform(2) == 0;
+  spec.churn.session.model = static_cast<SessionModel>(rng.uniform(3));
+  spec.churn.session.mean_hours = 0.5;
+  AttackPhase soap;
+  soap.kind = AttackKind::SoapInjection;
+  soap.start = 10 * kMinute;
+  soap.stop = 25 * kMinute;
+  soap.soap_rounds_per_tick = 1 + rng.uniform(2);
+  spec.attacks.push_back(soap);
+  AttackWave wave;
+  wave.attack.kind = rng.uniform(2) == 0 ? AttackKind::RandomTakedown
+                                         : AttackKind::AdaptiveTakedown;
+  wave.attack.rank = RankMetric::Degree;
+  wave.attack.refresh_period = rng.uniform(2) * 5 * kMinute;
+  wave.attack.takedowns_per_hour = static_cast<double>(60 + rng.uniform(240));
+  wave.attack.heal = rng.uniform(3) != 0;
+  wave.duration = 8 * kMinute;
+  wave.quiet_after = 3 * kMinute;
+  spec.waves.start = 2 * kMinute;
+  spec.waves.waves.assign(2 + rng.uniform(2), wave);
+  spec.defense.rate_limit_per_round = 2 + rng.uniform(3);
+  spec.defense.charge_healing = rng.uniform(2) == 0;
+  spec.metrics.period = (2 + rng.uniform(8)) * kMinute;
+  spec.metrics.degree_histogram = rng.uniform(2) == 0;
+  return spec;
+}
+
+TEST(SettledConnectivity, EverySnapshotMatchesTheSweepOnRandomCampaigns) {
+  std::size_t snapshots = 0;
+  std::size_t events = 0;
+  std::uint64_t splits = 0;
+  std::uint64_t sybils = 0;
+  for (std::uint64_t seed = 1; seed <= 12 && !HasFailure(); ++seed) {
+    SweepCheckSink sink;
+    CampaignEngine engine(random_spec(seed), sink);
+    sink.listen_to(engine);
+    engine.run();
+    snapshots += sink.snapshots();
+    events += engine.events_executed();
+    splits += engine.tracker().connectivity().splits();
+    sybils = std::max(sybils, sink.max_sybils());
+  }
+  // The windows are wide, the settles split components, and SOAP clones
+  // were alive at some snapshot.
+  EXPECT_GT(events, 10 * snapshots);
+  EXPECT_GT(splits, 0u);
+  EXPECT_GT(sybils, 0u);
 }
 
 }  // namespace

@@ -5,10 +5,10 @@
 // across many seeds), the fully-dynamic component scheme (deletion
 // windows update connectivity in place), the honest
 // order-statistics used for engine victim draws, the attach/detach
-// contract, and DDSR batches (every batch the tracker settles at its end
-// must match an immediate structure on the same overlay, also on SOAP-ed
-// overlays and unpruned DDSR runs; a seeded overlay pins the search
-// steps per deletion).
+// contract, and settled deletions (every fill settles what the tracker
+// queued, and must match a structure that settles after every removal on
+// the same overlay, also on SOAP-ed overlays and unpruned DDSR runs; a
+// seeded overlay pins the search steps per deletion).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +32,7 @@ using core::OverlayNetwork;
 using graph::NodeId;
 
 constexpr std::size_t kDegree = 6;
+constexpr std::size_t kCostDeletions = 400;
 
 OverlayNetwork make_overlay(std::size_t n, Rng& rng) {
   OverlayConfig config;
@@ -378,8 +379,8 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
     }
 
     // One shared deletion sequence, applied to the graph first and then
-    // reported to both structures. They search the same adjacency, so
-    // even the cost counters must agree.
+    // reported to both structures, which settle after each op. They
+    // search the same adjacency, so even the cost counters must agree.
     const auto remove_edge = [&](NodeId u, NodeId v) {
       ASSERT_TRUE(g.remove_edge(u, v)) << where << " " << u << "-" << v;
       bulk.remove_edge(u, v);
@@ -407,6 +408,8 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
         bulk.remove_vertex(u);
         seq.remove_vertex(u);
       }
+      bulk.settle();
+      seq.settle();
       const std::string at = where + " op " + std::to_string(op);
       ASSERT_EQ(bulk.splits(), seq.splits()) << at;
       ASSERT_EQ(bulk.search_steps(), seq.search_steps()) << at;
@@ -417,15 +420,15 @@ TEST(TrackerAttach, BulkLoadMatchesSequentialInsertsOnSoapedOverlays) {
 }
 
 // ====================================================================
-// DDSR batches: settled once per deletion, checked against immediate
+// Settled deletions: one settle per fill, checked against immediate
 // ====================================================================
 
 /// Stands between the graph and a tracker: forwards every callback to
-/// the tracker, whose connectivity follows the batch brackets, and feeds
-/// an immediate DynamicConnectivity over the same honest slots, which
-/// settles each deletion at once. When a batch closes, the two must
-/// partition alike and the tracker must fill byte-identically to the
-/// from-scratch sweep.
+/// the tracker, which queues deletions until its next fill, and feeds an
+/// immediate DynamicConnectivity over the same honest slots, which
+/// settles after every edge removal. A check fills the tracker, which
+/// must match the from-scratch sweep byte for byte and then partition
+/// like the immediate structure.
 class ImmediateTee final : public graph::MutationObserver {
  public:
   ImmediateTee(OverlayNetwork& net, StructuralTracker& tracker)
@@ -441,9 +444,6 @@ class ImmediateTee final : public graph::MutationObserver {
   ImmediateTee(const ImmediateTee&) = delete;
   ImmediateTee& operator=(const ImmediateTee&) = delete;
 
-  std::uint64_t batches() const { return batches_; }
-  const graph::DynamicConnectivity& immediate() const { return immediate_; }
-
   void on_node_added(NodeId u) override {
     tracker_.on_node_added(u);
     if (net_.honest(u)) immediate_.insert_vertex(u);
@@ -458,35 +458,29 @@ class ImmediateTee final : public graph::MutationObserver {
   }
   void on_edge_removed(NodeId u, NodeId v) override {
     tracker_.on_edge_removed(u, v);
-    if (net_.honest(u) && net_.honest(v)) immediate_.remove_edge(u, v);
-  }
-  void on_batch_begin() override { tracker_.on_batch_begin(); }
-  void on_batch_end() override {
-    tracker_.on_batch_end();
-    std::string where = "batch ";
-    where += std::to_string(++batches_);
-    check(where);
+    if (!net_.honest(u) || !net_.honest(v)) return;
+    immediate_.remove_edge(u, v);
+    immediate_.settle();
   }
 
   void check(const std::string& where) {
-    graph::expect_same_components(tracker_.connectivity(), immediate_,
-                                  net_.graph().capacity(), where);
     MetricsSnapshot s;
     tracker_.fill(s, /*with_histogram=*/true);
     ASSERT_EQ(codec::encode(s), codec::encode(sweep_structural(net_, true)))
         << where;
+    graph::expect_same_components(tracker_.connectivity(), immediate_,
+                                  net_.graph().capacity(), where);
   }
 
  private:
   OverlayNetwork& net_;
   StructuralTracker& tracker_;
   graph::DynamicConnectivity immediate_;
-  std::uint64_t batches_ = 0;
 };
 
 TEST(TrackerBatch, MatchesImmediateOnSoapedOverlays) {
-  // The random_op vocabulary: healed and unhealed DDSR deletions are
-  // batches; joins, refills, Sybil clones and SOAP bursts are not.
+  // Windows of eight random_op calls (DDSR deletions, joins, refills,
+  // Sybil clones and SOAP bursts), each settled by one fill.
   for (std::uint64_t seed = 1; seed <= 12 && !HasFailure(); ++seed) {
     Rng rng(seed);
     OverlayNetwork net = make_overlay(120, rng);
@@ -509,7 +503,7 @@ TEST(TrackerBatch, MatchesImmediateOnSoapedOverlays) {
       else if (!net.honest(u))
         ++sybils;
     }
-    EXPECT_GT(tee.batches(), 50u) << "seed " << seed;
+    EXPECT_GT(tracker.connectivity().search_steps(), 0u) << "seed " << seed;
     EXPECT_GT(sybils, 0u) << "seed " << seed;
     EXPECT_GT(dead, 0u) << "seed " << seed;
   }
@@ -517,8 +511,9 @@ TEST(TrackerBatch, MatchesImmediateOnSoapedOverlays) {
 
 TEST(TrackerBatch, UnprunedDdsrSettlesHundredsOfFrontiers) {
   // Without pruning, clique repair grows degrees into the hundreds, so a
-  // deletion's batch queues hundreds of endpoints in one component: one
-  // search with that many frontiers. Every fifth deletion is unhealed.
+  // deletion queues hundreds of endpoints in one component: one search
+  // with that many frontiers at the next fill. Every fifth deletion is
+  // unhealed.
   Rng rng(21);
   OverlayNetwork net = make_overlay(300, rng);
   DdsrPolicy unpruned = policy();
@@ -534,36 +529,18 @@ TEST(TrackerBatch, UnprunedDdsrSettlesHundredsOfFrontiers) {
       ddsr.remove_node_no_repair(victim);
     else
       ddsr.remove_node(victim);
+    std::string where = "deletion ";
+    where += std::to_string(i);
+    tee.check(where);
   }
-  EXPECT_EQ(tee.batches(), 200u);
   EXPECT_GE(widest, 100u);
 }
 
-TEST(TrackerBatch, FillInsideAnOpenBatchIsRejected) {
-  Rng rng(14);
-  OverlayNetwork net = make_overlay(20, rng);
-  StructuralTracker tracker(net);
-  MetricsSnapshot s;
-  {
-    const graph::Graph::Batch batch(net.graph_mut());
-    net.retire(net.honest_nodes().front());
-    EXPECT_THROW(tracker.fill(s, true), ContractViolation);
-    EXPECT_THROW(graph::Graph::Batch nested(net.graph_mut()),
-                 ContractViolation);
-  }
-  tracker.fill(s, true);  // closed: exact again
-  EXPECT_EQ(s.honest_alive, 19u);
-  EXPECT_EQ(codec::encode(s), codec::encode(sweep_structural(net, true)));
-}
-
-TEST(TrackerCost, StepsPerHealedDeletionOnASeededOverlay) {
-  // 20k bots at degree 10, 400 healed DDSR deletions (repair, prune and
-  // refill) of distinct random bots. Deterministic, so the figure is a
-  // pure regression guard. Settling each deletion's batch in one search
-  // reads 59.5 steps per deletion here; one immediate search per lost
-  // edge read 483. The bound is 100.
+/// Search steps of 400 healed DDSR deletions (repair, prune and refill)
+/// of distinct random bots on a seeded 20k-bot overlay at degree 10,
+/// settled by a fill after every deletion or by one fill at the end.
+std::uint64_t steps_of_seeded_deletions(bool fill_each) {
   constexpr std::size_t kBots = 20'000;
-  constexpr std::size_t kDeletions = 400;
   Rng rng(0x5eed);
   OverlayConfig config;
   config.dmin = 10;
@@ -574,16 +551,36 @@ TEST(TrackerCost, StepsPerHealedDeletionOnASeededOverlay) {
   p.dmax = 10;
   DdsrEngine ddsr(net.graph_mut(), p, rng);
   StructuralTracker tracker(net);
-  for (const NodeId v : rng.sample(net.honest_nodes(), kDeletions))
-    ddsr.remove_node(v);
-  const double per_deletion =
-      static_cast<double>(tracker.connectivity().search_steps()) /
-      static_cast<double>(kDeletions);
-  EXPECT_LE(per_deletion, 100.0);
-  EXPECT_EQ(tracker.connectivity().splits(), 0u);
   MetricsSnapshot s;
+  for (const NodeId v : rng.sample(net.honest_nodes(), kCostDeletions)) {
+    ddsr.remove_node(v);
+    if (fill_each) tracker.fill(s, /*with_histogram=*/false);
+  }
   tracker.fill(s, /*with_histogram=*/false);
-  EXPECT_EQ(s.honest_alive, kBots - kDeletions);
+  EXPECT_EQ(s.honest_alive, kBots - kCostDeletions);
+  EXPECT_EQ(tracker.connectivity().splits(), 0u);
+  return tracker.connectivity().search_steps();
+}
+
+TEST(TrackerCost, StepsPerHealedDeletionOnASeededOverlay) {
+  // Deterministic, so the figure is a pure regression guard. A fill
+  // after every deletion settles each deletion in one search: 23,647
+  // steps, 59.1 per deletion. One search per lost edge read 483 per
+  // deletion. The bound is 100.
+  const double per_deletion =
+      static_cast<double>(steps_of_seeded_deletions(/*fill_each=*/true)) /
+      static_cast<double>(kCostDeletions);
+  EXPECT_LE(per_deletion, 100.0);
+}
+
+TEST(TrackerCost, OneFillSettlesEveryDeletionAtOnce) {
+  // The same deletions settled by one fill at the end: the queued
+  // endpoints of all 400 deletions share one search, 1,746 steps or 4.4
+  // per deletion. The bound is 10.
+  const double per_deletion =
+      static_cast<double>(steps_of_seeded_deletions(/*fill_each=*/false)) /
+      static_cast<double>(kCostDeletions);
+  EXPECT_LE(per_deletion, 10.0);
 }
 
 }  // namespace
