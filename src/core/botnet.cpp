@@ -3,11 +3,17 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "core/eviction.hpp"
 #include "crypto/elligator_sim.hpp"
 #include "crypto/sha1.hpp"
 #include "graph/generators.hpp"
 
 namespace onion::core {
+
+// Ranks a peer-table entry by the degree the peer declared.
+constexpr auto declared_degree = [](const Bot::PeerTable::value_type& peer) {
+  return peer.second.declared_degree;
+};
 
 // ====================================================================
 // Bot
@@ -94,18 +100,12 @@ Bytes Bot::on_peer_request(const PeerRequestMsg& m) {
   } else {
     // Full: evict the highest-declared-degree peer iff the requester
     // undercuts it (the acceptance rule SOAP exploits; Figure 7 step 4).
-    auto victim = peers_.end();
-    std::uint16_t worst = 0;
-    for (auto it = peers_.begin(); it != peers_.end(); ++it) {
-      if (it->second.declared_degree >= worst) {
-        worst = it->second.declared_degree;
-        victim = it;
-      }
-    }
-    if (victim != peers_.end() && m.declared_degree < worst) {
-      const tor::OnionAddress dropped = victim->first;
-      peers_.erase(victim);
-      send(dropped, encode_peer_drop(PeerDropMsg{address_}));
+    // An empty table ranks at degree 0, which no requester undercuts.
+    // Under probing the eviction waits for the requester's answer
+    // (challenge_new_peer), so a clone never costs an honest link.
+    const auto worst = highest_degree_peer(peers_, declared_degree, rng_);
+    if (m.declared_degree < worst.degree) {
+      if (!config_.probe_peers) drop_peer(worst.peer);
       accepted = true;
     }
   }
@@ -132,7 +132,12 @@ void Bot::on_peer_drop(const PeerDropMsg& m) {
 
 void Bot::on_non_share(const NoNShareMsg& m) {
   const auto it = peers_.find(m.from);
-  if (it == peers_.end()) return;  // not a peer: ignore strangers
+  if (it == peers_.end()) {
+    // A stranger listing us holds a half-open entry (a PeerDrop landing
+    // after the two bots peered again leaves one): close it there too.
+    send(m.from, encode_peer_drop(PeerDropMsg{address_}));
+    return;
+  }
   it->second.neighbors = m.neighbors;
   it->second.declared_degree = m.declared_degree;
   it->second.last_seen = net_.simulator().now();
@@ -260,65 +265,59 @@ void Bot::heartbeat() {
   targets.reserve(peers_.size());
   for (const auto& [addr, unused] : peers_) targets.push_back(addr);
   for (const auto& addr : targets) {
-    if (config_.probe_peers) {
-      // §VII-A probing: keyed challenge; a wrong answer is a clone and
-      // is dropped immediately (not merely after dead-ping strikes).
-      Bytes nonce(16);
-      for (auto& b : nonce) b = static_cast<std::uint8_t>(rng_.next_u64());
-      const Bytes envelope = crypto::uniform_encode(
-          net_.master().group_key(), nonce, rng_);
-      const Bytes expected =
-          probe_challenge_answer(net_.master().group_key(), nonce);
-      send(addr, encode_probe_challenge(envelope),
-           [this, addr, expected](const tor::ConnectResult& r) {
-             if (!alive_) return;
-             const auto it = peers_.find(addr);
-             if (it == peers_.end()) return;
-             if (r.ok && r.reply == expected) {
-               it->second.failed_pings = 0;
-               it->second.last_seen = net_.simulator().now();
-             } else if (r.ok) {
-               // Reachable but cannot answer: a clone. Forget it now.
-               peers_.erase(it);
-               refill_if_needed();
-             } else if (++it->second.failed_pings >=
-                        kPingFailuresForDead) {
-               peer_died(addr);
-             }
-           });
-      continue;
-    }
-    send(addr, encode_ping(), [this, addr](const tor::ConnectResult& r) {
-      if (!alive_) return;
+    auto on_reply = [this, addr](bool reachable, bool answered) {
       const auto it = peers_.find(addr);
       if (it == peers_.end()) return;
-      if (r.ok) {
+      if (answered) {
         it->second.failed_pings = 0;
         it->second.last_seen = net_.simulator().now();
+      } else if (reachable) {
+        // Reachable but cannot answer the challenge: a clone. Forget it
+        // now, not merely after dead-ping strikes.
+        peers_.erase(it);
+        refill_if_needed();
       } else if (++it->second.failed_pings >= kPingFailuresForDead) {
         peer_died(addr);
       }
-    });
+    };
+    // §VII-A probing replaces the plain ping with the keyed challenge.
+    if (config_.probe_peers) {
+      challenge(addr, std::move(on_reply));
+    } else {
+      send(addr, encode_ping(),
+           [this, on_reply = std::move(on_reply)](
+               const tor::ConnectResult& r) {
+             if (alive_) on_reply(r.ok, r.ok);
+           });
+    }
   }
   net_.simulator().schedule_in(config_.heartbeat_interval,
                                [this] { heartbeat(); });
 }
 
-void Bot::challenge_new_peer(const tor::OnionAddress& addr) {
-  if (!config_.probe_peers) return;
+void Bot::challenge(const tor::OnionAddress& to,
+                    std::function<void(bool, bool)> then) {
   Bytes nonce(16);
   for (auto& b : nonce) b = static_cast<std::uint8_t>(rng_.next_u64());
   const Bytes envelope =
       crypto::uniform_encode(net_.master().group_key(), nonce, rng_);
-  const Bytes expected =
-      probe_challenge_answer(net_.master().group_key(), nonce);
-  send(addr, encode_probe_challenge(envelope),
-       [this, addr, expected](const tor::ConnectResult& r) {
-         if (!alive_) return;
-         if (r.ok && r.reply == expected) return;  // verified honest
-         // Wrong answer or unreachable: never adopt.
-         if (peers_.erase(addr) > 0) refill_if_needed();
+  send(to, encode_probe_challenge(envelope),
+       [this, then = std::move(then),
+        expected = probe_challenge_answer(net_.master().group_key(),
+                                          nonce)](
+           const tor::ConnectResult& r) {
+         if (alive_) then(r.ok, r.ok && r.reply == expected);
        });
+}
+
+void Bot::challenge_new_peer(const tor::OnionAddress& addr) {
+  if (!config_.probe_peers) return;
+  challenge(addr, [this, addr](bool, bool answered) {
+    if (answered)
+      prune_if_needed();  // the eviction on_peer_request deferred
+    else if (peers_.erase(addr) > 0)
+      refill_if_needed();  // wrong answer or unreachable: never adopt
+  });
 }
 
 void Bot::schedule_non_share() {
@@ -378,28 +377,12 @@ void Bot::peer_died(const tor::OnionAddress& dead) {
   // through NoN exchange (paper §IV-C "Repairing").
   const std::vector<tor::OnionAddress> former = it->second.neighbors;
   peers_.erase(it);
-
-  PeerRequestMsg req;
-  req.from = address_;
-  req.declared_degree = static_cast<std::uint16_t>(degree());
   for (const auto& candidate : former) {
     if (candidate == address_ || candidate == dead) continue;
     if (peers_.count(candidate) > 0) continue;
-    send(candidate, encode_peer_request(req),
-         [this, candidate](const tor::ConnectResult& r) {
-           if (!alive_ || !r.ok) return;
-           try {
-             const PeerReplyMsg reply = parse_peer_reply(r.reply);
-             if (!reply.accepted) return;
-             PeerInfo& info = peers_[candidate];
-             info.declared_degree = reply.declared_degree;
-             info.last_seen = net_.simulator().now();
-             info.neighbors = reply.neighbors;
-             challenge_new_peer(candidate);
-             prune_if_needed();
-           } catch (const WireError&) {
-           }
-         });
+    ask_peer(candidate, [this](bool adopted) {
+      if (adopted) prune_if_needed();
+    });
   }
   refill_if_needed();
 }
@@ -407,15 +390,14 @@ void Bot::peer_died(const tor::OnionAddress& dead) {
 void Bot::prune_if_needed() {
   // Pruning (paper §IV-C): shed highest-declared-degree peers until back
   // inside the band.
-  while (degree() > config_.dmax) {
-    auto victim = peers_.begin();
-    for (auto it = peers_.begin(); it != peers_.end(); ++it)
-      if (it->second.declared_degree > victim->second.declared_degree)
-        victim = it;
-    const tor::OnionAddress dropped = victim->first;
-    peers_.erase(victim);
-    send(dropped, encode_peer_drop(PeerDropMsg{address_}));
-  }
+  while (degree() > config_.dmax)
+    drop_peer(highest_degree_peer(peers_, declared_degree, rng_).peer);
+}
+
+void Bot::drop_peer(PeerTable::iterator victim) {
+  const tor::OnionAddress dropped = victim->first;
+  peers_.erase(victim);
+  send(dropped, encode_peer_drop(PeerDropMsg{address_}));
 }
 
 void Bot::refill_if_needed() {
@@ -432,81 +414,66 @@ void Bot::refill_if_needed() {
   }
   rng_.shuffle(candidates);
   const std::size_t want = config_.dmin - degree();
+  for (std::size_t i = 0; i < candidates.size() && i < want; ++i)
+    ask_peer(candidates[i]);
+}
+
+void Bot::ask_peer(const tor::OnionAddress& to,
+                   std::function<void(bool)> then) {
   PeerRequestMsg req;
   req.from = address_;
   req.declared_degree = static_cast<std::uint16_t>(degree());
-  for (std::size_t i = 0; i < candidates.size() && i < want; ++i) {
-    const tor::OnionAddress candidate = candidates[i];
-    send(candidate, encode_peer_request(req),
-         [this, candidate](const tor::ConnectResult& r) {
-           if (!alive_ || !r.ok) return;
+  send(to, encode_peer_request(req),
+       [this, to, then = std::move(then)](const tor::ConnectResult& r) {
+         if (!alive_) return;
+         bool adopted = false;
+         if (r.ok) {
            try {
-             const PeerReplyMsg reply = parse_peer_reply(r.reply);
-             if (!reply.accepted) return;
-             PeerInfo& info = peers_[candidate];
-             info.declared_degree = reply.declared_degree;
-             info.last_seen = net_.simulator().now();
-             info.neighbors = reply.neighbors;
-             challenge_new_peer(candidate);
+             PeerReplyMsg reply = parse_peer_reply(r.reply);
+             if (reply.accepted) {
+               PeerInfo& info = peers_[to];
+               info.declared_degree = reply.declared_degree;
+               info.last_seen = net_.simulator().now();
+               info.neighbors = std::move(reply.neighbors);
+               challenge_new_peer(to);
+               adopted = true;
+             }
            } catch (const WireError&) {
            }
-         });
-  }
+         }
+         if (then) then(adopted);
+       });
 }
 
 void Bot::rally(std::vector<tor::OnionAddress> bootstrap) {
   stage_ = Stage::Rally;
-  // Shared lead queue walked asynchronously: ask each lead to peer; an
-  // accepting lead's neighbor list extends the queue (hotlist behavior).
-  auto leads = std::make_shared<std::deque<tor::OnionAddress>>(
-      bootstrap.begin(), bootstrap.end());
-  auto tried = std::make_shared<std::set<tor::OnionAddress>>();
-  auto step = std::make_shared<std::function<void()>>();
-  // The handler must reach itself to continue the walk, but capturing the
-  // shared_ptr would make the closure own itself — a reference cycle that
-  // leaks the whole walk state. Capture weakly here; the pending send()
-  // callback below holds the strong reference that keeps the walk alive.
-  std::weak_ptr<std::function<void()>> weak_step = step;
-  *step = [this, leads, tried, weak_step] {
-    if (!alive_) return;
-    if (degree() >= config_.dmin || leads->empty()) {
-      if (degree() > 0) stage_ = Stage::Waiting;
-      return;
-    }
-    const auto self = weak_step.lock();
-    if (!self) return;
-    const tor::OnionAddress lead = leads->front();
-    leads->pop_front();
+  auto walk = std::make_shared<RallyWalk>();
+  walk->leads.assign(bootstrap.begin(), bootstrap.end());
+  continue_rally(std::move(walk));
+}
+
+void Bot::continue_rally(const std::shared_ptr<RallyWalk>& walk) {
+  if (!alive_) return;
+  // Ask one untried lead at a time; an accepting lead's neighbor list
+  // extends the queue (hotlist behavior). The pending reply holds the
+  // walk and resumes it.
+  while (degree() < config_.dmin && !walk->leads.empty()) {
+    const tor::OnionAddress lead = walk->leads.front();
+    walk->leads.pop_front();
     if (lead == address_ || peers_.count(lead) > 0 ||
-        !tried->insert(lead).second) {
-      (*self)();
-      return;
-    }
-    PeerRequestMsg req;
-    req.from = address_;
-    req.declared_degree = static_cast<std::uint16_t>(degree());
-    send(lead, encode_peer_request(req),
-         [this, lead, leads, self](const tor::ConnectResult& r) {
-           if (!alive_) return;
-           if (r.ok) {
-             try {
-               const PeerReplyMsg reply = parse_peer_reply(r.reply);
-               if (reply.accepted) {
-                 PeerInfo& info = peers_[lead];
-                 info.declared_degree = reply.declared_degree;
-                 info.last_seen = net_.simulator().now();
-                 info.neighbors = reply.neighbors;
-                 challenge_new_peer(lead);
-                 for (const auto& n : reply.neighbors)
-                   leads->push_back(n);
-               }
-             } catch (const WireError&) {
-             }
-           }
-           (*self)();
-         });
-  };
-  (*step)();
+        !walk->tried.insert(lead).second)
+      continue;
+    ask_peer(lead, [this, walk, lead](bool adopted) {
+      if (adopted) {
+        const auto& neighbors = peers_.at(lead).neighbors;
+        walk->leads.insert(walk->leads.end(), neighbors.begin(),
+                           neighbors.end());
+      }
+      continue_rally(walk);
+    });
+    return;
+  }
+  if (degree() > 0) stage_ = Stage::Waiting;
 }
 
 // ====================================================================

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,6 +81,7 @@ struct ExecutedCommand {
 class Bot {
  public:
   enum class Stage { Infected, Rally, Waiting, Executing };
+  using PeerTable = std::map<tor::OnionAddress, PeerInfo>;
 
   /// Constructed by Botnet; `kb` is the link key shared with the C&C at
   /// infection time.
@@ -93,9 +95,7 @@ class Bot {
   const tor::OnionAddress& address() const { return address_; }
 
   /// Current peer table (keyed by peer .onion address).
-  const std::map<tor::OnionAddress, PeerInfo>& peers() const {
-    return peers_;
-  }
+  const PeerTable& peers() const { return peers_; }
   std::size_t degree() const { return peers_.size(); }
 
   /// Commands this bot executed.
@@ -132,13 +132,35 @@ class Bot {
   Bytes on_direct_command(BytesView message);
   Bytes on_probe_challenge(BytesView message);
 
+  // --- peering ---
+  /// The one request path: sends `to` a PeerRequest; on acceptance adopts
+  /// the peer (declared degree, last-seen time, neighbors) and challenges
+  /// it when probing, then calls `then(adopted)` unless this bot died.
+  void ask_peer(const tor::OnionAddress& to,
+                std::function<void(bool adopted)> then = {});
+  /// Forgets `victim` and sends it a PeerDrop (eviction and pruning).
+  void drop_peer(PeerTable::iterator victim);
+  /// Sends `to` a §VII-A keyed challenge, then calls `then(reachable,
+  /// answered)` unless this bot died; `answered`: the reply was right.
+  void challenge(const tor::OnionAddress& to,
+                 std::function<void(bool reachable, bool answered)> then);
+
+  /// The state of one rally walk, shared by its pending replies.
+  struct RallyWalk {
+    std::deque<tor::OnionAddress> leads;
+    std::set<tor::OnionAddress> tried;
+  };
+  /// Asks the next untried lead (its reply resumes) until dmin or none.
+  void continue_rally(const std::shared_ptr<RallyWalk>& walk);
+
   // --- maintenance ---
   void schedule_heartbeat();
   void schedule_non_share();
   void schedule_rotation();
   void heartbeat();
   /// Probe-before-adopt (§VII-A, when probe_peers is on): challenges a
-  /// freshly accepted peer and forgets it on a wrong answer.
+  /// freshly accepted peer and forgets it on a wrong answer. A right
+  /// answer prunes back to dmax, which is when a full bot evicts for it.
   void challenge_new_peer(const tor::OnionAddress& addr);
   void share_non();
   void rotate_address();
@@ -160,7 +182,7 @@ class Bot {
   tor::OnionAddress address_;
   std::uint64_t current_period_ = 0;
 
-  std::map<tor::OnionAddress, PeerInfo> peers_;
+  PeerTable peers_;
   std::set<crypto::Sha1Digest> seen_broadcasts_;
   std::set<std::uint64_t> seen_nonces_;
   std::vector<ExecutedCommand> executed_;
@@ -168,6 +190,7 @@ class Bot {
   /// Subgroup keys installed by InstallGroupKey commands (paper §IV-D).
   /// Envelopes under a key the bot lacks are relayed unread.
   std::map<std::uint64_t, Bytes> group_keys_;
+  /// This bot's own stream: nonces, shuffles and eviction ties.
   Rng rng_;
 };
 

@@ -100,15 +100,15 @@ void DdsrEngine::prune_node(NodeId v, std::vector<NodeId>& lost_edge) {
     switch (policy_.victim) {
       case DdsrPolicy::Victim::HighestDegree:
         // Highest-degree neighbor; ties broken uniformly (paper rule).
-        victim = highest_degree_peer(
-                     peers, [&](NodeId p) { return graph_.degree(p); }, rng_)
-                     .peer;
+        victim = *highest_degree_peer(
+                      peers, [&](NodeId p) { return graph_.degree(p); },
+                      rng_)
+                      .peer;
         break;
       case DdsrPolicy::Victim::Random:
         victim = peers[static_cast<std::size_t>(rng_.uniform(peers.size()))];
         break;
     }
-    if (victim == graph::kInvalidNode) break;
     graph_.remove_edge(v, victim);
     ++stats_.prune_edges_removed;
     lost_edge.push_back(victim);

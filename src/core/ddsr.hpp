@@ -13,8 +13,9 @@
 //               (never globally: bots only know two hops out).
 //
 // This graph-level engine drives the Figure 4/5/6 sweeps; the full
-// bot-over-Tor stack (core/botnet.hpp) executes the same policies through
-// real peer messages.
+// bot-over-Tor stack (core/botnet.hpp) executes the same repair and prune
+// policies, ties included, through real peer messages; only its refill
+// order differs (shuffled NoN candidates, no preference for spare room).
 #pragma once
 
 #include <cstdint>

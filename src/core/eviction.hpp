@@ -1,46 +1,49 @@
-// The one eviction choice of the graph-level layers: the peer with the
-// highest degree, ties broken uniformly. OverlayNetwork::request_peering
-// ranks a full target's peers by declared degree (the SOAP-exploitable
-// acceptance rule, Figure 7 step 4); DdsrEngine::prune_node ranks them
-// by true degree (the paper's pruning rule, §IV-C).
-//
-// The message-level bot layer (core/botnet.cpp) ranks by declared degree
-// too but draws no random numbers: it scans its address-ordered peer map,
-// and Bot::on_peer_request evicts the *last* tied peer while
-// Bot::prune_if_needed sheds the *first*. Those tie-breaks are left as
-// they are; changing them would move the live-SOAP tests.
+// The one eviction choice of every layer: the peer with the highest
+// degree, ties broken uniformly from the caller's Rng. Both paper rules
+// that remove "the peer with the highest degree" use it:
+//   - acceptance (Figure 7 step 4, the rule SOAP exploits): a full node
+//     evicts its top peer by declared degree for a requester that
+//     undercuts it. OverlayNetwork::request_peering, Bot::on_peer_request;
+//   - pruning (§IV-C): a node above dmax sheds its top peer.
+//     DdsrEngine::prune_node ranks by true degree, Bot::prune_if_needed
+//     by declared degree.
 #pragma once
 
 #include <cstddef>
-#include <span>
+#include <ranges>
 
 #include "common/rng.hpp"
-#include "graph/graph.hpp"
 
 namespace onion::core {
 
 /// The chosen peer and the degree it was ranked by.
+template <typename It>
 struct Eviction {
-  graph::NodeId peer = graph::kInvalidNode;
+  It peer;
   std::size_t degree = 0;
 };
 
-/// The peer maximizing `degree(p)`, uniform over ties (reservoir
-/// sampling: one rng draw per tied peer after the first). A peer of
-/// degree 0 is never chosen, so all-zero or empty `peers` yield
-/// {kInvalidNode, 0}.
-template <typename DegreeFn>
-Eviction highest_degree_peer(std::span<const graph::NodeId> peers,
-                             DegreeFn degree, Rng& rng) {
-  Eviction out;
-  std::size_t ties = 0;
-  for (const graph::NodeId p : peers) {
-    const std::size_t d = degree(p);
+/// The element of `peers` maximizing `degree(element)`, uniform over
+/// ties (reservoir sampling). The first peer is taken without a draw;
+/// each later peer tied with the best so far costs one draw, so k tied
+/// peers cost k - 1 draws and an untied maximum costs none. Degree 0 is
+/// an ordinary degree: a bot still rallying declares 0 and stays
+/// prunable. Empty `peers` yield {end, 0}.
+template <std::ranges::forward_range Range, typename DegreeFn>
+Eviction<std::ranges::iterator_t<Range>> highest_degree_peer(
+    Range& peers, DegreeFn degree, Rng& rng) {
+  auto it = std::ranges::begin(peers);
+  const auto end = std::ranges::end(peers);
+  if (it == end) return {it, 0};
+  Eviction<std::ranges::iterator_t<Range>> out{it, degree(*it)};
+  std::size_t ties = 1;
+  for (++it; it != end; ++it) {
+    const std::size_t d = degree(*it);
     if (d > out.degree) {
-      out = {p, d};
+      out = {it, d};
       ties = 1;
-    } else if (d == out.degree && d > 0 && rng.uniform(++ties) == 0) {
-      out.peer = p;
+    } else if (d == out.degree && rng.uniform(++ties) == 0) {
+      out.peer = it;
     }
   }
   return out;

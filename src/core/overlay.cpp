@@ -80,18 +80,19 @@ PeerDecision OverlayNetwork::request_peering(NodeId requester,
   }
 
   // Full: accept only if the newcomer undercuts the worst current peer
-  // (by declared degree); that peer is evicted — Figure 7 step 4.
-  const Eviction worst = highest_degree_peer(
+  // (by declared degree); that peer is evicted — Figure 7 step 4. No
+  // peers rank at degree 0, which no requester undercuts.
+  const auto worst = highest_degree_peer(
       graph_.neighbors(target), [&](NodeId p) { return declared_degree(p); },
       rng_);
-  if (worst.peer == graph::kInvalidNode ||
-      declared_degree(requester) >= worst.degree)
+  if (declared_degree(requester) >= worst.degree)
     return PeerDecision::Rejected;
 
-  graph_.remove_edge(target, worst.peer);
+  const NodeId victim = *worst.peer;  // removal reorders the list
+  graph_.remove_edge(target, victim);
   graph_.add_edge(requester, target);
   ++accepted_this_round_[target];
-  if (evicted != nullptr) *evicted = worst.peer;
+  if (evicted != nullptr) *evicted = victim;
   return PeerDecision::AcceptedEvicted;
 }
 

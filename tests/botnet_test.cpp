@@ -159,6 +159,30 @@ TEST(BotnetTest, SelfHealingAfterTakedown) {
   EXPECT_EQ(net.count_executed(CommandType::Compute), 18u);
 }
 
+TEST(BotnetTest, NoNShareClosesAHalfOpenEntry) {
+  // A PeerDrop names only its sender, so one that lands after two bots
+  // peered again leaves one side listing a peer that no longer lists it
+  // back. A forged drop builds that state at once; the listing side's
+  // next NoN share reaches a bot that does not know it, which must close
+  // the entry rather than leave a link nobody answers.
+  Botnet net(small_params());
+  const Bot& a = net.bot(0);
+  const tor::OnionAddress b_address = a.peers().begin()->first;
+  const Bot& b = net.bot(*net.bot_by_address(b_address));
+  const tor::EndpointId forger = net.tor().create_endpoint();
+  bool half_open = false;
+  net.tor().connect_and_send(
+      forger, b_address, encode_peer_drop(PeerDropMsg{a.address()}),
+      [&](const tor::ConnectResult& r) {
+        half_open = r.ok && b.peers().count(a.address()) == 0 &&
+                    a.peers().count(b_address) == 1;
+      });
+  net.run_for(2 * net.params().bot.non_share_interval);
+  ASSERT_TRUE(half_open) << "the forged drop ends the link on b's side";
+  EXPECT_EQ(a.peers().count(b_address), b.peers().count(a.address()))
+      << "both sides agree on the link again";
+}
+
 TEST(BotnetTest, NewInfectionRalliesViaBootstrapList) {
   Botnet net(small_params());
   Bot& recruit = net.infect_new_bot();

@@ -1,9 +1,15 @@
 // DDSR self-healing graph tests: the Figure 3 walkthrough, repair/prune/
 // refill invariants, and parameterized property sweeps over the paper's
-// degrees with and without pruning.
+// degrees with and without pruning, plus the shared highest-degree
+// eviction choice.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/ddsr.hpp"
+#include "core/eviction.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 
@@ -270,6 +276,78 @@ TEST(Ddsr, AblationRandomVictimStillCapsDegree) {
     engine.remove_node(alive[rng.uniform(alive.size())]);
   }
   for (const NodeId u : g.alive_nodes()) EXPECT_LE(g.degree(u), 8u);
+}
+
+// --- core::highest_degree_peer -------------------------------------
+
+std::size_t identity(std::size_t d) { return d; }
+
+// True iff `a` and `b` are at the same point of their streams.
+bool same_stream(Rng a, Rng b) { return a.next_u64() == b.next_u64(); }
+
+TEST(HighestDegreePeer, EmptyRangeReturnsEnd) {
+  Rng rng(1);
+  const Rng untouched = rng;
+  const std::vector<std::size_t> none;
+  const auto pick = highest_degree_peer(none, identity, rng);
+  EXPECT_EQ(pick.peer, none.end());
+  EXPECT_EQ(pick.degree, 0u);
+  EXPECT_TRUE(same_stream(rng, untouched));
+}
+
+TEST(HighestDegreePeer, LonePeerOrUntiedMaximumCostsNoDraw) {
+  Rng rng(2);
+  const Rng untouched = rng;
+  const std::vector<std::size_t> lone{7};
+  EXPECT_EQ(highest_degree_peer(lone, identity, rng).peer, lone.begin());
+  const std::vector<std::size_t> untied{9, 3, 5, 1};
+  const auto pick = highest_degree_peer(untied, identity, rng);
+  EXPECT_EQ(pick.peer, untied.begin());
+  EXPECT_EQ(pick.degree, 9u);
+  EXPECT_TRUE(same_stream(rng, untouched));
+}
+
+TEST(HighestDegreePeer, KTiedPeersCostKMinusOneDrawsAndSplitEvenly) {
+  // Two lower peers around four tied at 6: the draws are exactly the
+  // reservoir's uniform(2), uniform(3), uniform(4).
+  const std::vector<std::size_t> peers{2, 6, 6, 1, 6, 6};
+  constexpr int kTrials = 40000;
+  std::map<std::ptrdiff_t, int> chosen;
+  Rng rng(3);
+  for (int t = 0; t < kTrials; ++t) {
+    Rng expected = rng;
+    for (std::uint64_t bound = 2; bound <= 4; ++bound) expected.uniform(bound);
+    const auto pick = highest_degree_peer(peers, identity, rng);
+    ASSERT_EQ(pick.degree, 6u);
+    ASSERT_TRUE(same_stream(rng, expected));
+    ++chosen[pick.peer - peers.begin()];
+  }
+  ASSERT_EQ(chosen.size(), 4u);
+  for (const auto& [index, count] : chosen) {
+    EXPECT_EQ(peers[static_cast<std::size_t>(index)], 6u);
+    EXPECT_NEAR(count, kTrials / 4, kTrials / 40) << "peer " << index;
+  }
+}
+
+TEST(HighestDegreePeer, RanksAMapThroughAProjection) {
+  const std::map<std::string, int> table{{"a", 3}, {"b", 8}, {"c", 5}};
+  Rng rng(4);
+  const auto pick = highest_degree_peer(
+      table,
+      [](const auto& entry) { return static_cast<std::size_t>(entry.second); },
+      rng);
+  ASSERT_NE(pick.peer, table.end());
+  EXPECT_EQ(pick.peer->first, "b");
+  EXPECT_EQ(pick.degree, 8u);
+}
+
+TEST(HighestDegreePeer, AllZeroDegreesStillYieldAPeer) {
+  // A rallying bot declares degree 0 and must stay prunable.
+  const std::vector<std::size_t> zeros{0, 0, 0};
+  Rng rng(5);
+  const auto pick = highest_degree_peer(zeros, identity, rng);
+  ASSERT_NE(pick.peer, zeros.end());
+  EXPECT_EQ(pick.degree, 0u);
 }
 
 }  // namespace

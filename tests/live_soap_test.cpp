@@ -92,6 +92,24 @@ TEST(LiveSoap, ProbingDefenseRepelsTheSameCampaign) {
       << "the probed botnet keeps operating under the same campaign";
 }
 
+TEST(LiveSoap, ProbingCostsNoHonestLink) {
+  // Under probing a full bot evicts for a newcomer only once it answers
+  // the challenge, so clones, which never answer, cannot thin the honest
+  // overlay: it keeps every initial link and stays one component.
+  core::Botnet net(live_params(true));
+  const std::size_t initial = net.overlay_snapshot().num_edges();
+  LiveSoapCampaign campaign(net, {});
+  campaign.capture(0);
+  for (int round = 0; round < 25; ++round) {
+    campaign.step();
+    net.run_for(4 * kMinute);
+    ASSERT_GE(net.overlay_snapshot().num_edges(), initial)
+        << "round " << round;
+  }
+  EXPECT_GT(campaign.acceptances(), 0u) << "clones were accepted";
+  EXPECT_TRUE(graph::is_connected(net.overlay_snapshot()));
+}
+
 TEST(LiveSoap, ClonesNeverRelayBroadcasts) {
   // A broadcast envelope delivered straight to a clone dies there: the
   // clone answers blandly and forwards nothing, so no bot ever relays

@@ -55,7 +55,10 @@ TEST(Overlay, FullNodeEvictsHighestDeclaredForLowDeclared) {
   net.request_peering(mid, t);  // t is now full (dmax=2)
 
   const NodeId sybil = net.add_node(false, /*declared=*/1);
-  EXPECT_EQ(net.request_peering(sybil, t), PeerDecision::AcceptedEvicted);
+  NodeId evicted = graph::kInvalidNode;
+  EXPECT_EQ(net.request_peering(sybil, t, &evicted),
+            PeerDecision::AcceptedEvicted);
+  EXPECT_EQ(evicted, busy);
   EXPECT_TRUE(net.graph().has_edge(sybil, t));
   EXPECT_FALSE(net.graph().has_edge(busy, t))
       << "highest-declared peer evicted";
