@@ -1,5 +1,7 @@
 #include "common/rng.hpp"
 
+#include <unordered_map>
+
 namespace onion {
 
 namespace {
@@ -59,6 +61,27 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform_real() < p;
+}
+
+std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+  ONION_EXPECTS(k <= n);
+  // Slot x of the virtual array holds displaced[x] if present, else x.
+  // Lookups only: the map's iteration order never matters.
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(k);
+  const auto at = [&displaced](std::size_t x) {
+    const auto it = displaced.find(x);
+    return it == displaced.end() ? x : it->second;
+  };
+  std::vector<std::size_t> out(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(uniform(n - i));
+    // Slot i is never read again, so the swap only writes slot j.
+    const std::size_t head = at(i);
+    out[i] = at(j);
+    displaced[j] = head;
+  }
+  return out;
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0x5eedb0057ULL); }

@@ -8,6 +8,7 @@
 // is not portable across standard libraries; our rejection sampling is).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -63,21 +64,23 @@ class Rng {
     }
   }
 
+  /// k distinct indices in [0, n), drawn by a sparse partial Fisher–Yates
+  /// over the virtual array 0..n−1: step i swaps slot i with slot
+  /// i + uniform(n − i), and only the O(k) displaced slots are stored.
+  /// O(k) time and memory whatever n is. Precondition: k <= n.
+  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
+
   /// k distinct elements sampled without replacement (order randomized).
+  /// O(k) time and memory: v is never copied. Same draws, same elements
+  /// in the same order as a partial Fisher–Yates over a copy of v.
   /// Precondition: k <= v.size().
   template <typename T>
   std::vector<T> sample(const std::vector<T>& v, std::size_t k) {
-    ONION_EXPECTS(k <= v.size());
-    std::vector<T> pool = v;
-    // Partial Fisher–Yates: the first k slots become the sample.
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(uniform(pool.size() - i));
-      using std::swap;
-      swap(pool[i], pool[j]);
-    }
-    pool.resize(k);
-    return pool;
+    std::vector<T> out;
+    out.reserve(k);
+    for (const std::size_t i : sample_indices(v.size(), k))
+      out.push_back(v[i]);
+    return out;
   }
 
   /// Derives an independent child generator; used to give each simulation

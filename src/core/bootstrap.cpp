@@ -35,9 +35,7 @@ void HotlistDirectory::announce(const tor::OnionAddress& address,
 }
 
 std::vector<std::size_t> HotlistDirectory::assign_subset() {
-  std::vector<std::size_t> all(config_.servers);
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return rng_.sample(all, config_.servers_per_bot);
+  return rng_.sample_indices(config_.servers, config_.servers_per_bot);
 }
 
 LeadList HotlistDirectory::query(

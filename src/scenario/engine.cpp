@@ -181,14 +181,19 @@ void CampaignEngine::do_join() {
   ++counters_.joins;
   const NodeId id = net_.add_node(/*honest=*/true);
   emit(TraceEventKind::Join, id);
-  std::vector<NodeId> candidates = net_.honest_nodes();
-  std::erase(candidates, id);
-  if (candidates.empty()) return;
+  // Ids are never reused, so the newcomer is the top honest rank and the
+  // rank range [0, honest_alive − 1) holds every other bot.
+  const std::uint64_t others = tracker_.honest_alive() - 1;
+  ONION_EXPECTS(tracker_.honest_at(others) == id);
+  if (others == 0) return;
   // Bootstrap peering: ask `degree` random bots. A full target accepts
   // only by evicting (the degree-0 newcomer always undercuts); the
   // evicted bot refills from its NoN so the join cannot leave holes.
-  const std::size_t want = std::min(spec_.degree, candidates.size());
-  for (const NodeId target : rng_.sample(candidates, want)) {
+  // Ranks follow ascending ids, and peering moves edges, never bots, so
+  // each rank resolves to the bot it named when it was drawn.
+  const std::size_t want = std::min<std::uint64_t>(spec_.degree, others);
+  for (const std::size_t rank : rng_.sample_indices(others, want)) {
+    const NodeId target = tracker_.honest_at(rank);
     emit(TraceEventKind::Peering, id, target);
     peer(id, target);
   }

@@ -20,7 +20,8 @@
 // sweep across randomized join/leave/takedown/SOAP interleavings.
 //
 // The tracker also keeps an order-statistics bitmap over honest alive
-// slots, so the engine can draw a uniform honest victim in O(log n)
+// slots, so the engine can draw a uniform honest victim, and a joining
+// bot's bootstrap peers, in O(log n) per draw
 // (honest_at(k) == honest_nodes()[k] without building the vector).
 #pragma once
 
@@ -76,7 +77,8 @@ class StructuralTracker final : public graph::MutationObserver {
   void fill(MetricsSnapshot& s, bool with_histogram);
 
   /// --- honest-population order statistics ----------------------------
-  /// Number of honest alive nodes.
+  /// Number of honest alive nodes. Victim draws (leaves, random strikes)
+  /// and bootstrap peering draw ranks below it and resolve them here.
   std::uint64_t honest_alive() const { return honest_alive_; }
   /// Id of the k-th honest alive node in ascending id order — equal to
   /// net.honest_nodes()[k], in O(log n) and without the O(n) vector.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -202,6 +204,64 @@ TEST(Rng, SampleWholeVector) {
   auto s = rng.sample(v, 3);
   std::sort(s.begin(), s.end());
   EXPECT_EQ(s, v);
+}
+
+// The copying sampler Rng::sample replaced, kept as the oracle for the
+// sparse one: a partial Fisher–Yates over a full copy of v.
+template <typename T>
+std::vector<T> reference_sample(Rng& rng, const std::vector<T>& v,
+                                std::size_t k) {
+  ONION_EXPECTS(k <= v.size());
+  std::vector<T> pool = v;
+  // Partial Fisher–Yates: the first k slots become the sample.
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.uniform(pool.size() - i));
+    using std::swap;
+    swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+// Both samplers from one seed: same elements, same order, and the
+// generator left in the same state.
+void expect_sample_matches_reference(std::uint64_t seed, std::size_t n,
+                                     std::size_t k) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << n
+                                  << " k " << k);
+  // Values distinct from their indices, so a wrong index map shows.
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = 3 * i + 1;
+  Rng fast(seed), slow(seed);
+  ASSERT_EQ(fast.sample(v, k), reference_sample(slow, v, k));
+  EXPECT_EQ(fast.uniform(1000003), slow.uniform(1000003));
+
+  std::vector<std::size_t> iota(n);
+  std::iota(iota.begin(), iota.end(), std::size_t{0});
+  Rng fast_idx(seed), slow_idx(seed);
+  ASSERT_EQ(fast_idx.sample_indices(n, k), reference_sample(slow_idx, iota, k));
+  EXPECT_EQ(fast_idx.next_u64(), slow_idx.next_u64());
+}
+
+TEST(Rng, SampleMatchesCopyingReferenceOnEdgeCases) {
+  expect_sample_matches_reference(1, 0, 0);
+  expect_sample_matches_reference(2, 1, 0);
+  expect_sample_matches_reference(3, 1, 1);
+  expect_sample_matches_reference(4, 2, 1);
+  expect_sample_matches_reference(5, 2, 2);
+  expect_sample_matches_reference(6, 17, 0);
+  expect_sample_matches_reference(7, 17, 17);
+  expect_sample_matches_reference(8, std::size_t{1} << 20, 10);
+}
+
+TEST(Rng, SampleMatchesCopyingReferenceOnRandomSizes) {
+  Rng sizes(0x5a3d1e);
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const std::size_t n = static_cast<std::size_t>(sizes.uniform(300));
+    const std::size_t k = static_cast<std::size_t>(sizes.uniform_in(0, n));
+    expect_sample_matches_reference(seed, n, k);
+  }
 }
 
 TEST(Rng, ShufflePreservesMultiset) {
